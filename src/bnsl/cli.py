@@ -10,8 +10,8 @@ import argparse
 import sys
 
 from .constraint import LearnConfig, constraint_learn
-from .data import (DataError, FittedNetwork, fit_mle, forward_sample,
-                   load_table, write_table)
+from .data import (DataError, FittedNetwork, _detect_delimiter, fit_mle,
+                   forward_sample, load_table, write_table)
 from .graph import (Graph, GraphError, average_branching, average_mb_size,
                     average_nbr_size, compare, format_modelstring,
                     parse_modelstring, to_dot)
@@ -43,7 +43,7 @@ def load_graph(source: str, nodes=None) -> Graph:
     text = text.strip()
     if text.startswith("["):
         return parse_modelstring("".join(text.split()), nodes)
-    rows = _read_arc_rows(text)
+    rows = _read_arc_rows(text, source)
     endpoints = [n for row in rows for n in row]
     if nodes is None:
         seen = dict.fromkeys(endpoints)
@@ -59,12 +59,13 @@ def load_graph(source: str, nodes=None) -> Graph:
     return Graph(nodes, directed, undirected)
 
 
-def _read_arc_rows(text: str) -> list[tuple[str, str]]:
+def _read_arc_rows(text: str, path: str) -> list[tuple[str, str]]:
     import csv
     import io
 
-    sample = text.splitlines()[0]
-    delim = max(",;\t", key=sample.count)
+    if not text.strip():
+        raise DataError(f"arc file {path} is empty")
+    delim = _detect_delimiter(text.splitlines()[0])
     rows = [r for r in csv.reader(io.StringIO(text), delimiter=delim) if r]
     if not rows or len(rows[0]) < 2:
         raise DataError("arc files need two columns (from, to) and a header")
@@ -72,8 +73,8 @@ def _read_arc_rows(text: str) -> list[tuple[str, str]]:
 
 
 def _read_priors(args) -> PriorKnowledge | None:
-    wl = _read_arc_rows(_read_text(args.whitelist)) if args.whitelist else ()
-    bl = _read_arc_rows(_read_text(args.blacklist)) if args.blacklist else ()
+    wl, bl = (_read_arc_rows(_read_text(path), path) if path else ()
+              for path in (args.whitelist, args.blacklist))
     if not wl and not bl:
         return None
     return PriorKnowledge(ArcList(tuple(wl)), ArcList(tuple(bl)))
@@ -161,8 +162,7 @@ def _cmd_learn(args) -> int:
     else:
         cfg = LearnConfig(algorithm=args.algo, test=args.test, alpha=args.alpha,
                           B=args.B, priors=priors, optimized=args.optimized,
-                          parallelism=args.parallel, debug=args.debug,
-                          seed=args.seed)
+                          debug=args.debug, seed=args.seed)
         graph, trace = constraint_learn(data, cfg)
     fmt = args.format
     if fmt is None:
@@ -281,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restart", type=int, default=0)
     p.add_argument("--perturb", type=int, default=1)
     p.add_argument("--optimized", choices=("true", "false"), default="true")
-    p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--debug", action="store_true")
     p.add_argument("--format", choices=_FORMATS, default=None)

@@ -11,14 +11,13 @@ node's search with the decisions already made for earlier nodes.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 
 from .data import Dataset, DataError, joint_config_codes
-from .graph import Graph, Provenance, propagate_directions
+from .graph import CycleError, Graph, Provenance, propagate_directions
 from .independence import (CONTINUOUS_TESTS, DISCRETE_TESTS, TEST_LABELS,
                            TestError, ci_test, default_test)
 from .priors import Constraints, PriorKnowledge, normalize_priors, _pair
@@ -46,10 +45,9 @@ class LearnConfig:
     B: int | None = None
     priors: PriorKnowledge | None = None
     optimized: bool = True
-    parallelism: int = 1
+    parallelism: int = 1  # only 1 is accepted; kept for callers that still pass it
     debug: bool = False
     seed: int = 0
-    mmpc_symmetry: bool = True  # AND-correction of the mmpc parent-children sets
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -63,8 +61,8 @@ class LearnConfig:
                 self.B = 1000
             if self.B < 1:
                 raise TestError("Monte Carlo tests need B >= 1")
-        if self.parallelism < 1:
-            raise TestError("parallelism must be at least 1")
+        if self.parallelism != 1:
+            raise TestError("parallelism must be 1: the thread pool was removed")
 
 
 class _CITester:
@@ -211,8 +209,9 @@ def _grow_fast_iamb(target, candidates, blanket, tester, trace, alpha, order, d)
         for v in remaining:
             p = tester(target, v, tuple(blanket), note="grow")
             scored.append((p, order[v], v))
+        # candidates found independent in this ranking stay eligible for the
+        # next ranking, which conditions on the grown blanket
         dependent = sorted(s for s in scored if s[0] <= alpha)
-        independent_now = {v for p, _, v in scored if p > alpha}
         if not dependent:
             break
         added = 0
@@ -229,9 +228,6 @@ def _grow_fast_iamb(target, candidates, blanket, tester, trace, alpha, order, d)
                       f"( p-value: {p:g} ).")
         if added == 0:
             break
-        # candidates found independent in this ranking stay eligible for the
-        # next ranking, which conditions on the grown blanket
-        del independent_now
     return blanket, last_added
 
 
@@ -465,7 +461,9 @@ def orient_vstructures(skeleton: Graph, dsep_sets: dict, d: Dataset,
                       f"(conflicts with the priors)")
             continue
         trial = directed | set(arcs)
-        if not _directed_part_acyclic(skeleton.nodes, trial):
+        try:
+            Graph(skeleton.nodes, trial)
+        except CycleError:
             trace.say(f"* not applying v-structure {x} -> {center} <- {y} "
                       f"(the resulting graph contains cycles)")
             continue
@@ -475,24 +473,6 @@ def orient_vstructures(skeleton: Graph, dsep_sets: dict, d: Dataset,
         trace.add("vstructure", x, y, (center,), p, note="applied")
         trace.say(f"* applying v-structure {x} -> {center} <- {y} ( {p:e} )")
     return Graph(skeleton.nodes, directed, undirected, skeleton.provenance)
-
-
-def _directed_part_acyclic(nodes, arcs) -> bool:
-    children: dict[str, list[str]] = {n: [] for n in nodes}
-    indeg = {n: 0 for n in nodes}
-    for u, v in arcs:
-        children[u].append(v)
-        indeg[v] += 1
-    queue = [n for n in nodes if indeg[n] == 0]
-    seen = 0
-    while queue:
-        n = queue.pop()
-        seen += 1
-        for c in children[n]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                queue.append(c)
-    return seen == len(nodes)
 
 
 # -- full pipeline --------------------------------------------------------------------------
@@ -506,53 +486,35 @@ def constraint_learn(d: Dataset, cfg: LearnConfig) -> tuple[Graph, LearnTrace]:
     names = d.names
     order = tester.order
     forced_adj = cons.forced_adjacency()
-    backtracking = cfg.optimized and cfg.parallelism == 1
     is_mmpc = cfg.algorithm == "mmpc"
 
-    def learn_target(target, kg, kb, tgt_tester, tgt_trace):
-        if is_mmpc:
-            return _max_min_pc(target, d, cfg, kg, kb, tgt_tester, tgt_trace, cons)
-        return learn_markov_blanket(target, d, cfg, kg, kb, tgt_tester, tgt_trace)
-
     blankets: dict[str, set[str]] = {}
-    if cfg.parallelism > 1:
-        # backtracking is disabled so results cannot depend on completion order
-        def worker(target):
-            sub = LearnTrace(False)
-            sub_tester = _CITester(d, cfg, sub, label)
-            kg = set(forced_adj[target])
-            return target, learn_target(target, kg, set(), sub_tester, sub), sub
-
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            results = list(pool.map(worker, names))
-        for target, blanket, sub in results:
-            blankets[target] = blanket
-            trace.extend(sub)
-    else:
-        for i, target in enumerate(names):
-            trace.say("----------------------------------------------------------------")
-            trace.say(f"* learning markov blanket of {target} .")
-            kg = set(forced_adj[target])
-            kb: set[str] = set()
-            if backtracking:
-                for y in names[:i]:
-                    if target in blankets[y]:
-                        # mmpc keeps its AND-check meaningful: positive seeds
-                        # would let one false rejection survive both directions
-                        if not is_mmpc:
-                            kg.add(y)
-                    else:
-                        kb.add(y)
-                kb -= kg
-                if kg or kb:
-                    trace.add("backtrack", target,
-                              note=f"good={','.join(sorted(kg))} bad={','.join(sorted(kb))}")
-            blankets[target] = learn_target(target, kg, kb, tester, trace)
+    for i, target in enumerate(names):
+        trace.say("----------------------------------------------------------------")
+        trace.say(f"* learning markov blanket of {target} .")
+        kg = set(forced_adj[target])
+        kb: set[str] = set()
+        if cfg.optimized:
+            for y in names[:i]:
+                if target in blankets[y]:
+                    # mmpc keeps its AND-check meaningful: positive seeds
+                    # would let one false rejection survive both directions
+                    if not is_mmpc:
+                        kg.add(y)
+                else:
+                    kb.add(y)
+            kb -= kg
+            if kg or kb:
+                trace.add("backtrack", target,
+                          note=f"good={','.join(sorted(kg))} bad={','.join(sorted(kb))}")
+        if is_mmpc:
+            blankets[target] = _max_min_pc(target, d, cfg, kg, kb, tester, trace, cons)
+        else:
+            blankets[target] = learn_markov_blanket(target, d, cfg, kg, kb, tester, trace)
 
     trace.say("----------------------------------------------------------------")
     trace.say("* checking consistency of markov blankets.")
-    if not is_mmpc or cfg.mmpc_symmetry:
-        blankets = symmetry_correction(blankets)
+    blankets = symmetry_correction(blankets)
     for x in names:  # prior-forced adjacency always survives
         blankets[x] |= forced_adj[x]
 
@@ -568,7 +530,7 @@ def constraint_learn(d: Dataset, cfg: LearnConfig) -> tuple[Graph, LearnTrace]:
             trace.say(f"* learning neighbourhood of {x} .")
             kg = set(forced_adj[x])
             kb: set[str] = set()
-            if backtracking:
+            if cfg.optimized:
                 for y in names[:i]:
                     if y in blankets[x]:
                         if x in nbrs[y]:
@@ -625,10 +587,15 @@ def constraint_learn(d: Dataset, cfg: LearnConfig) -> tuple[Graph, LearnTrace]:
             choice = (a, b)
         elif cons.arc_allowed(b, a) and not cons.arc_allowed(a, b):
             choice = (b, a)
-        if choice is not None and _directed_part_acyclic(names, directed | {choice}):
-            undirected.discard(_pair(a, b))
-            directed.add(choice)
-            trace.add("prior-orient", choice[0], choice[1])
+        if choice is None:
+            continue
+        try:
+            Graph(names, directed | {choice})
+        except CycleError:
+            continue
+        undirected.discard(_pair(a, b))
+        directed.add(choice)
+        trace.add("prior-orient", choice[0], choice[1])
 
     # final blacklist sweep
     directed = {(u, v) for u, v in directed if cons.arc_allowed(u, v)}

@@ -310,14 +310,23 @@ def partial_correlation(d: Dataset, x: str, y: str, z=()) -> float:
                 return float(np.clip(rho, -1.0, 1.0))
     except (np.linalg.LinAlgError, ValueError):
         pass
-    design = np.column_stack([np.ones(d.n)] + [d.values(c) for c in z])
     for name in (a, b):
         vals = d.values(name)
-        beta, *_ = np.linalg.lstsq(design, vals, rcond=None)
-        resid = vals - design @ beta
+        _, resid = _regress(d, name, z)
         if np.linalg.norm(resid) <= 1e-6 * max(np.linalg.norm(vals - vals.mean()), 1e-30):
             return 0.0
     raise DataError("singular correlation submatrix")
+
+
+def _regress(d: Dataset, name: str, z) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares fit of a numeric column on an intercept and the columns z.
+
+    Returns the coefficients (intercept first) and the residuals.
+    """
+    y = d.values(name)
+    design = np.column_stack([np.ones(d.n)] + [d.values(c) for c in z])
+    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+    return beta, y - design @ beta
 
 
 # -- fitted networks ------------------------------------------------------------------
@@ -458,11 +467,7 @@ def fit_mle(g: Graph, d: Dataset) -> FittedNetwork:
                              1.0 / R)
             local_params[node] = DiscreteCPT(levels, parents, plevels, table)
         else:
-            yv = d.values(node)
-            design = np.column_stack([np.ones(d.n)] +
-                                     [d.values(p) for p in parents])
-            beta, *_ = np.linalg.lstsq(design, yv, rcond=None)
-            resid = yv - design @ beta
+            beta, resid = _regress(d, node, parents)
             sd = float(np.sqrt(np.mean(resid ** 2)))
             if sd <= 0.0:
                 sd = 1e-12  # degenerate fit; keep the sampler well defined

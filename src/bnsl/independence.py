@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ContingencyTable, DataError, Dataset, contingency_counts, \
-    joint_config_codes, partial_correlation
+from .data import ContingencyTable, DataError, Dataset, _regress, \
+    contingency_counts, joint_config_codes, partial_correlation
 from .special import chi2_sf, normal_two_sided, student_t_two_sided
 
 DISCRETE_TESTS = ("mi", "mc-mi", "x2", "mc-x2", "fmi", "aict")
@@ -168,13 +168,6 @@ def _discrete_perm_stat(kind: str):
     raise TestError(f"unknown discrete permutation test {kind!r}")
 
 
-def _residuals(d: Dataset, name: str, z) -> np.ndarray:
-    y = d.values(name)
-    design = np.column_stack([np.ones(d.n)] + [d.values(c) for c in z])
-    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return y - design @ beta
-
-
 def _residual_corr(rx: np.ndarray, ry: np.ndarray) -> float:
     sx = math.sqrt(float(rx @ rx))
     sy = math.sqrt(float(ry @ ry))
@@ -252,8 +245,8 @@ def permutation_pvalue(d: Dataset, x: str, y: str, z=(), kind: str = "mc-mi",
         if d.discrete:
             raise TestError(f"{kind} requires continuous data")
         stat_fn = _gaussian_perm_stat(kind, d.n, len(z))
-        rx = _residuals(d, x, z)
-        ry = _residuals(d, y, z)
+        _, rx = _regress(d, x, z)
+        _, ry = _regress(d, y, z)
         s0 = stat_fn(_residual_corr(rx, ry))
         exceed = 0
         for _ in range(B):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, GraphError, topological_order
+from .graph import CycleError, Graph
 
 
 class PriorError(ValueError):
@@ -130,17 +130,10 @@ def normalize_priors(priors: PriorKnowledge | None, nodes) -> Constraints:
         if _pair(u, v) in forbidden_edges:
             raise PriorError(f"arc {u} -> {v} is both forced and fully blacklisted")
 
-    probe = Graph(nodes, forced_arcs) if _acyclic_or_none(nodes, forced_arcs) else None
-    if probe is None:
-        raise PriorError("the whitelist forces a cycle")
+    try:
+        Graph(nodes, forced_arcs)
+    except CycleError:
+        raise PriorError("the whitelist forces a cycle") from None
     return Constraints(nodes, frozenset(forced_arcs), frozenset(required_edges),
                        frozenset(forbidden_arcs), frozenset(forbidden_edges),
                        frozenset(forbidden_undirected))
-
-
-def _acyclic_or_none(nodes, arcs) -> bool:
-    try:
-        g = Graph(nodes, arcs)
-    except GraphError:
-        return False
-    return topological_order(g) is not None

@@ -58,8 +58,13 @@ class ScoreSpec:
     def __post_init__(self):
         if self.kind not in SCORE_LABELS:
             raise ScoreError(f"unknown score label {self.kind!r}")
-        if self.iss <= 0:
-            raise ScoreError("equivalent sample size must be positive")
+        if not (math.isfinite(self.iss) and self.iss > 0):
+            raise ScoreError(f"iss must be finite and positive, got {self.iss!r}")
+        if self.penalty is not None and not (math.isfinite(self.penalty)
+                                             and self.penalty >= 0):
+            raise ScoreError(f"penalty must be finite and non-negative, got {self.penalty!r}")
+        if self.bge_dof is not None and not math.isfinite(self.bge_dof):
+            raise ScoreError(f"bge_dof must be finite, got {self.bge_dof!r}")
 
     def effective_penalty(self, n: int) -> float:
         if self.penalty is not None:

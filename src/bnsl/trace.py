@@ -49,6 +49,3 @@ class LearnTrace:
             p = "" if e.p_value is None else f"{e.p_value:.6g}"
             out.append("\t".join([e.kind, e.x or "", e.y or "", z, p, e.note]))
         return out
-
-    def extend(self, other: "LearnTrace") -> None:
-        self.events.extend(other.events)

@@ -96,6 +96,32 @@ class TestLearn:
         assert code == 4
         assert "cycle" in err
 
+    @pytest.mark.parametrize("algo", ["gs", "hc"])
+    def test_invalid_label_not_reported_as_cycle(self, capsys, tmp_path, algo):
+        bad = tmp_path / "label.csv"
+        bad.write_text("X-1,B\na,x\nb,y\na,y\nb,x\n")
+        code, _, err = run_cli(capsys, "learn", str(bad), "--algo", algo)
+        assert code not in (0, 4)
+        assert "X-1" in err
+        assert "whitelist" not in err
+
+    @pytest.mark.parametrize("argv", [("learn", "DATA", "--whitelist", "EMPTY"),
+                                      ("learn", "DATA", "--blacklist", "EMPTY"),
+                                      ("modelstring", "EMPTY")])
+    def test_empty_arc_file_exit_code(self, capsys, data_path, tmp_path, argv):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        paths = {"DATA": data_path, "EMPTY": str(empty)}
+        code, _, err = run_cli(capsys, *(paths.get(a, a) for a in argv))
+        assert code == 3
+        assert str(empty) in err
+
+    def test_nan_iss_rejected(self, capsys, data_path):
+        code, _, err = run_cli(capsys, "learn", data_path, "--algo", "hc",
+                               "--score", "bde", "--iss", "nan")
+        assert code == 1
+        assert "iss" in err
+
     def test_missing_data_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "learn", str(tmp_path / "nope.csv"))
         assert code == 3

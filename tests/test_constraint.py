@@ -139,6 +139,24 @@ class TestOrientVstructures:
         pdag = orient_vstructures(skeleton, {}, sample, cfg)
         assert not pdag.directed_arcs
 
+    def test_candidate_closing_a_cycle_skipped(self, sample):
+        from bnsl.trace import LearnTrace
+        cfg = LearnConfig(algorithm="gs")
+        # B -> D -> A is already directed, so A -> B <- E would close a cycle;
+        # C -> F <- E closes none
+        skeleton = Graph(sample.names, [("B", "D"), ("D", "A")],
+                         [("A", "B"), ("B", "E"), ("C", "F"), ("E", "F")])
+        stream = io.StringIO()
+        trace = LearnTrace(debug=True, stream=stream)
+        pdag = orient_vstructures(skeleton, {("A", "E"): (), ("C", "E"): ()},
+                                  sample, cfg,
+                                  tester=lambda x, y, z, note="": 0.0, trace=trace)
+        assert pdag.directed_arcs == {("B", "D"), ("D", "A"), ("C", "F"), ("E", "F")}
+        assert pdag.undirected_arcs == {("A", "B"), ("B", "E")}
+        assert "A -> B <- E (the resulting graph contains cycles)" in stream.getvalue()
+        applied = [(e.x, e.z, e.y) for e in trace.events if e.note == "applied"]
+        assert applied == [("C", ("F",), "E")]
+
 
 class TestConstraintLearn:
     def test_sixnode_pdag(self, sample):
@@ -177,12 +195,20 @@ class TestConstraintLearn:
             g, _ = constraint_learn(shuffled, LearnConfig(algorithm="gs"))
             assert g == base
 
-    def test_parallel_matches_serial_unoptimized(self, sample):
-        serial, _ = constraint_learn(sample,
-                                     LearnConfig(algorithm="gs", optimized=False))
-        parallel, _ = constraint_learn(
-            sample, LearnConfig(algorithm="gs", optimized=False, parallelism=4))
-        assert serial == parallel
+    def test_parallelism_other_than_one_rejected(self):
+        with pytest.raises(TestError, match="thread pool was removed"):
+            LearnConfig(parallelism=2)
+
+    def test_prior_orientation_skipped_when_it_closes_a_cycle(self, sample):
+        # B -> C -> A is forced and B -> A is banned, so the undirected A - B
+        # may only become A -> B, which would close a cycle: it stays undirected
+        pr = PriorKnowledge(whitelist=[("B", "C"), ("C", "A")],
+                            blacklist=[("B", "A")])
+        g, trace = constraint_learn(sample, LearnConfig(algorithm="mmpc", priors=pr))
+        assert {("B", "C"), ("C", "A")} <= g.directed_arcs
+        assert ("A", "B") in g.undirected_arcs
+        assert not any(e.kind == "prior-orient" and (e.x, e.y) == ("A", "B")
+                       for e in trace.events)
 
     def test_whitelist_adds_edge(self, sample):
         pr = PriorKnowledge(whitelist=[("C", "F"), ("F", "C")])

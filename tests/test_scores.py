@@ -106,6 +106,15 @@ class TestLocalScoreHandValues:
         with pytest.raises(ScoreError):
             ScoreSpec(kind="wishful")
 
+    @pytest.mark.parametrize("kind,field,value", [
+        ("bde", "iss", math.nan), ("bde", "iss", math.inf),
+        ("bic", "penalty", math.nan), ("aic", "penalty", math.inf),
+        ("bic", "penalty", -1.0), ("bge", "bge_dof", math.nan),
+        ("bge", "bge_dof", math.inf)])
+    def test_bad_hyperparameter_rejected(self, kind, field, value):
+        with pytest.raises(ScoreError, match=field):
+            ScoreSpec(kind=kind, **{field: value})
+
 
 class TestNetworkScore:
     def test_decomposition_empty_graph(self):
