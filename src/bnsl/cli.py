@@ -44,6 +44,8 @@ def load_graph(source: str, nodes=None) -> Graph:
     if text.startswith("["):
         return parse_modelstring("".join(text.split()), nodes)
     rows = _read_arc_rows(text, source)
+    if nodes is None and not rows:
+        raise DataError(f"arc file {source} lists no arcs, so it names no nodes")
     endpoints = [n for row in rows for n in row]
     if nodes is None:
         seen = dict.fromkeys(endpoints)

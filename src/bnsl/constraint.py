@@ -19,7 +19,7 @@ import numpy as np
 from .data import Dataset, DataError, joint_config_codes
 from .graph import CycleError, Graph, Provenance, propagate_directions
 from .independence import (CONTINUOUS_TESTS, DISCRETE_TESTS, TEST_LABELS,
-                           TestError, ci_test, default_test)
+                           TestError, _check_replicates, ci_test, default_test)
 from .priors import Constraints, PriorKnowledge, normalize_priors, _pair
 from .trace import LearnTrace
 
@@ -59,8 +59,7 @@ class LearnConfig:
         if self.test is not None and self.test.startswith("mc-"):
             if self.B is None:
                 self.B = 1000
-            if self.B < 1:
-                raise TestError("Monte Carlo tests need B >= 1")
+            _check_replicates(self.B)
         if self.parallelism != 1:
             raise TestError("parallelism must be 1: the thread pool was removed")
 

@@ -151,7 +151,7 @@ def load_table(path, type_hint: str | None = None, delimiter: str | None = None)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
     if not text.strip():
-        raise DataError("empty file")
+        raise DataError(f"data file {path} is empty")
     if delimiter is None:
         delimiter = _detect_delimiter(text.splitlines()[0])
     rows = [row for row in csv.reader(io.StringIO(text), delimiter=delimiter)

@@ -4,19 +4,23 @@ Discrete statistics are functions of the contingency counts n_ijk of x and y
 within each observed configuration of the conditioning set; Gaussian
 statistics are transformations of the partial correlation. Every asymptotic
 test has a Monte Carlo permutation twin (labels mc-*) whose null replicates
-permute x within conditioning strata (discrete) or permute the residuals of
-x on z (continuous).
+permute x within conditioning strata (discrete, drawn directly as tables with
+the observed margins in every stratum) or permute the residuals of x on z
+(continuous).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import ContingencyTable, DataError, Dataset, _regress, \
-    contingency_counts, joint_config_codes, partial_correlation
+    contingency_counts, partial_correlation
+# re-exported: the benchmark's tracer (perfbench/tracing.py) wraps this name here
+from .data import joint_config_codes  # noqa: F401
 from .special import chi2_sf, normal_two_sided, student_t_two_sided
 
 DISCRETE_TESTS = ("mi", "mc-mi", "x2", "mc-x2", "fmi", "aict")
@@ -57,25 +61,28 @@ class TestResult:
 
 # -- discrete statistics ---------------------------------------------------------
 
-def _mi_from_counts(counts: np.ndarray, n: int) -> float:
-    nik = counts.sum(axis=1, keepdims=True)      # n_{i+k}
-    njk = counts.sum(axis=0, keepdims=True)      # n_{+jk}
-    nk = counts.sum(axis=(0, 1), keepdims=True)  # n_{++k}
+# The kernels take counts of shape (..., R, C, L), so one call scores a single
+# table or a whole batch of Monte Carlo replicates.
+
+def _mi_from_counts(counts: np.ndarray, n: int) -> np.ndarray:
+    nik = counts.sum(axis=-2, keepdims=True)          # n_{i+k}
+    njk = counts.sum(axis=-3, keepdims=True)          # n_{+jk}
+    nk = counts.sum(axis=(-3, -2), keepdims=True)     # n_{++k}
     num = counts.astype(float) * nk
     den = nik.astype(float) * njk
     ratio = np.divide(num, den, out=np.ones_like(num, dtype=float),
                       where=counts > 0)
     terms = np.where(counts > 0, counts * np.log(ratio), 0.0)
-    return float(terms.sum() / n)
+    return terms.sum(axis=(-3, -2, -1)) / n
 
 
-def _x2_from_counts(counts: np.ndarray) -> float:
-    nik = counts.sum(axis=1, keepdims=True).astype(float)
-    njk = counts.sum(axis=0, keepdims=True).astype(float)
-    nk = counts.sum(axis=(0, 1), keepdims=True).astype(float)
+def _x2_from_counts(counts: np.ndarray) -> np.ndarray:
+    nik = counts.sum(axis=-2, keepdims=True).astype(float)
+    njk = counts.sum(axis=-3, keepdims=True).astype(float)
+    nk = counts.sum(axis=(-3, -2), keepdims=True).astype(float)
     m = np.divide(nik * njk, nk, out=np.zeros_like(nik * njk), where=nk > 0)
     terms = np.divide((counts - m) ** 2, m, out=np.zeros_like(m), where=m > 0)
-    return float(terms.sum())
+    return terms.sum(axis=(-3, -2, -1))
 
 
 def table_df(t: ContingencyTable) -> int:
@@ -86,14 +93,14 @@ def mi_discrete(t: ContingencyTable) -> float:
     """Mutual information of the table; 0 log 0 counts as 0."""
     if t.n <= 0:
         raise TestError("empty contingency table")
-    return _mi_from_counts(t.counts, t.n)
+    return float(_mi_from_counts(t.counts, t.n))
 
 
 def x2_discrete(t: ContingencyTable) -> float:
     """Pearson's X^2 statistic; cells with zero expected count contribute 0."""
     if t.n <= 0:
         raise TestError("empty contingency table")
-    return _x2_from_counts(t.counts)
+    return float(_x2_from_counts(t.counts))
 
 
 def fmi_statistic(t: ContingencyTable, n: int) -> float:
@@ -160,99 +167,90 @@ def gaussian_statistic(rho: float, n: int, zsize: int, kind: str) -> TestResult:
 
 # -- Monte Carlo permutation tests -----------------------------------------------------
 
-def _discrete_perm_stat(kind: str):
-    if kind == "mc-mi":
-        return lambda counts, n: 2.0 * n * _mi_from_counts(counts, n)
-    if kind == "mc-x2":
-        return lambda counts, n: _x2_from_counts(counts)
-    raise TestError(f"unknown discrete permutation test {kind!r}")
+# Replicates are drawn in chunks whose working arrays hold about this many
+# elements, so memory stays fixed whatever B is.
+_CHUNK_ELEMENTS = 2 ** 14
 
 
-def _residual_corr(rx: np.ndarray, ry: np.ndarray) -> float:
-    sx = math.sqrt(float(rx @ rx))
-    sy = math.sqrt(float(ry @ ry))
-    if sx <= 0.0 or sy <= 0.0:
-        return 0.0
-    return float(np.clip(rx @ ry / (sx * sy), -1.0, 1.0))
+def _check_replicates(B) -> None:
+    if isinstance(B, bool) or not isinstance(B, numbers.Integral) or B < 1:
+        raise TestError(f"B must be an integer of at least 1, got {B!r}")
 
 
-def _gaussian_perm_stat(kind: str, n: int, zsize: int):
-    if kind == "mc-cor":
-        df = n - zsize - 2
+def _null_tables(rng: np.random.Generator, rows: np.ndarray, cols: np.ndarray,
+                 b: int) -> np.ndarray:
+    """b random tables with the given margins in every stratum, shape (b, R, C, L).
 
-        def stat(rho):
-            if abs(rho) >= 1.0:
-                return math.inf
-            return abs(rho) * math.sqrt(df / (1.0 - rho * rho))
-        if df <= 0:
-            raise TestError("mc-cor requires n > |z| + 2")
-        return stat
-    if kind == "mc-zf":
-        if n - zsize - 3 <= 0:
-            raise TestError("mc-zf requires n > |z| + 3")
+    rows is n_{i+k} (R, L) and cols n_{+jk} (C, L). Permuting x within each
+    stratum yields exactly this multivariate hypergeometric distribution; each
+    table is filled row by row, cell (i, j) drawn conditionally on the cells
+    before it (Patefield 1981, AS 159).
+    """
+    R, L = rows.shape
+    C = cols.shape[0]
+    tables = np.empty((b, R, C, L), dtype=np.int64)
+    col_rem = np.repeat(cols[None], b, axis=0)
+    for i in range(R - 1):
+        row_rem = np.repeat(rows[None, i], b, axis=0)
+        later = col_rem.sum(axis=1)
+        for j in range(C - 1):
+            later -= col_rem[:, j]
+            cell = rng.hypergeometric(col_rem[:, j], later, row_rem)
+            tables[:, i, j] = cell
+            row_rem -= cell
+            col_rem[:, j] -= cell
+        tables[:, i, C - 1] = row_rem
+        col_rem[:, C - 1] -= row_rem
+    tables[:, R - 1] = col_rem
+    return tables
 
-        def stat(rho):
-            if abs(rho) >= 1.0:
-                return math.inf
-            return 0.5 * math.sqrt(n - zsize - 3) * abs(math.log((1 + rho) / (1 - rho)))
-        return stat
-    if kind == "mc-mi-g":
-        def stat(rho):
-            if abs(rho) >= 1.0:
-                return math.inf
-            return 2.0 * n * (-0.5 * math.log1p(-rho * rho))
-        return stat
-    raise TestError(f"unknown Gaussian permutation test {kind!r}")
+
+def _chunks(B: int, per_replicate: int):
+    size = max(1, _CHUNK_ELEMENTS // per_replicate)
+    for start in range(0, B, size):
+        yield min(size, B - start)
 
 
 def permutation_pvalue(d: Dataset, x: str, y: str, z=(), kind: str = "mc-mi",
                        B: int = 1000, seed=0) -> TestResult:
     """Stratified/residual permutation test; p = (1 + #{s_b >= s0}) / (1 + B)."""
-    if B < 1:
-        raise TestError("B must be at least 1")
+    _check_replicates(B)
     rng = np.random.default_rng(seed)
     z = list(z)
     if kind in ("mc-mi", "mc-x2"):
         if not d.discrete:
             raise TestError(f"{kind} requires discrete data")
-        stat_fn = _discrete_perm_stat(kind)
-        xc = d.codes(x)
-        yc = d.codes(y)
-        R = len(d.levels(x))
-        C = len(d.levels(y))
-        zidx, L = joint_config_codes(d, z)
-        order = np.argsort(zidx, kind="stable")
-        bounds = np.searchsorted(zidx[order], np.arange(L + 1))
-        xs = xc[order]
-        ys = yc[order]
-        flat_base = ys * L + zidx[order]
-        s0 = stat_fn(np.bincount((xs * C + ys) * L + zidx[order],
-                                 minlength=R * C * L).reshape(R, C, L), d.n)
+        t = contingency_counts(d, x, y, z)
+        if kind == "mc-mi":
+            def stat(counts):
+                return 2.0 * t.n * _mi_from_counts(counts, t.n)
+        else:
+            stat = _x2_from_counts
+        s0 = stat(t.counts[None])[0]
+        rows, cols = t.margin_x(), t.margin_y()
         exceed = 0
-        xp = xs.copy()
-        for _ in range(B):
-            for k in range(L):
-                lo, hi = bounds[k], bounds[k + 1]
-                if hi - lo > 1:
-                    xp[lo:hi] = xs[lo:hi][rng.permutation(hi - lo)]
-            counts = np.bincount(xp * (C * L) + flat_base,
-                                 minlength=R * C * L).reshape(R, C, L)
-            if stat_fn(counts, d.n) >= s0:
-                exceed += 1
-        return TestResult(kind, s0, (1 + exceed) / (1 + B), replicates=B)
+        for b in _chunks(B, t.counts.size):
+            exceed += int(np.count_nonzero(stat(_null_tables(rng, rows, cols, b)) >= s0))
+        return TestResult(kind, float(s0), (1 + exceed) / (1 + B), replicates=B)
 
     if kind in ("mc-cor", "mc-zf", "mc-mi-g"):
         if d.discrete:
             raise TestError(f"{kind} requires continuous data")
-        stat_fn = _gaussian_perm_stat(kind, d.n, len(z))
         _, rx = _regress(d, x, z)
         _, ry = _regress(d, y, z)
-        s0 = stat_fn(_residual_corr(rx, ry))
+        norm = math.sqrt(float(rx @ rx)) * math.sqrt(float(ry @ ry))
+        rho0 = float(np.clip(rx @ ry / norm, -1.0, 1.0)) if norm > 0.0 else 0.0
+        s0 = abs(gaussian_statistic(rho0, d.n, len(z), kind[3:]).statistic)
+        if norm <= 0.0:
+            return TestResult(kind, s0, 1.0, replicates=B)
+        # every statistic grows with |rho|, so replicates compare on |rho| alone;
+        # permuted() draws exactly what successive rng.permutation(n) calls do
+        identity = np.arange(d.n)
         exceed = 0
-        for _ in range(B):
-            perm = rng.permutation(d.n)
-            if stat_fn(_residual_corr(rx[perm], ry)) >= s0:
-                exceed += 1
+        for b in _chunks(B, d.n):
+            perms = rng.permuted(np.broadcast_to(identity, (b, d.n)), axis=1)
+            rho = np.clip(rx[perms] @ ry / norm, -1.0, 1.0)
+            exceed += int(np.count_nonzero(np.abs(rho) >= abs(rho0)))
         return TestResult(kind, s0, (1 + exceed) / (1 + B), replicates=B)
 
     raise TestError(f"unknown permutation test {kind!r}")
@@ -276,7 +274,8 @@ def ci_test(d: Dataset, x: str, y: str, z=(), test: str | None = None,
     if label in CONTINUOUS_TESTS and d.discrete:
         raise TestError(f"test {label!r} requires continuous data")
     if label.startswith("mc-"):
-        return permutation_pvalue(d, x, y, z, kind=label, B=B or 1000, seed=seed)
+        return permutation_pvalue(d, x, y, z, kind=label,
+                                  B=1000 if B is None else B, seed=seed)
     if label in DISCRETE_TESTS:
         return table_test(contingency_counts(d, x, y, z), label)
     try:

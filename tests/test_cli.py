@@ -116,6 +116,13 @@ class TestLearn:
         assert code == 3
         assert str(empty) in err
 
+    def test_empty_data_file_names_path(self, capsys, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        code, _, err = run_cli(capsys, "learn", str(empty))
+        assert code == 3
+        assert str(empty) in err
+
     def test_nan_iss_rejected(self, capsys, data_path):
         code, _, err = run_cli(capsys, "learn", data_path, "--algo", "hc",
                                "--score", "bde", "--iss", "nan")
@@ -226,6 +233,13 @@ class TestCitest:
         assert code == 0
         assert "cor =" in out and "df = " in out
 
+    @pytest.mark.parametrize("B", ["0", "-3"])
+    def test_replicates_below_one_rejected(self, capsys, data_path, B):
+        code, _, err = run_cli(capsys, "citest", data_path, "A", "B",
+                               "--test", "mc-mi", "--B", B)
+        assert code == 1
+        assert "B must" in err
+
     def test_bad_label_usage_error(self, capsys, data_path):
         with pytest.raises(SystemExit) as exc:
             main(["citest", data_path, "A", "B", "--test", "nope"])
@@ -303,6 +317,15 @@ class TestExportAndModelstring:
         code, out, _ = run_cli(capsys, "modelstring", str(arcs))
         assert code == 0
         assert out.strip() == SIXNODE_MODEL
+
+    @pytest.mark.parametrize("command", ["modelstring", "export-dot"])
+    def test_header_only_arc_file_rejected(self, capsys, tmp_path, command):
+        hdr = tmp_path / "hdr.csv"
+        hdr.write_text("from,to\n")
+        code, out, err = run_cli(capsys, command, str(hdr))
+        assert code == 3
+        assert out == ""
+        assert str(hdr) in err
 
     def test_cycle_message_propagates(self, capsys):
         code, _, err = run_cli(capsys, "modelstring", "[A|C][B|A][C|B]")

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnsl import (ContingencyTable, Dataset, TestError, TestResult, aic_test,
                   ci_test, fmi_statistic, gaussian_statistic, mi_discrete,
                   permutation_pvalue, x2_discrete)
 from bnsl.data import CategoricalColumn, NumericColumn
-from bnsl.independence import table_test
+from bnsl.constraint import LearnConfig
+from bnsl.independence import _null_tables, table_test
 
 from helpers import random_gaussian_dataset, random_table
 
@@ -285,6 +288,80 @@ class TestPermutation:
             permutation_pvalue(d, "X", "Y", kind="mc-mi", B=0)
 
 
+def _categorical(cells):
+    """Rows of (x, y) codes reproducing a 2x2 table given as [[n00, n01], [n10, n11]]."""
+    x = np.repeat([0, 0, 1, 1], np.ravel(cells))
+    y = np.repeat([0, 1, 0, 1], np.ravel(cells))
+    return Dataset(("X", "Y"), {
+        "X": CategoricalColumn(("a", "b"), x),
+        "Y": CategoricalColumn(("a", "b"), y),
+    })
+
+
+class TestNullSampler:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
+           st.integers(1, 5), st.integers(0, 2**32 - 1), st.data())
+    def test_replicates_keep_margins_within_strata(self, R, C, L, b, seed, data):
+        cells = data.draw(st.lists(st.integers(0, 6), min_size=R * C * L,
+                                   max_size=R * C * L))
+        counts = np.asarray(cells, dtype=np.int64).reshape(R, C, L)
+        rows, cols = counts.sum(axis=1), counts.sum(axis=0)
+        tables = _null_tables(np.random.default_rng(seed), rows, cols, b)
+        assert tables.shape == (b, R, C, L)
+        assert (tables >= 0).all()
+        assert (tables.sum(axis=2) == rows).all()
+        assert (tables.sum(axis=1) == cols).all()
+
+    @pytest.mark.parametrize("kind", ["mc-mi", "mc-x2"])
+    def test_x_function_of_z_ties_every_replicate(self, kind):
+        # within each stratum x is constant, so every replicate table is the
+        # observed one and must tie with it exactly
+        rng = np.random.default_rng(33)
+        n = 400
+        z = rng.integers(0, 3, size=n)
+        d = Dataset(("X", "Y", "Z"), {
+            "X": CategoricalColumn(("a", "b", "c"), (z + 1) % 3),
+            "Y": CategoricalColumn(("a", "b"), rng.integers(0, 2, size=n)),
+            "Z": CategoricalColumn(("a", "b", "c"), z),
+        })
+        res = permutation_pvalue(d, "X", "Y", ["Z"], kind=kind, B=300, seed=4)
+        assert res.p_value == 1.0
+
+    def test_mc_mi_matches_exact_hypergeometric_pvalue(self):
+        cells = [[3, 1], [2, 6]]
+        d = _categorical(cells)
+        N, a, c = 12, 4, 5  # rows, x = "a" count, y = "a" count
+
+        def stat(k):
+            t = np.array([[k, a - k], [c - k, N - a - c + k]])
+            return table_test(_table(t), "mi").statistic
+
+        support = range(max(0, a + c - N), min(a, c) + 1)
+        exact = sum(math.comb(a, k) * math.comb(N - a, c - k) / math.comb(N, c)
+                    for k in support if stat(k) >= stat(cells[0][0]))
+        assert exact == pytest.approx(2 / 9)
+        B = 20000
+        res = permutation_pvalue(d, "X", "Y", kind="mc-mi", B=B, seed=11)
+        assert abs(res.p_value - exact) <= 3 * math.sqrt(exact * (1 - exact) / B)
+
+    # p-values recorded before replicates were drawn in chunks: the Gaussian
+    # tests must consume the random stream exactly as before
+    @pytest.mark.parametrize("kind", ["mc-cor", "mc-zf", "mc-mi-g"])
+    @pytest.mark.parametrize("seed,expected", [(5, 0.017), (2024, 0.021)])
+    def test_gaussian_pvalues_pinned(self, kind, seed, expected):
+        rng = np.random.default_rng(77)
+        n = 150
+        z = rng.standard_normal(n)
+        x = 0.6 * z + rng.standard_normal(n)
+        y = 0.4 * z + 0.15 * x + rng.standard_normal(n)
+        d = Dataset(("X", "Y", "Z"), {
+            "X": NumericColumn(x), "Y": NumericColumn(y), "Z": NumericColumn(z),
+        })
+        res = permutation_pvalue(d, "X", "Y", ["Z"], kind=kind, B=999, seed=seed)
+        assert res.p_value == expected
+
+
 class TestCiTestDispatcher:
     def test_labels_and_defaults(self):
         rng = np.random.default_rng(31)
@@ -292,6 +369,20 @@ class TestCiTestDispatcher:
         assert ci_test(d, "X", "Y").label == "mi"
         g = random_gaussian_dataset(rng, ["U", "V"], 100)
         assert ci_test(g, "U", "V").label == "cor"
+
+    @pytest.mark.parametrize("B", [0, -5, 2.5, "100", True])
+    def test_bad_replicate_count_rejected(self, B):
+        rng = np.random.default_rng(34)
+        d = _discrete_pair(rng, 50)
+        with pytest.raises(TestError, match="B must"):
+            ci_test(d, "X", "Y", test="mc-mi", B=B)
+        with pytest.raises(TestError, match="B must"):
+            LearnConfig(test="mc-mi", B=B)
+
+    def test_numpy_integer_replicate_count_accepted(self):
+        rng = np.random.default_rng(35)
+        d = _discrete_pair(rng, 50)
+        assert ci_test(d, "X", "Y", test="mc-mi", B=np.int64(9)).replicates == 9
 
     def test_type_mismatch(self):
         rng = np.random.default_rng(32)
