@@ -18,8 +18,8 @@ import numpy as np
 
 from .data import Dataset, DataError, joint_config_codes
 from .graph import CycleError, Graph, Provenance, propagate_directions
-from .independence import (CONTINUOUS_TESTS, DISCRETE_TESTS, TEST_LABELS,
-                           TestError, _check_replicates, ci_test, default_test)
+from .independence import (TEST_LABELS, TestError, _check_replicates,
+                           _resolve_test, ci_test)
 from .priors import Constraints, PriorKnowledge, normalize_priors, _pair
 from .trace import LearnTrace
 
@@ -71,11 +71,11 @@ class _CITester:
     recorded test replays to the identical p-value regardless of scheduling.
     """
 
-    def __init__(self, d: Dataset, cfg: LearnConfig, trace: LearnTrace, label: str):
+    def __init__(self, d: Dataset, cfg: LearnConfig, trace: LearnTrace):
         self.d = d
         self.cfg = cfg
         self.trace = trace
-        self.label = label
+        self.label = _resolve_test(d, cfg.test)
         self.order = {name: i for i, name in enumerate(d.names)}
 
     def sort(self, names) -> tuple[str, ...]:
@@ -91,15 +91,6 @@ class _CITester:
         res = ci_test(self.d, x, y, z, test=self.label, B=self.cfg.B, seed=seed)
         self.trace.test(x, y, z, res.p_value, note)
         return res.p_value
-
-
-def _resolve_test(d: Dataset, cfg: LearnConfig) -> str:
-    label = cfg.test or default_test(d)
-    if label in DISCRETE_TESTS and not d.discrete:
-        raise TestError(f"test {label!r} requires discrete data")
-    if label in CONTINUOUS_TESTS and d.discrete:
-        raise TestError(f"test {label!r} requires continuous data")
-    return label
 
 
 # -- Markov blanket discovery -------------------------------------------------------
@@ -242,7 +233,7 @@ def learn_markov_blanket(target: str, d: Dataset, cfg: LearnConfig,
     if trace is None:
         trace = LearnTrace(cfg.debug)
     if tester is None:
-        tester = _CITester(d, cfg, trace, _resolve_test(d, cfg))
+        tester = _CITester(d, cfg, trace)
     order = tester.order
     alpha = cfg.alpha
     blanket = [v for v in d.names if v in known_good]
@@ -361,7 +352,7 @@ def neighbourhood_from_mb(x: str, blankets: dict[str, set[str]], d: Dataset,
     if trace is None:
         trace = LearnTrace(cfg.debug)
     if tester is None:
-        tester = _CITester(d, cfg, trace, _resolve_test(d, cfg))
+        tester = _CITester(d, cfg, trace)
     order = tester.order
     alpha = cfg.alpha
     neighbours: list[str] = []
@@ -442,7 +433,7 @@ def orient_vstructures(skeleton: Graph, dsep_sets: dict, d: Dataset,
     if trace is None:
         trace = LearnTrace(cfg.debug)
     if tester is None:
-        tester = _CITester(d, cfg, trace, _resolve_test(d, cfg))
+        tester = _CITester(d, cfg, trace)
     adjacency = {n: set(skeleton.nbr(n)) for n in skeleton.nodes}
     dseps = {_pair(a, b): tuple(s) for (a, b), s in dsep_sets.items()}
     detected = _detect_vstructures(skeleton.nodes, adjacency, dseps, tester,
@@ -478,10 +469,9 @@ def orient_vstructures(skeleton: Graph, dsep_sets: dict, d: Dataset,
 
 def constraint_learn(d: Dataset, cfg: LearnConfig) -> tuple[Graph, LearnTrace]:
     """Run the configured constraint-based algorithm end to end."""
-    label = _resolve_test(d, cfg)
     cons = normalize_priors(cfg.priors, d.names)
     trace = LearnTrace(cfg.debug)
-    tester = _CITester(d, cfg, trace, label)
+    tester = _CITester(d, cfg, trace)
     names = d.names
     order = tester.order
     forced_adj = cons.forced_adjacency()
@@ -556,7 +546,7 @@ def constraint_learn(d: Dataset, cfg: LearnConfig) -> tuple[Graph, LearnTrace]:
 
     provenance = Provenance(
         method="constraint", algorithm=ALGORITHM_NAMES[cfg.algorithm],
-        test=label, alpha=cfg.alpha, optimized=cfg.optimized)
+        test=tester.label, alpha=cfg.alpha, optimized=cfg.optimized)
 
     directed: set[tuple[str, str]] = set(cons.forced_arcs)
     covered = {_pair(u, v) for u, v in directed}

@@ -80,28 +80,23 @@ class Dataset:
         self._memo = {}
 
     def levels(self, name: str) -> tuple[str, ...]:
-        col = self._col(name)
-        if not isinstance(col, CategoricalColumn):
-            raise DataError(f"column {name!r} is not categorical")
-        return col.levels
+        return self._col(name, CategoricalColumn).levels
 
     def codes(self, name: str) -> np.ndarray:
-        col = self._col(name)
-        if not isinstance(col, CategoricalColumn):
-            raise DataError(f"column {name!r} is not categorical")
-        return col.codes
+        return self._col(name, CategoricalColumn).codes
 
     def values(self, name: str) -> np.ndarray:
-        col = self._col(name)
-        if not isinstance(col, NumericColumn):
-            raise DataError(f"column {name!r} is not numeric")
-        return col.values
+        return self._col(name, NumericColumn).values
 
-    def _col(self, name: str):
+    def _col(self, name: str, kind=object):
         try:
-            return self.columns[name]
+            col = self.columns[name]
         except KeyError:
             raise DataError(f"unknown column {name!r}") from None
+        if not isinstance(col, kind):
+            wanted = "categorical" if kind is CategoricalColumn else "numeric"
+            raise DataError(f"column {name!r} is not {wanted}")
+        return col
 
     def reorder(self, names) -> "Dataset":
         """Same data with columns permuted."""
@@ -165,6 +160,9 @@ def load_table(path, type_hint: str | None = None, delimiter: str | None = None)
         if len(row) != ncol:
             raise DataError(f"ragged row {i + 2}: expected {ncol} fields, got {len(row)}")
     raw = [[row[j].strip() for row in body] for j in range(ncol)]
+    for name, colvals in zip(header, raw):
+        if "" in colvals:
+            raise DataError(f"empty cell in row {colvals.index('') + 2}, column {name!r}")
 
     def numeric(colvals):
         try:
@@ -173,12 +171,10 @@ def load_table(path, type_hint: str | None = None, delimiter: str | None = None)
             return None
 
     columns = {}
-    kinds = []
     for name, colvals in zip(header, raw):
         vals = None if type_hint == "discrete" else numeric(colvals)
         if vals is not None:
             columns[name] = NumericColumn(vals)
-            kinds.append("numeric")
         else:
             if type_hint == "continuous":
                 raise DataError(f"column {name!r} is not numeric")
@@ -189,10 +185,7 @@ def load_table(path, type_hint: str | None = None, delimiter: str | None = None)
             codes = np.fromiter((index[v] for v in colvals), dtype=np.int64,
                                 count=len(colvals))
             columns[name] = CategoricalColumn(levels, codes)
-            kinds.append("categorical")
-    if len(set(kinds)) > 1:
-        raise DataError("mixed data unsupported")
-    return Dataset(tuple(header), columns)
+    return Dataset(tuple(header), columns)  # rejects mixed data
 
 
 def write_table(d: Dataset, path_or_file, delimiter: str = ",") -> None:
@@ -235,6 +228,15 @@ class ContingencyTable:
         return self.counts.sum(axis=(0, 1))  # n_{++k}, shape (L,)
 
 
+def _check_variables(d: Dataset, x: str, y: str, z) -> None:
+    """Reject a test of x and y given z whose variables repeat or are unknown."""
+    labels = [x, y, *z]
+    if len(set(labels)) != len(labels):
+        raise DataError("x, y and z must be distinct")
+    for name in labels:
+        d._col(name)
+
+
 def joint_config_codes(d: Dataset, names) -> tuple[np.ndarray, int]:
     """Dense 0..L-1 codes of the observed configurations of the given columns."""
     names = list(names)
@@ -255,9 +257,7 @@ def contingency_counts(d: Dataset, x: str, y: str, z=()) -> ContingencyTable:
     if not d.discrete:
         raise DataError("contingency tables require a discrete dataset")
     z = list(z)
-    labels = [x, y] + z
-    if len(set(labels)) != len(labels):
-        raise DataError("x, y and z must be distinct")
+    _check_variables(d, x, y, z)
     xc = d.codes(x)
     yc = d.codes(y)
     R = len(d.levels(x))
@@ -268,6 +268,19 @@ def contingency_counts(d: Dataset, x: str, y: str, z=()) -> ContingencyTable:
     return ContingencyTable(counts, R, C, L, d.n)
 
 
+def _gaussian_moments(d: Dataset):
+    """Column index, means, sds and scatter (centered.T @ centered), once per Dataset."""
+    moments = d._memo.get("gaussian-moments")
+    if moments is None:
+        mat = np.column_stack([d.values(c) for c in d.names])
+        means = mat.mean(axis=0)
+        centered = mat - means
+        index = {c: i for i, c in enumerate(d.names)}
+        moments = (index, means, centered.std(axis=0), centered.T @ centered)
+        d._memo["gaussian-moments"] = moments
+    return moments
+
+
 def correlation_matrix(d: Dataset, names) -> np.ndarray:
     """Pearson correlations of the given numeric columns."""
     if d.discrete:
@@ -275,13 +288,16 @@ def correlation_matrix(d: Dataset, names) -> np.ndarray:
     names = list(names)
     if d.n < 2:
         raise DataError("need at least 2 rows")
-    mat = np.column_stack([d.values(n) for n in names])
-    centered = mat - mat.mean(axis=0)
-    sd = centered.std(axis=0)
+    index, _, sds, scatter = _gaussian_moments(d)
+    try:
+        idx = [index[c] for c in names]
+    except KeyError as exc:
+        raise DataError(f"unknown column {exc.args[0]!r}") from None
+    sd = sds[idx]
     bad = np.flatnonzero(sd == 0.0)
     if bad.size:
         raise DataError(f"zero-variance column {names[bad[0]]!r}")
-    c = (centered / sd).T @ (centered / sd) / d.n
+    c = scatter[np.ix_(idx, idx)] / (d.n * np.outer(sd, sd))
     np.fill_diagonal(c, 1.0)
     return np.clip(c, -1.0, 1.0)
 
@@ -294,6 +310,7 @@ def partial_correlation(d: Dataset, x: str, y: str, z=()) -> float:
     define a zero partial correlation; other singularities are reported.
     """
     z = list(z)
+    _check_variables(d, x, y, z)
     if d.n <= len(z) + 2:
         raise DataError("not enough rows for the conditioning set")
     a, b = (x, y) if x <= y else (y, x)
@@ -327,6 +344,29 @@ def _regress(d: Dataset, name: str, z) -> tuple[np.ndarray, np.ndarray]:
     design = np.column_stack([np.ones(d.n)] + [d.values(c) for c in z])
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
     return beta, y - design @ beta
+
+
+def _parent_config_index(level_counts, parent_codes, n: int) -> np.ndarray:
+    """Mixed-radix index of n parent configurations, first parent most significant."""
+    idx = np.zeros(n, dtype=np.int64)
+    for r, codes in zip(level_counts, parent_codes):
+        idx = idx * r + codes
+    return idx
+
+
+_MAX_PARENT_CONFIGS = 1 << 24
+
+
+def family_counts(d: Dataset, node: str, parents) -> tuple[np.ndarray, int]:
+    """Counts (node levels x all q parent configurations, mixed radix) and q."""
+    R = len(d.levels(node))
+    q = math.prod(len(d.levels(p)) for p in parents)
+    if q > _MAX_PARENT_CONFIGS:
+        raise DataError(f"parent configuration space of {node!r} is too large")
+    cfg = _parent_config_index([len(d.levels(p)) for p in parents],
+                               [d.codes(p) for p in parents], d.n)
+    counts = np.bincount(d.codes(node) * q + cfg, minlength=R * q).reshape(R, q)
+    return counts, q
 
 
 # -- fitted networks ------------------------------------------------------------------
@@ -428,14 +468,6 @@ class FittedNetwork:
         return cls(graph, local_params)
 
 
-def _parent_config_index(level_counts, parent_codes) -> np.ndarray:
-    """Mixed-radix index of parent configurations, first parent most significant."""
-    idx = np.zeros_like(parent_codes[0])
-    for r, codes in zip(level_counts, parent_codes):
-        idx = idx * r + codes
-    return idx
-
-
 def fit_mle(g: Graph, d: Dataset) -> FittedNetwork:
     """Maximum-likelihood local parameters for every node given its parents.
 
@@ -452,20 +484,12 @@ def fit_mle(g: Graph, d: Dataset) -> FittedNetwork:
         parents = tuple(sorted(g.parents(node)))
         if d.discrete:
             levels = d.levels(node)
-            R = len(levels)
-            plevels = tuple(d.levels(p) for p in parents)
-            q = 1
-            for ls in plevels:
-                q *= len(ls)
-            cfg = _parent_config_index([len(ls) for ls in plevels],
-                                       [d.codes(p) for p in parents]) \
-                if parents else np.zeros(d.n, dtype=np.int64)
-            counts = np.bincount(d.codes(node) * q + cfg, minlength=R * q)
-            counts = counts.reshape(R, q).astype(float)
+            counts = family_counts(d, node, parents)[0].astype(float)
             totals = counts.sum(axis=0)
             table = np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0),
-                             1.0 / R)
-            local_params[node] = DiscreteCPT(levels, parents, plevels, table)
+                             1.0 / len(levels))
+            local_params[node] = DiscreteCPT(levels, parents,
+                                             tuple(d.levels(p) for p in parents), table)
         else:
             beta, resid = _regress(d, node, parents)
             sd = float(np.sqrt(np.mean(resid ** 2)))
@@ -487,11 +511,8 @@ def forward_sample(f: FittedNetwork, n: int, seed: int) -> Dataset:
         sampled: dict[str, np.ndarray] = {}
         for node in order:
             loc = f.locals[node]
-            if loc.parents:
-                cfg = _parent_config_index([len(ls) for ls in loc.parent_levels],
-                                           [sampled[p] for p in loc.parents])
-            else:
-                cfg = np.zeros(n, dtype=np.int64)
+            cfg = _parent_config_index([len(ls) for ls in loc.parent_levels],
+                                       [sampled[p] for p in loc.parents], n)
             cum = np.cumsum(loc.table.T[cfg], axis=1)
             u = rng.random(n)
             codes = np.minimum((u[:, None] > cum).sum(axis=1),

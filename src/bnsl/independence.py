@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ContingencyTable, DataError, Dataset, _regress, \
-    contingency_counts, partial_correlation
+from .data import ContingencyTable, DataError, Dataset, _check_variables, \
+    _regress, contingency_counts, partial_correlation
 # re-exported: the benchmark's tracer (perfbench/tracing.py) wraps this name here
 from .data import joint_config_codes  # noqa: F401
 from .special import chi2_sf, normal_two_sided, student_t_two_sided
@@ -236,6 +236,7 @@ def permutation_pvalue(d: Dataset, x: str, y: str, z=(), kind: str = "mc-mi",
     if kind in ("mc-cor", "mc-zf", "mc-mi-g"):
         if d.discrete:
             raise TestError(f"{kind} requires continuous data")
+        _check_variables(d, x, y, z)
         _, rx = _regress(d, x, z)
         _, ry = _regress(d, y, z)
         norm = math.sqrt(float(rx @ rx)) * math.sqrt(float(ry @ ry))
@@ -262,22 +263,30 @@ def default_test(d: Dataset) -> str:
     return "mi" if d.discrete else "cor"
 
 
-def ci_test(d: Dataset, x: str, y: str, z=(), test: str | None = None,
-            B: int | None = None, seed=0) -> TestResult:
-    """Run the named conditional independence test of x and y given z."""
+def _resolve_test(d: Dataset, test: str | None) -> str:
+    """The label to run on d (its default when test is None), checked against the data."""
     label = test or default_test(d)
     if label not in TEST_LABELS:
         raise TestError(f"unknown test label {label!r}")
-    z = list(z)
     if label in DISCRETE_TESTS and not d.discrete:
         raise TestError(f"test {label!r} requires discrete data")
     if label in CONTINUOUS_TESTS and d.discrete:
         raise TestError(f"test {label!r} requires continuous data")
+    return label
+
+
+def ci_test(d: Dataset, x: str, y: str, z=(), test: str | None = None,
+            B: int | None = None, seed=0) -> TestResult:
+    """Run the named conditional independence test of x and y given z."""
+    label = _resolve_test(d, test)
+    z = list(z)
     if label.startswith("mc-"):
         return permutation_pvalue(d, x, y, z, kind=label,
                                   B=1000 if B is None else B, seed=seed)
     if label in DISCRETE_TESTS:
         return table_test(contingency_counts(d, x, y, z), label)
+    # a repeated or unknown variable is the caller's error, not a degenerate test
+    _check_variables(d, x, y, z)
     try:
         rho = partial_correlation(d, x, y, z)
     except DataError:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, _parent_config_index
+from .data import Dataset, _gaussian_moments, family_counts
 from .graph import Graph, GraphError
 from .special import lgamma_array
 
@@ -32,8 +32,6 @@ SCORE_NAMES = {
     "k2": "K2",
     "bge": "Bayesian Gaussian (BGe)",
 }
-
-_MAX_PARENT_CONFIGS = 1 << 24
 
 
 class ScoreError(ValueError):
@@ -107,23 +105,6 @@ def _check_spec(d: Dataset, spec: ScoreSpec) -> None:
         raise ScoreError(f"score {spec.kind!r} requires discrete data")
 
 
-def _family_counts(node: str, parents, d: Dataset) -> tuple[np.ndarray, int]:
-    """Count matrix (node levels x parent configurations) and the full config count."""
-    R = len(d.levels(node))
-    q = 1
-    for p in parents:
-        q *= len(d.levels(p))
-    if q > _MAX_PARENT_CONFIGS:
-        raise ScoreError(f"parent configuration space of {node!r} is too large")
-    if parents:
-        cfg = _parent_config_index([len(d.levels(p)) for p in parents],
-                                   [d.codes(p) for p in parents])
-    else:
-        cfg = np.zeros(d.n, dtype=np.int64)
-    counts = np.bincount(d.codes(node) * q + cfg, minlength=R * q).reshape(R, q)
-    return counts, q
-
-
 def _loglik_local(counts: np.ndarray) -> float:
     totals = counts.sum(axis=0, keepdims=True).astype(float)
     ratio = np.divide(counts, totals, out=np.ones_like(counts, dtype=float),
@@ -160,19 +141,15 @@ class _BgeContext:
     """Posterior matrix and hyperparameters shared by all bge local scores."""
 
     def __init__(self, d: Dataset, spec: ScoreSpec):
-        names = d.names
-        nvar = len(names)
-        mat = np.column_stack([d.values(c) for c in names])
+        index, xbar, _, scatter = _gaussian_moments(d)
+        nvar = len(index)
         n = d.n
-        xbar = mat.mean(axis=0)
-        centered = mat - xbar
-        scatter = centered.T @ centered
         alpha_mu = spec.iss
         alpha_w = spec.bge_dof if spec.bge_dof is not None else nvar + 2.0
         if alpha_w <= nvar + 1:
             raise ScoreError("bge degrees of freedom must exceed |V| + 1")
         t_scale = alpha_mu * (alpha_w - nvar - 1.0) / (alpha_mu + 1.0)
-        self.index = {c: i for i, c in enumerate(names)}
+        self.index = index
         self.n = n
         self.nvar = nvar
         self.alpha_mu = alpha_mu
@@ -231,7 +208,7 @@ def local_score(node: str, parents, d: Dataset, spec: ScoreSpec) -> float:
         ctx = _bge_context(d, spec)
         return (ctx.log_set_marginal(list(parents) + [node])
                 - ctx.log_set_marginal(parents))
-    counts, q = _family_counts(node, parents, d)
+    counts, q = family_counts(d, node, parents)
     if spec.kind in ("lik", "loglik", "aic", "bic"):
         ll = _loglik_local(counts)
         if spec.kind == "loglik":

@@ -1,0 +1,59 @@
+"""Public surface: the names bnsl exports and the flags of every CLI subcommand.
+
+A change here must be deliberate and written down in CHANGES.md.
+"""
+
+import bnsl
+from bnsl.cli import build_parser
+
+PUBLIC_NAMES = [
+    "ALGORITHMS", "ALGORITHM_NAMES", "ArcList", "CONTINUOUS_TESTS", "CYCLE_MESSAGE",
+    "ComparisonReport", "Constraints", "ContingencyTable", "CycleError",
+    "DISCRETE_TESTS", "DataError", "Dataset", "DiscreteCPT", "FittedNetwork", "Graph",
+    "GraphError", "HillClimbConfig", "LearnConfig", "LearnTrace", "LinearGaussian",
+    "PriorError", "PriorKnowledge", "Provenance", "SCORE_LABELS", "SCORE_NAMES",
+    "ScoreCache", "ScoreError", "ScoreSpec", "TEST_LABELS", "TEST_NAMES", "TestError",
+    "TestResult", "TraceEvent", "aic_test", "apply_move", "average_branching",
+    "average_mb_size", "average_nbr_size", "ci_test", "compare", "constraint",
+    "constraint_learn", "contingency_counts", "correlation_matrix", "data", "drop_arc",
+    "empty_graph", "enumerate_moves", "extend_pdag", "find_vstructures", "fit_mle",
+    "fmi_statistic", "format_modelstring", "forward_sample", "gaussian_statistic",
+    "graph", "hill_climb", "hillclimb", "independence", "learn_markov_blanket",
+    "load_table", "local_score", "mi_discrete", "mutate_arc", "neighbourhood_from_mb",
+    "network_score", "normalize_priors", "nparams", "orient_vstructures",
+    "parse_modelstring", "partial_correlation", "permutation_pvalue", "perturb_graph",
+    "priors", "propagate_directions", "reverse_arc", "score_delta", "scores", "set_arc",
+    "special", "structure_query", "symmetry_correction", "to_dot", "topological_order",
+    "trace", "write_table", "x2_discrete",
+]
+
+_COMMON = ["--delimiter", "--help", "--out", "--type", "-h"]
+
+# subcommand -> (positional arguments in order, sorted option strings)
+CLI_FLAGS = {
+    "learn": (["data"], sorted(_COMMON + [
+        "--B", "--algo", "--alpha", "--blacklist", "--debug", "--format", "--iss",
+        "--optimized", "--perturb", "--restart", "--score", "--seed", "--start",
+        "--test", "--whitelist"])),
+    "score": (["graph", "data"], sorted(_COMMON + ["--iss", "--score"])),
+    "citest": (["data", "x", "y", "z"], sorted(_COMMON + ["--B", "--seed", "--test"])),
+    "compare": (["first", "second"], sorted(_COMMON + ["--nodes"])),
+    "sample": ([], sorted(_COMMON + ["--data", "--model", "--n", "--params", "--seed"])),
+    "export-dot": (["graph"], sorted(_COMMON + ["--nodes"])),
+    "modelstring": (["graph"], sorted(_COMMON + ["--nodes"])),
+}
+
+
+def test_public_names_unchanged():
+    assert sorted(bnsl.__all__) == sorted(PUBLIC_NAMES)
+
+
+def test_cli_flags_unchanged():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if a.dest == "command"]
+    got = {}
+    for name, sub in subparsers.choices.items():
+        positional = [a.dest for a in sub._actions if not a.option_strings]
+        flags = sorted(o for a in sub._actions for o in a.option_strings)
+        got[name] = (positional, flags)
+    assert got == CLI_FLAGS

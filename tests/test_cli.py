@@ -141,6 +141,14 @@ class TestLearn:
         assert code == 3
         assert "mixed data unsupported" in err
 
+    def test_empty_cell_exit_code(self, capsys, tmp_path):
+        bad = tmp_path / "holes.csv"
+        bad.write_text("A,B\na,b\nb,\na,a\nb,b\n")
+        code, out, err = run_cli(capsys, "learn", str(bad))
+        assert code == 3
+        assert "empty cell in row 3, column 'B'" in err
+        assert out == ""
+
     def test_seeded_outputs_byte_identical(self, capsys, data_path):
         args = ("learn", data_path, "--algo", "hc", "--score", "bic",
                 "--restart", "2", "--perturb", "2", "--seed", "7")
@@ -216,6 +224,17 @@ class TestCitest:
                                "--test", "mc-mi", "--B", "150", "--seed", "3")
         assert code == 0
         assert "B = 150" in out
+
+    @pytest.mark.parametrize("variables", [("A", "A"), ("A", "B", "A"), ("A", "Q")])
+    def test_repeated_or_unknown_variable_exit_code(self, capsys, tmp_path, variables):
+        rows = np.random.default_rng(81).standard_normal((30, 3))
+        path = tmp_path / "gauss.csv"
+        path.write_text("A,B,C\n" + "\n".join(",".join(map(repr, map(float, r)))
+                                               for r in rows) + "\n")
+        code, out, err = run_cli(capsys, "citest", str(path), *variables,
+                                 "--test", "cor")
+        assert code == 3
+        assert "error:" in err and out == ""
 
     def test_gaussian_citest(self, capsys, tmp_path):
         rng = np.random.default_rng(80)

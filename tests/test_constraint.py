@@ -280,7 +280,7 @@ class TestTrace:
         stream = io.StringIO()
         cfg = LearnConfig(algorithm="gs", debug=True)
         tr = LearnTrace(debug=True, stream=stream)
-        tester = _CITester(sample, cfg, tr, "mi")
+        tester = _CITester(sample, cfg, tr)
         learn_markov_blanket("A", sample, cfg, tester=tester, trace=tr)
         text = stream.getvalue()
         assert "checking node B for inclusion" in text

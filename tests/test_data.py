@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bnsl
-from bnsl import (DataError, Dataset, FittedNetwork, contingency_counts,
-                  correlation_matrix, fit_mle, forward_sample, load_table,
-                  parse_modelstring, partial_correlation, write_table)
+from bnsl import (DataError, Dataset, FittedNetwork, ScoreSpec, ci_test,
+                  contingency_counts, correlation_matrix, fit_mle, forward_sample,
+                  load_table, local_score, parse_modelstring, partial_correlation,
+                  write_table)
 from bnsl.data import CategoricalColumn, DiscreteCPT, LinearGaussian, \
     NumericColumn
 
@@ -49,6 +52,16 @@ class TestLoadTable:
         path = _write(tmp_path, "d.csv", "A,B\na,x\na,y\n")
         with pytest.raises(DataError, match="single level"):
             load_table(path)
+
+    @pytest.mark.parametrize("text,type_hint", [
+        ("A,B\na,b\nb,\na,a\n", None),       # categorical
+        ("A,B\n1.5,2\n0.5, \n2,1\n", None),   # numeric
+        ("A,B\n1,2\n2,\n1,1\n", "discrete"),
+    ], ids=["categorical", "numeric", "forced-discrete"])
+    def test_empty_cell_rejected(self, tmp_path, text, type_hint):
+        path = _write(tmp_path, "d.csv", text)
+        with pytest.raises(DataError, match="empty cell in row 3, column 'B'"):
+            load_table(path, type_hint=type_hint)
 
     def test_empty_rejected(self, tmp_path):
         path = _write(tmp_path, "d.csv", "")
@@ -207,6 +220,39 @@ class TestCorrelation:
         assert np.linalg.eigvalsh(m).min() > -1e-10
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 40), st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+    def test_matches_corrcoef(self, n, p, seed, data):
+        rng = np.random.default_rng(seed)
+        mixed = rng.standard_normal((n, p)) @ rng.standard_normal((p, p))
+        mat = mixed * rng.uniform(0.1, 10.0, p) + rng.uniform(-100.0, 100.0, p)
+        names = [f"V{i}" for i in range(p)]
+        d = Dataset(tuple(names), {c: NumericColumn(mat[:, i])
+                                   for i, c in enumerate(names)})
+        subset = data.draw(st.lists(st.sampled_from(range(p)), min_size=1,
+                                    max_size=p, unique=True))
+        got = correlation_matrix(d, [names[i] for i in subset])
+        want = np.atleast_2d(np.corrcoef(mat[:, subset], rowvar=False))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_constant_column_rejected_only_when_requested(self):
+        rng = np.random.default_rng(19)
+        names = ("X", "K", "Y", "Z")
+        cols = {c: NumericColumn(rng.standard_normal(50)) for c in names}
+        cols["K"] = NumericColumn(np.full(50, 2.5))
+        d = Dataset(names, cols)
+        others = np.column_stack([cols[c].values for c in ("X", "Y", "Z")])
+        assert np.allclose(correlation_matrix(d, ["X", "Y", "Z"]),
+                           np.corrcoef(others, rowvar=False), rtol=0.0, atol=1e-12)
+        for label in ("cor", "zf", "mi-g"):
+            assert not ci_test(d, "X", "Y", ["Z"], test=label).degenerate
+        assert 0.0 < ci_test(d, "X", "Y", ["Z"], test="mc-cor", B=49).p_value <= 1.0
+        with pytest.raises(DataError, match="zero-variance column 'K'"):
+            correlation_matrix(d, ["X", "K"])
+        with pytest.raises(DataError, match="zero-variance column 'K'"):
+            partial_correlation(d, "X", "Y", ["K"])
+
+
 class TestPartialCorrelation:
     def test_empty_z_reduces_to_correlation(self):
         rng = np.random.default_rng(9)
@@ -311,6 +357,20 @@ class TestFitMLE:
         assert loc.intercept == pytest.approx(1.0, abs=0.05)
         assert loc.sd == pytest.approx(0.1, abs=0.02)
 
+    def test_parent_configuration_cap(self):
+        # 300^3 parent configurations exceed the cap, which must fire before
+        # anything of that size is allocated
+        rng = np.random.default_rng(16)
+        levels = tuple(f"l{i}" for i in range(300))
+        cols = {c: CategoricalColumn(levels, rng.integers(0, 300, size=10))
+                for c in ("P1", "P2", "P3")}
+        cols["C"] = CategoricalColumn(("a", "b"), rng.integers(0, 2, size=10))
+        d = Dataset(("P1", "P2", "P3", "C"), cols)
+        with pytest.raises(DataError, match="parent configuration space of 'C'"):
+            local_score("C", ["P1", "P2", "P3"], d, ScoreSpec(kind="bic"))
+        with pytest.raises(DataError, match="parent configuration space of 'C'"):
+            fit_mle(parse_modelstring("[P1][P2][P3][C|P1:P2:P3]"), d)
+
     def test_rejects_pdag(self):
         from bnsl.graph import set_undirected
         d = Dataset(("A", "B"), {
@@ -365,12 +425,9 @@ class TestForwardSample:
         for node in base.graph.nodes:
             loc = fitted.locals[node]
             t1, t2 = loc.table, refit.locals[node].table
-            if loc.parents:
-                cfg = bnsl.data._parent_config_index(
-                    [len(ls) for ls in loc.parent_levels],
-                    [d1.codes(p) for p in loc.parents])
-            else:
-                cfg = np.zeros(d1.n, dtype=np.int64)
+            cfg = bnsl.data._parent_config_index(
+                [len(ls) for ls in loc.parent_levels],
+                [d1.codes(p) for p in loc.parents], d1.n)
             counts = np.bincount(cfg, minlength=t1.shape[1])
             for j in range(t1.shape[1]):
                 if counts[j] == 0:

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnsl import (ContingencyTable, Dataset, TestError, TestResult, aic_test,
-                  ci_test, fmi_statistic, gaussian_statistic, mi_discrete,
-                  permutation_pvalue, x2_discrete)
+from bnsl import (TEST_LABELS, ContingencyTable, DataError, Dataset, TestError,
+                  TestResult, aic_test, ci_test, fmi_statistic, gaussian_statistic,
+                  mi_discrete, permutation_pvalue, x2_discrete)
 from bnsl.data import CategoricalColumn, NumericColumn
 from bnsl.constraint import LearnConfig
 from bnsl.independence import _null_tables, table_test
@@ -418,6 +418,24 @@ class TestCiTestDispatcher:
         assert res.df == 4  # (3-1)(3-1)
         res = ci_test(d, "X", "Y", test="x2")
         assert res.df == 4
+
+    @pytest.mark.parametrize("label", TEST_LABELS)
+    @pytest.mark.parametrize("x,y,z,message", [
+        ("X", "X", [], "distinct"),
+        ("X", "Y", ["X"], "distinct"),
+        ("X", "Y", ["Z", "Z"], "distinct"),
+        ("X", "Q", [], "unknown column 'Q'"),
+    ])
+    def test_repeated_or_unknown_variables_rejected(self, label, x, y, z, message):
+        rng = np.random.default_rng(37)
+        if label in ("mi", "mc-mi", "x2", "mc-x2", "fmi", "aict"):
+            d = Dataset(("X", "Y", "Z"), {
+                c: CategoricalColumn(("a", "b"), rng.integers(0, 2, size=40))
+                for c in ("X", "Y", "Z")})
+        else:
+            d = random_gaussian_dataset(rng, ["X", "Y", "Z"], 40)
+        with pytest.raises(DataError, match=message):
+            ci_test(d, x, y, z, test=label, B=19)
 
     def test_unidentifiable_gaussian_returns_degenerate(self):
         rng = np.random.default_rng(36)

@@ -380,3 +380,29 @@ class TestScoreCache:
         spec = ScoreSpec(kind="bic")
         assert network_score(g, d, spec, ScoreCache()) == \
             network_score(g, d, spec, None)
+
+
+class TestBgePinned:
+    # values the bge score gave before it read its scatter matrix from the
+    # dataset's shared Gaussian moments; they must stay bit-identical
+    @pytest.mark.parametrize("iss,dof,node,parents,expected", [
+        (1.0, None, "A", (), -95.24575194664928),
+        (1.0, None, "B", ("A",), -94.95036406813418),
+        (1.0, None, "C", ("A", "B"), -103.05501625315725),
+        (1.0, None, "E", ("A", "B", "C"), -163.37974320579116),
+        (4.0, 9.0, "A", (), -93.30856299598152),
+        (4.0, 9.0, "B", ("A",), -93.21011940761325),
+        (4.0, 9.0, "C", ("A", "B"), -104.37511698918075),
+        (4.0, 9.0, "E", ("A", "B", "C"), -158.98381234697024),
+    ])
+    def test_local_scores(self, iss, dof, node, parents, expected):
+        rng = np.random.default_rng(2009)
+        n = 60
+        a = rng.standard_normal(n)
+        b = 0.8 * a + rng.standard_normal(n)
+        c = 2.0 + 0.5 * a - 0.7 * b + rng.standard_normal(n)
+        e = 3.0 * rng.standard_normal(n) - 1.0
+        d = Dataset(("A", "B", "C", "E"), {
+            k: NumericColumn(v) for k, v in zip("ABCE", (a, b, c, e))})
+        spec = ScoreSpec(kind="bge", iss=iss, bge_dof=dof)
+        assert local_score(node, parents, d, spec) == expected
