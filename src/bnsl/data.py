@@ -149,20 +149,25 @@ def load_table(path, type_hint: str | None = None, delimiter: str | None = None)
         raise DataError(f"data file {path} is empty")
     if delimiter is None:
         delimiter = _detect_delimiter(text.splitlines()[0])
-    rows = [row for row in csv.reader(io.StringIO(text), delimiter=delimiter)
-            if any(field.strip() for field in row)]
+    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    rows, lines = [], []  # non-blank rows and the file line each ends on
+    for row in reader:
+        if any(field.strip() for field in row):
+            rows.append(row)
+            lines.append(reader.line_num)
     header = [h.strip() for h in rows[0]]
     ncol = len(header)
     if len(rows) < 2:
         raise DataError("no data rows")
     body = rows[1:]
-    for i, row in enumerate(body):
+    for row, line in zip(body, lines[1:]):
         if len(row) != ncol:
-            raise DataError(f"ragged row {i + 2}: expected {ncol} fields, got {len(row)}")
+            raise DataError(f"ragged row {line}: expected {ncol} fields, got {len(row)}")
     raw = [[row[j].strip() for row in body] for j in range(ncol)]
     for name, colvals in zip(header, raw):
         if "" in colvals:
-            raise DataError(f"empty cell in row {colvals.index('') + 2}, column {name!r}")
+            raise DataError(f"empty cell in row {lines[colvals.index('') + 1]}, "
+                            f"column {name!r}")
 
     def numeric(colvals):
         try:

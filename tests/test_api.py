@@ -3,6 +3,11 @@
 A change here must be deliberate and written down in CHANGES.md.
 """
 
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
 import bnsl
 from bnsl.cli import build_parser
 
@@ -57,3 +62,35 @@ def test_cli_flags_unchanged():
         flags = sorted(o for a in sub._actions for o in a.option_strings)
         got[name] = (positional, flags)
     assert got == CLI_FLAGS
+
+
+def _load_benchmark_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_benchmark_call_sites_exist():
+    # the traced benchmark run replaces these names; a missing one makes it fail
+    tracing = _load_benchmark_tracer()
+    missing = [f"{m.__name__}.{attr}" for m, attr, _ in tracing.CALL_SITES
+               if not hasattr(m, attr)]
+    assert missing == []
+
+
+def test_hill_climb_creates_its_cache_through_the_module_name(monkeypatch):
+    # the traced run counts cache hits by replacing bnsl.hillclimb.ScoreCache
+    made = []
+
+    def counted():
+        made.append(bnsl.ScoreCache())
+        return made[-1]
+
+    monkeypatch.setattr(bnsl.hillclimb, "ScoreCache", counted)
+    rng = np.random.default_rng(0)
+    cols = {n: bnsl.data.CategoricalColumn(("a", "b"), rng.integers(0, 2, 50))
+            for n in ("A", "B")}
+    bnsl.hill_climb(bnsl.Dataset(("A", "B"), cols), bnsl.HillClimbConfig())
+    assert len(made) == 1 and made[0].misses > 0

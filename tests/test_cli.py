@@ -129,6 +129,16 @@ class TestLearn:
         assert code == 1
         assert "iss" in err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--seed", "-1"), ("--restart", "-1"), ("--perturb", "-2")])
+    def test_hc_bad_integer_names_parameter(self, capsys, data_path, flag, value):
+        argv = ["learn", data_path, "--algo", "hc", "--restart", "1", flag, value]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert {"--seed": "seed", "--restart": "restarts",
+                "--perturb": "perturb"}[flag] + " must be an integer" in err
+        assert out == ""
+
     def test_missing_data_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "learn", str(tmp_path / "nope.csv"))
         assert code == 3

@@ -63,6 +63,15 @@ class TestLoadTable:
         with pytest.raises(DataError, match="empty cell in row 3, column 'B'"):
             load_table(path, type_hint=type_hint)
 
+    def test_errors_name_the_file_line_after_blank_lines(self, tmp_path):
+        # blank and all-empty lines are skipped but still count as file lines
+        path = _write(tmp_path, "d.csv", "A,B\na,b\n\n,,\nb,\na,a\n")
+        with pytest.raises(DataError, match="empty cell in row 5, column 'B'"):
+            load_table(path)
+        path = _write(tmp_path, "r.csv", "A,B\na,b\n\n\na\nb,a\n")
+        with pytest.raises(DataError, match="ragged row 5:"):
+            load_table(path)
+
     def test_empty_rejected(self, tmp_path):
         path = _write(tmp_path, "d.csv", "")
         with pytest.raises(DataError, match="empty"):

@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
-from bnsl import (ArcList, Graph, HillClimbConfig, PriorError, PriorKnowledge,
-                  ScoreCache, ScoreError, ScoreSpec, empty_graph,
-                  enumerate_moves, find_vstructures, forward_sample,
-                  hill_climb, network_score, parse_modelstring, perturb_graph)
-from bnsl.hillclimb import apply_move
+from bnsl import (ArcList, CycleError, Dataset, Graph, HillClimbConfig,
+                  LearnTrace, PriorError, PriorKnowledge, ScoreCache,
+                  ScoreError, ScoreSpec, empty_graph, enumerate_moves,
+                  find_vstructures, forward_sample, hill_climb, network_score,
+                  parse_modelstring, perturb_graph, score_delta,
+                  topological_order)
+from bnsl.data import CategoricalColumn, NumericColumn
+from bnsl.hillclimb import (_IMPROVEMENT_EPS, _TIE_EPS, _starting_graph,
+                            apply_move)
 from bnsl.networks import SIXNODE_MODEL, sixnode
 from bnsl.priors import normalize_priors
 
-from helpers import random_discrete_dataset
+from helpers import random_dag, random_discrete_dataset
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +25,94 @@ def sample():
 
 def _skeleton(g):
     return {tuple(sorted(p)) for p in g.directed_arcs} | set(g.undirected_arcs)
+
+
+_KIND_ORDER = {"add": 0, "delete": 1, "reverse": 2}
+
+
+def _canonical(moves):
+    return sorted(moves, key=lambda m: (_KIND_ORDER[m[0]], m[1], m[2]))
+
+
+def _priors_fitting(rng, g):
+    """A forced arc, a required edge and a blacklisted arc that g satisfies.
+
+    The whitelisted pairs point forward in a topological order of g (the
+    required one from its smaller label), so adding them to g keeps it acyclic.
+    """
+    pos = {n: i for i, n in enumerate(topological_order(g))}
+    pairs = [(a, b) for a in g.nodes for b in g.nodes if pos[a] < pos[b]]
+    order = rng.permutation(len(pairs))
+    forced = pairs[order[0]]
+    required = next(pairs[i] for i in order[1:]
+                    if pairs[i][0] < pairs[i][1] and set(pairs[i]) != set(forced))
+    # a backward arc: absent from g, and addable unless it closes a cycle
+    banned = next(pairs[i][::-1] for i in order[1:]
+                  if set(pairs[i]) not in (set(forced), set(required)))
+    return PriorKnowledge(whitelist=[forced, required, required[::-1]],
+                          blacklist=[banned])
+
+
+def _respects(h, cons):
+    arcs = h.directed_arcs
+    return (all(cons.arc_allowed(u, v) for u, v in arcs)
+            and cons.forced_arcs <= arcs
+            and all((a, b) in arcs or (b, a) in arcs for a, b in cons.required_edges))
+
+
+def _dependent_data(rng, dag, n_rows, discrete):
+    """Rows drawn along dag, so the search has arcs to find."""
+    values = {}
+    for node in topological_order(dag):
+        parents = sorted(dag.parents(node))
+        if discrete:
+            signal = sum((values[p] for p in parents), np.zeros(n_rows, dtype=np.int64))
+            noise = rng.integers(0, 3, n_rows)
+            values[node] = np.where(rng.random(n_rows) < 0.6, (signal + 1) % 3, noise)
+        else:
+            signal = sum((values[p] for p in parents), np.zeros(n_rows))
+            values[node] = signal + rng.standard_normal(n_rows)
+    if discrete:
+        cols = {n: CategoricalColumn(("a", "b", "c"), v) for n, v in values.items()}
+    else:
+        cols = {n: NumericColumn(v) for n, v in values.items()}
+    return Dataset(dag.nodes, cols)
+
+
+def _reference_hill_climb(d, cfg):
+    """The search as a plain loop: every move from enumerate_moves, scored by
+    score_delta, the first of any near-tie kept; restarts as in hill_climb."""
+    spec = cfg.score
+    cons = normalize_priors(cfg.priors, d.names)
+    trace = LearnTrace()
+    cache = ScoreCache() if cfg.optimized else None
+    rng = np.random.default_rng(cfg.seed)
+
+    def climb(g):
+        for _ in range(cfg.max_iterations):
+            best, best_delta = None, _IMPROVEMENT_EPS
+            for move in enumerate_moves(g, cons):
+                delta = score_delta(g, move, d, spec, cache)
+                trace.add("test", move[1], move[2], note=move[0])
+                if delta > best_delta + _TIE_EPS * max(1.0, abs(best_delta)):
+                    best, best_delta = move, delta
+            if best is None:
+                break
+            g = apply_move(g, best)
+            trace.add("move", best[1], best[2], p_value=best_delta, note=best[0])
+        return g, network_score(g, d, spec, cache)
+
+    best, best_score = climb(_starting_graph(d, cfg, cons))
+    for _ in range(cfg.restarts):
+        perturbed, applied = perturb_graph(best, cfg.perturb, cons, rng)
+        if applied == 0:
+            trace.add("restart", note="no legal perturbation")
+            continue
+        trace.add("restart", note=f"perturbed by {applied} moves")
+        candidate, score = climb(perturbed)
+        if score > best_score:
+            best, best_score = candidate, score
+    return best, best_score, trace
 
 
 class TestEnumerateMoves:
@@ -65,6 +157,31 @@ class TestEnumerateMoves:
         kinds = [m[0] for m in moves]
         assert kinds == sorted(kinds, key=["add", "delete", "reverse"].index)
 
+    def test_matches_brute_force(self):
+        # legal = apply_move builds a DAG that keeps the priors; order canonical
+        rng = np.random.default_rng(73)
+        for trial in range(40):
+            g = random_dag(rng, 6, p_edge=0.4)
+            cons = normalize_priors(_priors_fitting(rng, g) if trial % 4 else None,
+                                    g.nodes)
+            g = Graph(g.nodes, g.directed_arcs | cons.forced_arcs | cons.required_edges)
+            expected = []
+            for u in g.nodes:
+                for v in g.nodes:
+                    if u == v:
+                        continue
+                    present = (u, v) in g.directed_arcs
+                    if not present and (v, u) in g.directed_arcs:
+                        continue
+                    for kind in (("delete", "reverse") if present else ("add",)):
+                        try:
+                            h = apply_move(g, (kind, u, v))
+                        except CycleError:
+                            continue
+                        if _respects(h, cons):
+                            expected.append((kind, u, v))
+            assert enumerate_moves(g, cons) == _canonical(expected)
+
     def test_rejects_pdag(self):
         from bnsl.graph import set_undirected
         g = set_undirected(empty_graph(("A", "B")), "A", "B")
@@ -97,6 +214,40 @@ class TestPerturb:
     def test_k_validation(self):
         with pytest.raises(ScoreError):
             perturb_graph(empty_graph(("A", "B")), 0, None, seed=0)
+
+
+class TestIncrementalSearch:
+    """hill_climb against a reference climb over enumerate_moves and score_delta."""
+
+    @pytest.mark.parametrize("optimized", [True, False])
+    @pytest.mark.parametrize("score", ["bic", "bde", "k2", "bge"])
+    def test_identical_to_reference_climb(self, score, optimized):
+        rng = np.random.default_rng(["bic", "bde", "k2", "bge"].index(score))
+        for trial in range(2):
+            truth = random_dag(rng, 7, p_edge=0.35)
+            d = _dependent_data(rng, truth, 400, discrete=score != "bge")
+            start = random_dag(rng, 7, p_edge=0.3)
+            cfg = HillClimbConfig(score=score, priors=_priors_fitting(rng, start),
+                                  start=start, restarts=2, perturb=3,
+                                  optimized=optimized, seed=trial)
+            ref_graph, ref_score, ref_trace = _reference_hill_climb(d, cfg)
+            g, trace = hill_climb(d, cfg)
+            assert [e.kind for e in trace.events].count("move") > 0
+            assert trace.events == ref_trace.events  # deltas bit for bit
+            assert trace.lines() == ref_trace.lines()
+            assert g == ref_graph
+            assert g.provenance.ntests == ref_trace.test_counter
+            assert network_score(g, d, cfg.score) == ref_score
+
+    def test_climb_score_identical_to_reference(self, sample):
+        from bnsl.hillclimb import _climb
+        spec = ScoreSpec(kind="bde")
+        cons = normalize_priors(None, sample.names)
+        start = parse_modelstring("[A][B|A][C|B][D|C][E|D][F|E]", nodes=sample.names)
+        g, score = _climb(start, sample, spec, cons, ScoreCache(), LearnTrace(), 10000)
+        _, ref_score, _ = _reference_hill_climb(
+            sample, HillClimbConfig(score=spec, start=start))
+        assert score == ref_score
 
 
 class TestHillClimb:
@@ -210,6 +361,19 @@ class TestHillClimb:
             HillClimbConfig(restarts=-1)
         with pytest.raises(ScoreError):
             HillClimbConfig(restarts=2, perturb=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("restarts", 1.5), ("restarts", True), ("restarts", "2"),
+        ("perturb", 2.5), ("perturb", -1), ("max_iterations", 2.5),
+        ("max_iterations", 0), ("max_iterations", False), ("seed", -3),
+        ("seed", 1.0), ("seed", None)])
+    def test_config_rejects_bad_integers(self, field, value):
+        with pytest.raises(ScoreError, match=f"{field} must be an integer"):
+            HillClimbConfig(**{field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = HillClimbConfig(restarts=np.int64(2), seed=np.uint32(7))
+        assert cfg.restarts == 2 and cfg.seed == 7
 
     def test_bge_hill_climb_on_gaussian_chain(self):
         rng = np.random.default_rng(72)
