@@ -1,8 +1,10 @@
 """Tabular data, sufficient statistics, local-parameter fitting and sampling.
 
 Datasets are homogeneous: either every column is categorical (discrete
-networks) or every column is numeric (Gaussian networks). Instances are
-immutable after construction and safe to share across threads.
+networks) or every column is numeric (Gaussian networks). A Dataset's
+columns never change after construction; derived statistics that several
+callers reuse (Gaussian moments, log-gamma tables) are filled in lazily, on
+first use, in its private memo.
 """
 
 from __future__ import annotations
@@ -63,6 +65,10 @@ class Dataset:
             elif isinstance(col, NumericColumn):
                 kinds.add("numeric")
                 col = NumericColumn(np.asarray(col.values, dtype=np.float64))
+                bad = np.flatnonzero(~np.isfinite(col.values))
+                if bad.size:
+                    raise DataError(f"column {name!r} has a non-finite value "
+                                    f"at row {bad[0]}")
             else:
                 raise DataError(f"column {name!r} has unsupported type")
             size = col.codes.size if isinstance(col, CategoricalColumn) else col.values.size
@@ -179,6 +185,10 @@ def load_table(path, type_hint: str | None = None, delimiter: str | None = None)
     for name, colvals in zip(header, raw):
         vals = None if type_hint == "discrete" else numeric(colvals)
         if vals is not None:
+            bad = np.flatnonzero(~np.isfinite(vals))
+            if bad.size:
+                raise DataError(f"non-finite value {colvals[bad[0]]!r} in row "
+                                f"{lines[bad[0] + 1]}, column {name!r}")
             columns[name] = NumericColumn(vals)
         else:
             if type_hint == "continuous":
@@ -242,15 +252,31 @@ def _check_variables(d: Dataset, x: str, y: str, z) -> None:
         d._col(name)
 
 
+# Configuration spaces of at most this many codes per row, plus the base, are
+# numbered by marking the observed codes in a table of the whole space;
+# larger spaces are sorted.
+_CODE_SPACE_PER_ROW = 4
+_CODE_SPACE_BASE = 1024
+
+
 def joint_config_codes(d: Dataset, names) -> tuple[np.ndarray, int]:
-    """Dense 0..L-1 codes of the observed configurations of the given columns."""
+    """Dense 0..L-1 codes of the observed configurations of the given columns.
+
+    Codes follow the mixed-radix order of the configurations (first column
+    most significant), as np.unique would number them.
+    """
     names = list(names)
     if not names:
         return np.zeros(d.n, dtype=np.int64), 1
+    radix = [len(d.levels(name)) for name in names]
+    space = math.prod(radix)
+    if space <= _CODE_SPACE_PER_ROW * d.n + _CODE_SPACE_BASE:
+        code = _parent_config_index(radix, [d.codes(name) for name in names], d.n)
+        rank = np.cumsum(np.bincount(code, minlength=space) > 0) - 1
+        return rank[code], int(rank[-1]) + 1
     combined = d.codes(names[0]).copy()
-    for name in names[1:]:
-        r = len(d.levels(name))
-        if combined.max(initial=0) > (2**62) // max(r, 1):
+    for name, r in zip(names[1:], radix[1:]):
+        if combined.max(initial=0) > (2**62) // r:
             _, combined = np.unique(combined, return_inverse=True)
         combined = combined * r + d.codes(name)
     uniq, dense = np.unique(combined, return_inverse=True)

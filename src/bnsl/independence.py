@@ -70,10 +70,10 @@ def _mi_from_counts(counts: np.ndarray, n: int) -> np.ndarray:
     nk = counts.sum(axis=(-3, -2), keepdims=True)     # n_{++k}
     num = counts.astype(float) * nk
     den = nik.astype(float) * njk
+    # ratio is 1 where a count is 0, so those cells add exactly +0.0
     ratio = np.divide(num, den, out=np.ones_like(num, dtype=float),
                       where=counts > 0)
-    terms = np.where(counts > 0, counts * np.log(ratio), 0.0)
-    return terms.sum(axis=(-3, -2, -1)) / n
+    return (counts * np.log(ratio)).sum(axis=(-3, -2, -1)) / n
 
 
 def _x2_from_counts(counts: np.ndarray) -> np.ndarray:
@@ -138,6 +138,8 @@ def table_test(t: ContingencyTable, kind: str) -> TestResult:
 
 def gaussian_statistic(rho: float, n: int, zsize: int, kind: str) -> TestResult:
     """Asymptotic test of a partial correlation with |z| = zsize."""
+    if math.isnan(rho):
+        raise TestError("partial correlation is NaN")
     if abs(rho) > 1.0 + 1e-12:
         raise TestError("|rho| must not exceed 1")
     rho = max(-1.0, min(1.0, rho))

@@ -73,9 +73,8 @@ class ScoreSpec:
 class ScoreCache:
     """Cache of local scores keyed by (node, parent set).
 
-    Identical keys always map to identical values for a fixed dataset and
-    spec, so concurrent duplicated computation is harmless and lost updates
-    are tolerated by design.
+    Valid for one dataset and one spec: a key always maps to the value that
+    local_score would compute for it.
     """
 
     def __init__(self):
@@ -107,31 +106,53 @@ def _check_spec(d: Dataset, spec: ScoreSpec) -> None:
 
 def _loglik_local(counts: np.ndarray) -> float:
     totals = counts.sum(axis=0, keepdims=True).astype(float)
+    # ratio is 1 where a count is 0, so those cells add exactly +0.0
     ratio = np.divide(counts, totals, out=np.ones_like(counts, dtype=float),
                       where=counts > 0)
-    return float(np.where(counts > 0, counts * np.log(ratio), 0.0).sum())
+    return float((counts * np.log(ratio)).sum())
 
 
-def _k2_local(counts: np.ndarray) -> float:
+# Log-gamma tables longer than this (512 KB of float64) are not built; larger
+# datasets evaluate lgamma_array on the counts directly.
+_LGAMMA_TABLE_CAP = 1 << 16
+
+
+def _lgamma_shifted(d: Dataset, counts: np.ndarray, a: float) -> np.ndarray:
+    """lgamma(counts + a) for counts in 0..d.n, read from a per-dataset table.
+
+    The table lgamma_array(0..n + a) is built once per (dataset, a), so each
+    entry is exactly what lgamma_array(counts + a) would return.
+    """
+    if d.n + 1 > _LGAMMA_TABLE_CAP:
+        return lgamma_array(counts + a)
+    key = ("lgamma", a)
+    table = d._memo.get(key)
+    if table is None:
+        table = lgamma_array(np.arange(d.n + 1) + a)
+        d._memo[key] = table
+    return table[counts]
+
+
+def _k2_local(d: Dataset, counts: np.ndarray) -> float:
     R = counts.shape[0]
     totals = counts.sum(axis=0)
     seen = totals > 0  # unseen parent configurations contribute 0
-    value = float(lgamma_array(counts[:, seen] + 1.0).sum())
+    value = float(_lgamma_shifted(d, counts[:, seen], 1.0).sum())
     value += counts[:, seen].shape[1] * math.lgamma(R)
-    value -= float(lgamma_array(totals[seen] + R).sum())
+    value -= float(_lgamma_shifted(d, totals[seen], float(R)).sum())
     return value
 
 
-def _bde_local(counts: np.ndarray, q: int, iss: float) -> float:
+def _bde_local(d: Dataset, counts: np.ndarray, q: int, iss: float) -> float:
     R = counts.shape[0]
     a_cell = iss / (R * q)
     a_col = iss / q
     totals = counts.sum(axis=0)
     seen = totals > 0
-    value = float(lgamma_array(counts[:, seen] + a_cell).sum())
+    value = float(_lgamma_shifted(d, counts[:, seen], a_cell).sum())
     value -= counts[:, seen].size * math.lgamma(a_cell)
     value += int(seen.sum()) * math.lgamma(a_col)
-    value -= float(lgamma_array(totals[seen] + a_col).sum())
+    value -= float(_lgamma_shifted(d, totals[seen], a_col).sum())
     return value
 
 
@@ -220,8 +241,8 @@ def local_score(node: str, parents, d: Dataset, spec: ScoreSpec) -> float:
         dim = (counts.shape[0] - 1) * q
         return ll - spec.effective_penalty(d.n) * dim
     if spec.kind == "k2":
-        return _k2_local(counts)
-    return _bde_local(counts, q, spec.iss)
+        return _k2_local(d, counts)
+    return _bde_local(d, counts, q, spec.iss)
 
 
 def network_score(g: Graph, d: Dataset, spec: ScoreSpec,

@@ -134,10 +134,17 @@ def _beta_contfrac(a: float, b: float, x: float) -> float:
     return h
 
 
+def _check_statistic(s: float) -> None:
+    # a NaN would compare false everywhere and come out as a NaN p-value
+    if math.isnan(s):
+        raise ValueError("test statistic is NaN")
+
+
 def chi2_sf(x: float, df: float) -> float:
     """Survival function of the chi-squared distribution."""
     if df <= 0:
         raise ValueError("df must be positive")
+    _check_statistic(x)
     if x <= 0.0:
         return 1.0
     if math.isinf(x):
@@ -149,6 +156,7 @@ def student_t_two_sided(t: float, df: float) -> float:
     """P(|T| >= t) for Student's t with df degrees of freedom."""
     if df <= 0:
         raise ValueError("df must be positive")
+    _check_statistic(t)
     if math.isinf(t):
         return 0.0
     if t == 0.0:
@@ -158,6 +166,7 @@ def student_t_two_sided(t: float, df: float) -> float:
 
 def normal_two_sided(z: float) -> float:
     """P(|Z| >= z) for a standard normal variable."""
+    _check_statistic(z)
     if math.isinf(z):
         return 0.0
     return math.erfc(abs(z) / math.sqrt(2.0))
@@ -180,9 +189,9 @@ _LANCZOS_COEF = np.array([
 
 
 def lgamma_array(x) -> np.ndarray:
-    """Elementwise log-gamma for arrays of positive reals."""
+    """Elementwise log-gamma for arrays of positive reals (lgamma(inf) = inf)."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    if not np.all(x > 0.0):  # also rejects NaN
         raise ValueError("lgamma_array requires positive arguments")
     out = np.empty_like(x)
     small = x < 0.5
@@ -190,7 +199,9 @@ def lgamma_array(x) -> np.ndarray:
     if np.any(small):
         xs = x[small]
         out[small] = np.log(np.pi / np.sin(np.pi * xs)) - _lanczos(1.0 - xs)
-    rest = ~small
+    infinite = x == np.inf
+    out[infinite] = np.inf
+    rest = ~(small | infinite)
     if np.any(rest):
         out[rest] = _lanczos(x[rest])
     return out

@@ -159,6 +159,20 @@ class TestLearn:
         assert "empty cell in row 3, column 'B'" in err
         assert out == ""
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["citest", "learn", "score"])
+    def test_non_finite_cell_exit_code(self, capsys, tmp_path, command, cell):
+        bad = tmp_path / "nonfinite.csv"
+        rows = "".join(f"{i},{(i * 7) % 5},{(i * 3) % 4}\n" for i in range(20))
+        bad.write_text(f"X,Y,Z\n{rows}1,{cell},2\n")
+        argv = {"citest": ["citest", str(bad), "X", "Y", "--test", "zf"],
+                "learn": ["learn", str(bad)],
+                "score": ["score", "[X][Y][Z]", str(bad)]}[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert f"non-finite value '{cell}' in row 22, column 'Y'" in err
+        assert out == ""
+
     def test_seeded_outputs_byte_identical(self, capsys, data_path):
         args = ("learn", data_path, "--algo", "hc", "--score", "bic",
                 "--restart", "2", "--perturb", "2", "--seed", "7")

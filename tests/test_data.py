@@ -13,7 +13,8 @@ from bnsl import (DataError, Dataset, FittedNetwork, ScoreSpec, ci_test,
                   load_table, local_score, parse_modelstring, partial_correlation,
                   write_table)
 from bnsl.data import CategoricalColumn, DiscreteCPT, LinearGaussian, \
-    NumericColumn
+    NumericColumn, joint_config_codes
+from bnsl.networks import alarm_fitted
 
 
 def _write(tmp_path, name, text):
@@ -92,6 +93,17 @@ class TestLoadTable:
         assert d.discrete
         assert d.levels("X") == ("1", "2")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "NaN"])
+    def test_non_finite_numeric_cell_rejected(self, tmp_path, cell):
+        path = _write(tmp_path, "d.csv", f"A,B\n1.5,2\n\n0.5,{cell}\n2,1\n")
+        with pytest.raises(DataError, match=f"non-finite value '{cell}' in row 4, "
+                                            f"column 'B'"):
+            load_table(path)
+
+    def test_non_finite_text_is_a_level_when_discrete(self, tmp_path):
+        path = _write(tmp_path, "d.csv", "A,B\n1,nan\n2,inf\n1,nan\n")
+        assert load_table(path, type_hint="discrete").levels("B") == ("inf", "nan")
+
     def test_type_hint_continuous_rejects_text(self, tmp_path):
         path = _write(tmp_path, "d.csv", "A,B\na,1\nb,2\n")
         with pytest.raises(DataError):
@@ -131,6 +143,12 @@ class TestDatasetInvariants:
                 "A": CategoricalColumn(("a", "b"), np.zeros(3, dtype=np.int64)),
                 "B": CategoricalColumn(("a", "b"), np.zeros(4, dtype=np.int64)),
             })
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numeric_rejected(self, bad):
+        with pytest.raises(DataError, match="column 'Y' has a non-finite value at row 2"):
+            Dataset(("X", "Y"), {"X": NumericColumn(np.zeros(4)),
+                                 "Y": NumericColumn(np.array([0.0, 1.0, bad, bad]))})
 
     def test_reorder(self):
         d = Dataset(("A", "B"), {
@@ -188,6 +206,68 @@ class TestContingency:
                                  "Y": NumericColumn(np.zeros(5))})
         with pytest.raises(DataError):
             contingency_counts(d, "X", "Y")
+
+
+def _unique_codes(d, names):
+    """Reference numbering: np.unique over the mixed-radix configuration codes."""
+    combined = np.zeros(d.n, dtype=np.int64)
+    for name in names:
+        combined = combined * len(d.levels(name)) + d.codes(name)
+    uniq, dense = np.unique(combined, return_inverse=True)
+    return dense.astype(np.int64), int(uniq.size)
+
+
+class TestConfigCodes:
+    """joint_config_codes and contingency_counts against a direct np.unique reference."""
+
+    @pytest.fixture(scope="class")
+    def alarm_sample(self):
+        return forward_sample(alarm_fitted(1), 300, seed=11)
+
+    def _check(self, d, rng, zsize):
+        x, y, *z = (str(v) for v in rng.choice(d.names, size=zsize + 2, replace=False))
+        codes, L = joint_config_codes(d, z)
+        want, want_L = _unique_codes(d, z)
+        assert L == want_L and codes.dtype == want.dtype == np.int64
+        assert codes.tobytes() == want.tobytes()
+        t = contingency_counts(d, x, y, z)
+        R, C = len(d.levels(x)), len(d.levels(y))
+        flat = (d.codes(x) * C + d.codes(y)) * want_L + want
+        counts = np.bincount(flat, minlength=R * C * want_L).reshape(R, C, want_L)
+        assert (t.R, t.C, t.L, t.n) == (R, C, want_L, d.n)
+        assert t.counts.dtype == counts.dtype
+        assert t.counts.tobytes() == counts.tobytes()
+        return math.prod(len(d.levels(v)) for v in z)
+
+    @pytest.mark.parametrize("zsize", range(8))
+    def test_matches_unique(self, alarm_sample, zsize):
+        rng = np.random.default_rng(zsize)
+        spaces = [self._check(alarm_sample, rng, zsize) for _ in range(40)]
+        # n = 300: small sets take the marking path, some of the largest the sort
+        bound = 4 * alarm_sample.n + 1024
+        assert zsize > 4 or max(spaces) <= bound
+        assert zsize < 7 or max(spaces) > bound
+
+    @pytest.mark.parametrize("zsize", range(5))
+    def test_fallback_matches_unique(self, alarm_sample, monkeypatch, zsize):
+        monkeypatch.setattr(bnsl.data, "_CODE_SPACE_PER_ROW", 0)
+        monkeypatch.setattr(bnsl.data, "_CODE_SPACE_BASE", 0)
+        rng = np.random.default_rng(100 + zsize)
+        for _ in range(20):
+            self._check(alarm_sample, rng, zsize)
+
+    def test_empty_z_and_unobserved_configurations(self):
+        # 3 x 3 configuration space of (Z1, Z2) with only 4 configurations seen
+        z1 = np.array([2, 0, 2, 1, 0, 2])
+        z2 = np.array([1, 0, 1, 2, 0, 0])
+        d = Dataset(("Z1", "Z2"), {"Z1": CategoricalColumn(("a", "b", "c"), z1),
+                                   "Z2": CategoricalColumn(("a", "b", "c"), z2)})
+        codes, L = joint_config_codes(d, [])
+        assert L == 1 and codes.tobytes() == np.zeros(6, dtype=np.int64).tobytes()
+        codes, L = joint_config_codes(d, ["Z1", "Z2"])
+        assert L == 4 and codes.tolist() == [3, 0, 3, 1, 0, 2]
+        codes, L = joint_config_codes(d, ["Z2", "Z1"])
+        assert L == 4 and codes.tolist() == [2, 0, 2, 3, 0, 1]
 
 
 class TestCorrelation:

@@ -198,6 +198,12 @@ class TestGaussianStatistics:
         with pytest.raises(TestError):
             gaussian_statistic(1.5, 50, 0, "cor")
 
+    @pytest.mark.parametrize("kind", ["cor", "zf", "mi-g"])
+    def test_nan_rho_rejected(self, kind):
+        # the clamp max(-1, min(1, nan)) would read NaN as perfect dependence
+        with pytest.raises(TestError, match="NaN"):
+            gaussian_statistic(math.nan, 50, 0, kind)
+
     def test_pvalue_monotone_in_statistic(self):
         rhos = np.linspace(0.0, 0.9, 20)
         for kind in ("cor", "zf", "mi-g"):

@@ -6,10 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from bnsl import (Dataset, Graph, ScoreCache, ScoreError, ScoreSpec,
-                  empty_graph, find_vstructures, local_score, network_score,
-                  parse_modelstring, score_delta)
-from bnsl.data import CategoricalColumn, NumericColumn
+from bnsl import (Dataset, Graph, HillClimbConfig, ScoreCache, ScoreError,
+                  ScoreSpec, empty_graph, find_vstructures, forward_sample,
+                  hill_climb, local_score, network_score, parse_modelstring,
+                  score_delta)
+import bnsl.scores
+from bnsl.data import CategoricalColumn, NumericColumn, family_counts
+from bnsl.networks import alarm_fitted
+from bnsl.special import lgamma_array
 
 from helpers import random_discrete_dataset, random_gaussian_dataset
 
@@ -358,6 +362,64 @@ class TestHillClimbGlobalOptimumReport:
               f"of {trials} exhaustively checked 3-node instances")
         assert 0.0 <= fraction <= 1.0
         assert hits > 0  # finding it never would indicate a search bug
+
+
+def _dirichlet_reference(d, node, parents, spec):
+    """bde/k2 local score with lgamma_array evaluated on the counts directly."""
+    counts, q = family_counts(d, node, sorted(parents))
+    R = counts.shape[0]
+    totals = counts.sum(axis=0)
+    seen = totals > 0
+    if spec.kind == "k2":
+        value = float(lgamma_array(counts[:, seen] + 1.0).sum())
+        value += counts[:, seen].shape[1] * math.lgamma(R)
+        return value - float(lgamma_array(totals[seen] + R).sum())
+    a_cell, a_col = spec.iss / (R * q), spec.iss / q
+    value = float(lgamma_array(counts[:, seen] + a_cell).sum())
+    value -= counts[:, seen].size * math.lgamma(a_cell)
+    value += int(seen.sum()) * math.lgamma(a_col)
+    return value - float(lgamma_array(totals[seen] + a_col).sum())
+
+
+class TestLgammaTables:
+    """bde/k2 read lgamma(count + a) from per-dataset tables, bit for bit."""
+
+    SPECS = [ScoreSpec("k2"), ScoreSpec("bde", iss=1.0), ScoreSpec("bde", iss=7.5),
+             ScoreSpec("bde", iss=0.3), ScoreSpec("bde", iss=120.0)]
+
+    def _families(self, d, rng, count):
+        for _ in range(count):
+            k = int(rng.integers(0, 5))
+            node, *parents = (str(v) for v in rng.choice(d.names, size=k + 1,
+                                                         replace=False))
+            yield node, parents
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.iss}")
+    def test_equal_to_direct_lgamma(self, spec):
+        rng = np.random.default_rng(21)
+        d = forward_sample(alarm_fitted(1), 400, seed=21)
+        for node, parents in self._families(d, rng, 60):
+            assert local_score(node, parents, d, spec) == \
+                _dirichlet_reference(d, node, parents, spec)
+        assert any(key[0] == "lgamma" for key in d._memo)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.iss}")
+    def test_above_cap_evaluates_directly(self, spec, monkeypatch):
+        rng = np.random.default_rng(22)
+        d = random_discrete_dataset(rng, ["A", "B", "C", "D", "E"], 300)
+        monkeypatch.setattr(bnsl.scores, "_LGAMMA_TABLE_CAP", d.n)
+        for node, parents in self._families(d, rng, 30):
+            assert local_score(node, parents, d, spec) == \
+                _dirichlet_reference(d, node, parents, spec)
+        assert not any(key[0] == "lgamma" for key in d._memo)
+
+    def test_alarm_hill_climb_builds_few_tables(self):
+        d = forward_sample(alarm_fitted(1), 2000, seed=5)
+        hill_climb(d, HillClimbConfig(score=ScoreSpec("bde", iss=1.0)))
+        tables = [v for key, v in d._memo.items() if key[0] == "lgamma"]
+        assert 0 < len(tables) <= 48
+        assert all(t.shape == (d.n + 1,) for t in tables)
+        assert d.n + 1 <= bnsl.scores._LGAMMA_TABLE_CAP
 
 
 class TestScoreCache:

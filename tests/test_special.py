@@ -63,6 +63,29 @@ def test_lgamma_array_against_scipy():
     assert np.allclose(got, want, rtol=1e-11, atol=1e-11)
 
 
+def test_lgamma_array_rejects_nan_and_maps_inf_to_inf():
+    for bad in ([np.nan], [2.0, np.nan], [0.0], [-np.inf], [1.0, -1e-300]):
+        with pytest.raises(ValueError, match="positive"):
+            lgamma_array(np.array(bad))
+    x = np.array([0.25, np.inf, 3.0, 1e300])
+    got = lgamma_array(x)
+    assert got[1] == np.inf
+    assert np.allclose(got[[0, 2, 3]], sps.gammaln(x[[0, 2, 3]]), rtol=1e-11)
+    # an infinite entry does not change the others
+    assert got[[0, 2, 3]].tobytes() == lgamma_array(x[[0, 2, 3]]).tobytes()
+
+
+@pytest.mark.parametrize("tail", [
+    lambda s: chi2_sf(s, 3.0),
+    lambda s: student_t_two_sided(s, 10.0),
+    normal_two_sided,
+], ids=["chi2_sf", "student_t_two_sided", "normal_two_sided"])
+def test_nan_statistic_rejected(tail):
+    with pytest.raises(ValueError, match="NaN"):
+        tail(float("nan"))
+    assert tail(float("inf")) == 0.0
+
+
 def test_edge_cases():
     assert chi2_sf(0.0, 5) == 1.0
     assert chi2_sf(float("inf"), 5) == 0.0
