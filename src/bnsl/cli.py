@@ -201,10 +201,11 @@ def _cmd_citest(args) -> int:
         "",
         f"data:  {args.x} ~ {args.y}{cond}",
     ]
+    stat_part = f"{res.label} = {res.statistic:.4g}"
     if res.replicates is not None:
-        stat_part = f"{res.label} = {res.statistic:.4g}, B = {res.replicates}"
-    else:
-        stat_part = f"{res.label} = {res.statistic:.4g}, df = {res.df:g}"
+        stat_part += f", B = {res.replicates}"
+    elif res.df is not None:  # an untestable (degenerate) result has neither
+        stat_part += f", df = {res.df:g}"
     lines.append(f"{stat_part}, p-value = {res.p_value:.4g}")
     lines.append("alternative hypothesis: true value is not equal to 0")
     _emit("\n".join(lines) + "\n", args.out)

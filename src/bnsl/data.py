@@ -3,8 +3,8 @@
 Datasets are homogeneous: either every column is categorical (discrete
 networks) or every column is numeric (Gaussian networks). A Dataset's
 columns never change after construction; derived statistics that several
-callers reuse (Gaussian moments, log-gamma tables) are filled in lazily, on
-first use, in its private memo.
+callers reuse (Gaussian moments, the correlation matrix, log-gamma tables)
+are filled in lazily, on first use, in its private memo.
 """
 
 from __future__ import annotations
@@ -312,6 +312,23 @@ def _gaussian_moments(d: Dataset):
     return moments
 
 
+def _correlations(d: Dataset) -> np.ndarray:
+    """All p x p Pearson correlations, once per Dataset.
+
+    Rows and columns of zero-variance columns hold non-finite values; callers
+    reject those columns before reading them.
+    """
+    corr = d._memo.get("correlations")
+    if corr is None:
+        _, _, sds, scatter = _gaussian_moments(d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            corr = scatter / (d.n * np.outer(sds, sds))
+        np.fill_diagonal(corr, 1.0)
+        corr = np.clip(corr, -1.0, 1.0)
+        d._memo["correlations"] = corr
+    return corr
+
+
 def correlation_matrix(d: Dataset, names) -> np.ndarray:
     """Pearson correlations of the given numeric columns."""
     if d.discrete:
@@ -319,43 +336,53 @@ def correlation_matrix(d: Dataset, names) -> np.ndarray:
     names = list(names)
     if d.n < 2:
         raise DataError("need at least 2 rows")
-    index, _, sds, scatter = _gaussian_moments(d)
+    index, _, sds, _ = _gaussian_moments(d)
     try:
-        idx = [index[c] for c in names]
+        idx = np.array([index[c] for c in names], dtype=np.intp)
     except KeyError as exc:
         raise DataError(f"unknown column {exc.args[0]!r}") from None
     sd = sds[idx]
-    bad = np.flatnonzero(sd == 0.0)
-    if bad.size:
-        raise DataError(f"zero-variance column {names[bad[0]]!r}")
-    c = scatter[np.ix_(idx, idx)] / (d.n * np.outer(sd, sd))
-    np.fill_diagonal(c, 1.0)
-    return np.clip(c, -1.0, 1.0)
+    if not sd.all():  # sds are never negative: the first minimum is the first zero
+        raise DataError(f"zero-variance column {names[int(np.argmin(sd))]!r}")
+    return _correlations(d)[idx[:, None], idx]
+
+
+def _has_zero_variance(d: Dataset, names) -> bool:
+    """Whether any of the given numeric columns is constant."""
+    index, _, sds, _ = _gaussian_moments(d)
+    return any(sds[index[c]] == 0.0 for c in names)
 
 
 def partial_correlation(d: Dataset, x: str, y: str, z=()) -> float:
-    """Partial correlation of x and y given z via correlation-matrix inversion.
+    """Partial correlation of x and y given z from one Cholesky factor.
 
-    Exactly symmetric in x and y. When the submatrix is singular because x
-    or y is a deterministic linear function of z, the vanishing residuals
-    define a zero partial correlation; other singularities are reported.
+    The correlation matrix of z + [a, b] (a, b = x, y in label order) factors
+    as L L^T; the last 2 x 2 block of L factors the covariance of a and b given
+    z, so rho = l21 / sqrt(l21^2 + l22^2). Exactly symmetric in x and y. The
+    factor is trusted only when the 2-norm condition number, read from the
+    eigenvalues, is below 1e12. Otherwise, when x or y is a deterministic
+    linear function of z, the vanishing residuals define a zero partial
+    correlation; other singularities are reported.
     """
     z = list(z)
     _check_variables(d, x, y, z)
     if d.n <= len(z) + 2:
         raise DataError("not enough rows for the conditioning set")
     a, b = (x, y) if x <= y else (y, x)
-    corr = correlation_matrix(d, [a, b] + z)
+    corr = correlation_matrix(d, z + [a, b])
     if not z:
         return float(corr[0, 1])
     try:
-        # a numerically singular matrix can "invert" into garbage; guard on
-        # conditioning before trusting the result
-        if np.linalg.cond(corr) < 1e12:
-            omega = np.linalg.inv(corr)
-            rho = -omega[0, 1] / math.sqrt(omega[0, 0] * omega[1, 1])
+        # a near-singular matrix can still factor; its pivots alone do not
+        # show it, so the guard reads the condition number from the spectrum
+        lam = np.abs(np.linalg.eigvalsh(corr))
+        smallest = float(lam.min())
+        if smallest > 0.0 and float(lam.max()) / smallest < 1e12:
+            chol = np.linalg.cholesky(corr)
+            l21, l22 = float(chol[-1, -2]), float(chol[-1, -1])
+            rho = l21 / math.sqrt(l21 * l21 + l22 * l22)
             if math.isfinite(rho):
-                return float(np.clip(rho, -1.0, 1.0))
+                return min(1.0, max(-1.0, rho))
     except (np.linalg.LinAlgError, ValueError):
         pass
     for name in (a, b):

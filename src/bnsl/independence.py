@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ContingencyTable, DataError, Dataset, _check_variables, \
-    _regress, contingency_counts, partial_correlation
+    _has_zero_variance, _regress, contingency_counts, partial_correlation
 # re-exported: the benchmark's tracer (perfbench/tracing.py) wraps this name here
 from .data import joint_config_codes  # noqa: F401
 from .special import chi2_sf, normal_two_sided, student_t_two_sided
@@ -277,21 +277,40 @@ def _resolve_test(d: Dataset, test: str | None) -> str:
     return label
 
 
+# A Gaussian test needs n > |z| + k rows, k per label (an mc-* label as its twin).
+_EXTRA_ROWS = {"cor": 2, "zf": 3, "mi-g": 2}
+
+
+def _untestable(label: str) -> TestResult:
+    return TestResult(label, 0.0, 1.0, degenerate=True)
+
+
 def ci_test(d: Dataset, x: str, y: str, z=(), test: str | None = None,
             B: int | None = None, seed=0) -> TestResult:
-    """Run the named conditional independence test of x and y given z."""
+    """Run the named conditional independence test of x and y given z.
+
+    A Gaussian test that cannot establish dependence (too few rows for the
+    label, a zero-variance column, a singular conditioning set) returns the
+    degenerate result p = 1.
+    """
     label = _resolve_test(d, test)
     z = list(z)
+    if label in CONTINUOUS_TESTS:
+        # a repeated or unknown variable is the caller's error, not a degenerate test
+        _check_variables(d, x, y, z)
+        if d.n <= len(z) + _EXTRA_ROWS[label.removeprefix("mc-")]:
+            return _untestable(label)
+        # the asymptotic labels learn of a constant column from partial_correlation
+        if label.startswith("mc-") and _has_zero_variance(d, [x, y, *z]):
+            return _untestable(label)
     if label.startswith("mc-"):
         return permutation_pvalue(d, x, y, z, kind=label,
                                   B=1000 if B is None else B, seed=seed)
     if label in DISCRETE_TESTS:
         return table_test(contingency_counts(d, x, y, z), label)
-    # a repeated or unknown variable is the caller's error, not a degenerate test
-    _check_variables(d, x, y, z)
     try:
         rho = partial_correlation(d, x, y, z)
     except DataError:
         # unidentifiable conditioning set: cannot establish dependence
-        return TestResult(label, 0.0, 1.0, degenerate=True)
+        return _untestable(label)
     return gaussian_statistic(rho, d.n, len(z), label)

@@ -180,10 +180,24 @@ class _BgeContext:
         self.posterior = (t_scale * np.eye(nvar) + scatter
                           + (n * alpha_mu / (n + alpha_mu)) * np.outer(xbar, xbar))
         self._set_cache: dict[frozenset, float] = {}
+        self._size_terms: dict[int, float] = {}
 
     def _log_multigamma(self, p: int, a: float) -> float:
         return (p * (p - 1) / 4.0) * math.log(math.pi) + sum(
             math.lgamma(a + (1 - j) / 2.0) for j in range(1, p + 1))
+
+    def _size_term(self, l: int) -> float:
+        """The part of a set marginal that depends only on the set size l."""
+        value = self._size_terms.get(l)
+        if value is None:
+            a = self.alpha_w - self.nvar + l
+            value = (-(l * self.n / 2.0) * math.log(math.pi)
+                     + (l / 2.0) * math.log(self.alpha_mu / (self.alpha_mu + self.n))
+                     + self._log_multigamma(l, (a + self.n) / 2.0)
+                     - self._log_multigamma(l, a / 2.0)
+                     + (a / 2.0) * l * self.log_t)
+            self._size_terms[l] = value
+        return value
 
     def log_set_marginal(self, subset) -> float:
         key = frozenset(subset)
@@ -193,17 +207,12 @@ class _BgeContext:
         l = len(key)
         if l == 0:
             return 0.0
-        idx = sorted(self.index[c] for c in key)
-        a = self.alpha_w - self.nvar + l
-        sign, logdet = np.linalg.slogdet(self.posterior[np.ix_(idx, idx)])
+        idx = np.array(sorted(self.index[c] for c in key), dtype=np.intp)
+        sign, logdet = np.linalg.slogdet(self.posterior[idx[:, None], idx])
         if sign <= 0:
             raise ScoreError("bge posterior submatrix is not positive definite")
-        value = (-(l * self.n / 2.0) * math.log(math.pi)
-                 + (l / 2.0) * math.log(self.alpha_mu / (self.alpha_mu + self.n))
-                 + self._log_multigamma(l, (a + self.n) / 2.0)
-                 - self._log_multigamma(l, a / 2.0)
-                 + (a / 2.0) * l * self.log_t
-                 - ((a + self.n) / 2.0) * logdet)
+        a = self.alpha_w - self.nvar + l
+        value = self._size_term(l) - ((a + self.n) / 2.0) * logdet
         self._set_cache[key] = value
         return value
 

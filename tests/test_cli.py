@@ -139,6 +139,16 @@ class TestLearn:
                 "--perturb": "perturb"}[flag] + " must be an integer" in err
         assert out == ""
 
+    @pytest.mark.parametrize("test", ["cor", "zf", "mc-zf"])
+    def test_too_few_rows_for_the_test(self, capsys, tmp_path, test):
+        # 4 rows leave zf given one variable no degrees of freedom: untestable, p = 1
+        path = tmp_path / "four.csv"
+        path.write_text("A,B,C\n0,0.1,-0.2\n1,1.8,1.7\n2,4.05,4.25\n3.5,7.1,7.05\n")
+        code, out, err = run_cli(capsys, "learn", str(path), "--algo", "gs",
+                                 "--test", test, "--B", "19")
+        assert code == 0, err
+        assert "Constraint-based methods" in out
+
     def test_missing_data_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "learn", str(tmp_path / "nope.csv"))
         assert code == 3
@@ -275,6 +285,16 @@ class TestCitest:
                                "--test", "cor")
         assert code == 0
         assert "cor =" in out and "df = " in out
+
+    @pytest.mark.parametrize("test", ["cor", "zf", "mi-g", "mc-cor"])
+    def test_untestable_gaussian_citest(self, capsys, tmp_path, test):
+        # a constant conditioning column: p = 1, and no degrees of freedom to print
+        path = tmp_path / "const.csv"
+        path.write_text("A,B,C\n1,2,5\n2,1,5\n3,5,5\n4,3,5\n5,6,5\n")
+        code, out, _ = run_cli(capsys, "citest", str(path), "A", "B", "C",
+                               "--test", test)
+        assert code == 0
+        assert f"{test} = 0, p-value = 1\n" in out
 
     @pytest.mark.parametrize("B", ["0", "-3"])
     def test_replicates_below_one_rejected(self, capsys, data_path, B):

@@ -230,6 +230,19 @@ class TestConstraintLearn:
         with pytest.raises(TestError):
             constraint_learn(sample, LearnConfig(algorithm="gs", test="cor"))
 
+    @pytest.mark.parametrize("algorithm", ["gs", "iamb", "mmpc"])
+    @pytest.mark.parametrize("test", ["cor", "zf", "mi-g", "mc-cor", "mc-zf", "mc-mi-g"])
+    def test_too_few_rows_for_the_test_does_not_abort(self, algorithm, test):
+        # with 4 rows a zf test given one variable has no degrees of freedom;
+        # it counts as untestable (p = 1) instead of raising
+        a = np.array([0.0, 1.0, 2.0, 3.5])
+        b = 2.0 * a + np.array([0.1, -0.2, 0.05, 0.1])
+        c = b - np.array([0.3, 0.1, -0.2, 0.05])
+        d = Dataset.from_values(("A", "B", "C"), {"A": a, "B": b, "C": c})
+        g, trace = constraint_learn(d, LearnConfig(algorithm=algorithm, test=test, B=19))
+        assert set(g.nodes) == {"A", "B", "C"}
+        assert trace.test_counter > 0
+
     def test_unknown_algorithm(self):
         with pytest.raises(TestError):
             LearnConfig(algorithm="pc")

@@ -1,6 +1,7 @@
 """Ingestion, sufficient statistics, MLE fitting and forward sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from bnsl import (DataError, Dataset, FittedNetwork, ScoreSpec, ci_test,
                   load_table, local_score, parse_modelstring, partial_correlation,
                   write_table)
 from bnsl.data import CategoricalColumn, DiscreteCPT, LinearGaussian, \
-    NumericColumn, joint_config_codes
+    NumericColumn, _gaussian_moments, _regress, joint_config_codes
+from bnsl.independence import gaussian_statistic
 from bnsl.networks import alarm_fitted
 
 
@@ -342,6 +344,36 @@ class TestCorrelation:
             partial_correlation(d, "X", "Y", ["K"])
 
 
+    def test_memoised_matrix_equals_direct_formula(self):
+        # every entry is the element-wise formula on the requested submatrix
+        rng = np.random.default_rng(41)
+        names = [f"V{i}" for i in range(9)]
+        mat = rng.standard_normal((70, 9)) @ rng.standard_normal((9, 9))
+        d = Dataset(tuple(names), {c: NumericColumn(mat[:, i] * (i + 1) + 3.0 * i)
+                                   for i, c in enumerate(names)})
+        index, _, sds, scatter = _gaussian_moments(d)
+        for _ in range(200):
+            subset = [names[i] for i in rng.choice(9, int(rng.integers(1, 10)),
+                                                   replace=False)]
+            idx = [index[c] for c in subset]
+            sd = sds[idx]
+            want = scatter[np.ix_(idx, idx)] / (d.n * np.outer(sd, sd))
+            np.fill_diagonal(want, 1.0)
+            want = np.clip(want, -1.0, 1.0)
+            got = correlation_matrix(d, subset)
+            assert got.shape == want.shape and np.all(got == want)
+        assert "correlations" in d._memo
+
+    def test_constant_column_does_not_warn(self):
+        rng = np.random.default_rng(42)
+        d = Dataset(("X", "K", "Y"), {"X": NumericColumn(rng.standard_normal(20)),
+                                      "K": NumericColumn(np.zeros(20)),
+                                      "Y": NumericColumn(rng.standard_normal(20))})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(correlation_matrix(d, ["X", "Y"])))
+
+
 class TestPartialCorrelation:
     def test_empty_z_reduces_to_correlation(self):
         rng = np.random.default_rng(9)
@@ -417,6 +449,79 @@ class TestPartialCorrelation:
                                       for i, n in enumerate(("X", "Y", "Z"))})
         with pytest.raises(DataError):
             partial_correlation(d, "X", "Y", ["Z"])
+
+
+def _inverse_rule(d, x, y, z):
+    """Partial correlation by the rule it had before the Cholesky kernel.
+
+    The SVD condition number of the [a, b] + z correlation matrix must be
+    below 1e12, then rho comes from its inverse; otherwise the regression
+    fallback.
+    """
+    if d.n <= len(z) + 2:
+        raise DataError("not enough rows for the conditioning set")
+    a, b = (x, y) if x <= y else (y, x)
+    corr = correlation_matrix(d, [a, b] + z)
+    if np.linalg.cond(corr) < 1e12:
+        omega = np.linalg.inv(corr)
+        rho = -omega[0, 1] / math.sqrt(omega[0, 0] * omega[1, 1])
+        if math.isfinite(rho):
+            return float(np.clip(rho, -1.0, 1.0))
+    for name in (a, b):
+        vals = d.values(name)
+        _, resid = _regress(d, name, z)
+        if np.linalg.norm(resid) <= 1e-6 * max(np.linalg.norm(vals - vals.mean()), 1e-30):
+            return 0.0
+    raise DataError("singular correlation submatrix")
+
+
+def _near_collinear_case(rng):
+    """x a near-linear function of z; sometimes z1 close to 2 z0."""
+    n, k = int(rng.integers(8, 301)), int(rng.integers(1, 7))
+    noise = 10.0 ** rng.uniform(-17.0, 0.0)
+    zs = rng.standard_normal((n, k))
+    if k > 1 and rng.random() < 0.3:
+        zs[:, 1] = 2.0 * zs[:, 0] + noise * rng.standard_normal(n)
+    x = zs @ rng.standard_normal(k) + noise * rng.standard_normal(n)
+    y = 0.5 * zs[:, 0] + rng.standard_normal(n)
+    z = [f"Z{i}" for i in range(k)]
+    cols = {"X": NumericColumn(x), "Y": NumericColumn(y)}
+    cols.update((c, NumericColumn(zs[:, i])) for i, c in enumerate(z))
+    return Dataset(("X", "Y", *z), cols), z
+
+
+def _classify(call):
+    try:
+        rho = call()
+    except DataError:
+        return "error", None
+    return ("zero" if rho == 0.0 else "value"), rho
+
+
+class TestNearCollinearSweep:
+    def test_keeps_every_decision(self):
+        # the eigenvalue guard and the Cholesky factor decide value / 0.0 /
+        # DataError exactly as the SVD guard and the inverse did
+        rng = np.random.default_rng(2024)
+        seen = {"value": 0, "zero": 0, "error": 0}
+        compared = 0
+        for _ in range(4000):
+            d, z = _near_collinear_case(rng)
+            got, rho = _classify(lambda: partial_correlation(d, "X", "Y", z))
+            want, ref_rho = _classify(lambda: _inverse_rule(d, "X", "Y", z))
+            assert got == want
+            seen[got] += 1
+            if got != "value":
+                continue
+            if np.linalg.cond(correlation_matrix(d, ["X", "Y"] + z)) >= 1e4:
+                continue
+            compared += 1
+            labels = ("cor", "zf", "mi-g") if d.n > len(z) + 3 else ("cor", "mi-g")
+            for label in labels:
+                p = gaussian_statistic(rho, d.n, len(z), label).p_value
+                q = gaussian_statistic(ref_rho, d.n, len(z), label).p_value
+                assert abs(p - q) <= 1e-12
+        assert min(seen.values()) >= 50 and compared >= 200, (seen, compared)
 
 
 class TestFitMLE:

@@ -455,6 +455,43 @@ class TestCiTestDispatcher:
         res = ci_test(d, "X", "Y", ["Z1", "Z2"], test="cor")
         assert res.degenerate and res.p_value == 1.0
 
+    @pytest.mark.parametrize("label", ["cor", "zf", "mi-g", "mc-cor", "mc-zf", "mc-mi-g"])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_too_few_rows_is_degenerate(self, label, k):
+        # cor and mi-g need n > |z| + 2, zf n > |z| + 3; an mc-* label as its twin
+        rng = np.random.default_rng(38)
+        names = ["X", "Y"] + [f"Z{i}" for i in range(k)]
+        limit = k + (3 if label.endswith("zf") else 2)
+        for n in range(max(2, k + 1), limit + 1):
+            d = random_gaussian_dataset(rng, names, n)
+            assert ci_test(d, "X", "Y", names[2:], test=label, B=19) == \
+                TestResult(label, 0.0, 1.0, degenerate=True)
+        d = random_gaussian_dataset(rng, names, limit + 1)
+        assert not ci_test(d, "X", "Y", names[2:], test=label, B=19).degenerate
+
+    @pytest.mark.parametrize("label", ["mc-cor", "mc-zf"])
+    def test_direct_permutation_test_with_too_few_rows_raises(self, label):
+        rng = np.random.default_rng(39)
+        d = random_gaussian_dataset(rng, ["X", "Y", "Z"], 3 if label == "mc-cor" else 4)
+        with pytest.raises(TestError, match="requires n >"):
+            permutation_pvalue(d, "X", "Y", ["Z"], kind=label, B=19)
+
+    @pytest.mark.parametrize("label", ["mc-cor", "mc-zf", "mc-mi-g"])
+    @pytest.mark.parametrize("x,y,z", [("A", "B", ["C"]), ("C", "B", ["A"]),
+                                       ("A", "C", []), ("A", "B", ["D", "C"])])
+    def test_monte_carlo_zero_variance_matches_twin(self, label, x, y, z):
+        rng = np.random.default_rng(40)
+        d = Dataset(("A", "B", "C", "D"), {
+            "A": NumericColumn(rng.standard_normal(50)),
+            "B": NumericColumn(rng.standard_normal(50)),
+            "C": NumericColumn(np.full(50, 1.5)),
+            "D": NumericColumn(rng.standard_normal(50)),
+        })
+        twin = ci_test(d, x, y, z, test=label[3:])
+        assert twin == TestResult(label[3:], 0.0, 1.0, degenerate=True)
+        assert ci_test(d, x, y, z, test=label, B=50) == \
+            TestResult(label, 0.0, 1.0, degenerate=True)
+
 
 class TestTableTest:
     def test_mi_pvalue_matches_chi2(self):

@@ -468,3 +468,32 @@ class TestBgePinned:
             k: NumericColumn(v) for k, v in zip("ABCE", (a, b, c, e))})
         spec = ScoreSpec(kind="bge", iss=iss, bge_dof=dof)
         assert local_score(node, parents, d, spec) == expected
+
+
+def _bge_set_reference(ctx, subset):
+    """log_set_marginal as one expression, with no per-size or per-set cache."""
+    idx = sorted(ctx.index[c] for c in subset)
+    l = len(idx)
+    a = ctx.alpha_w - ctx.nvar + l
+    _, logdet = np.linalg.slogdet(ctx.posterior[np.ix_(idx, idx)])
+    return (-(l * ctx.n / 2.0) * math.log(math.pi)
+            + (l / 2.0) * math.log(ctx.alpha_mu / (ctx.alpha_mu + ctx.n))
+            + ctx._log_multigamma(l, (a + ctx.n) / 2.0)
+            - ctx._log_multigamma(l, a / 2.0)
+            + (a / 2.0) * l * ctx.log_t
+            - ((a + ctx.n) / 2.0) * logdet)
+
+
+class TestBgeSetMarginal:
+    @pytest.mark.parametrize("spec", [ScoreSpec("bge"),
+                                      ScoreSpec("bge", iss=4.0, bge_dof=15.0)],
+                             ids=["default", "iss4-dof15"])
+    def test_equal_to_uncached_formula(self, spec):
+        rng = np.random.default_rng(31)
+        names = [f"V{i}" for i in range(8)]
+        d = random_gaussian_dataset(rng, names, 90)
+        ctx = bnsl.scores._bge_context(d, spec)
+        for size in range(1, 7):
+            for _ in range(12):
+                subset = [str(c) for c in rng.choice(names, size, replace=False)]
+                assert ctx.log_set_marginal(subset) == _bge_set_reference(ctx, subset)
