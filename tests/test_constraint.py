@@ -1,5 +1,7 @@
 """Constraint-based learning: blankets, neighbourhoods, orientation, pipeline."""
 
+import contextlib
+import hashlib
 import io
 
 import numpy as np
@@ -10,8 +12,8 @@ from bnsl import (Dataset, Graph, LearnConfig, PriorKnowledge, TestError,
                   ci_test, constraint_learn, forward_sample,
                   learn_markov_blanket, neighbourhood_from_mb,
                   orient_vstructures, parse_modelstring, symmetry_correction)
-from bnsl.data import CategoricalColumn, DiscreteCPT, FittedNetwork
-from bnsl.networks import sixnode
+from bnsl.data import CategoricalColumn, DiscreteCPT, FittedNetwork, LinearGaussian
+from bnsl.networks import SIXNODE_MODEL, sixnode
 
 TRUE_DIRECTED = frozenset({("A", "D"), ("C", "D"), ("B", "E"), ("F", "E")})
 TRUE_UNDIRECTED = frozenset({("A", "B")})
@@ -305,3 +307,101 @@ class TestTrace:
         lines = trace.lines()
         assert len(lines) == len(trace.events)
         assert any(line.startswith("test\t") for line in lines)
+
+
+# -- golden traces -------------------------------------------------------------------
+
+def _gaussian_sixnode_sample(n=2000, seed=2):
+    """The sixnode structure with fixed linear-Gaussian parameters."""
+    g = parse_modelstring(SIXNODE_MODEL)
+    local = {}
+    for v in g.nodes:
+        parents = tuple(sorted(g.parents(v)))
+        local[v] = LinearGaussian(parents, 0.0, np.full(len(parents), 0.8), 1.0)
+    return forward_sample(FittedNetwork(g, local), n, seed=seed)
+
+
+GOLDEN_PRIORS = PriorKnowledge(whitelist=[("C", "F")], blacklist=[("A", "D")])
+
+# sha256 of "\n".join(trace.lines()) and of the --debug stream, per run; the
+# digests were taken from the learners before they were merged onto shared
+# helpers, so any change to test order, arguments or commentary shows here
+GOLDEN_DIGESTS = {
+    "gs/opt/none": ("80a0081bf5f18fdc11a386c0bbc0e28df3365fae6ceca29f5d2518a2bccbec74",
+                   "56e63385560aa2350ae56f7b31a03119ef520db0087c6108252bcf73494fe60b"),
+    "gs/opt/priors": ("7fd3f5c389cdadfb27729a37667ad14407bad338b20e99e869cfe43f9be398e0",
+                     "09d75c89353b0cf006090aacc5288c22d8baa877c601c64cae9c9f2b1be606f9"),
+    "gs/plain/none": ("981f78a0a00f16ab1f1129116174f92a349420a5a66e95d77a6d191a76cb17bf",
+                     "e6a32675a35b6dd1c7e99e86cc526dad96c82055c2f6490e8a76ea55bcb8fb13"),
+    "gs/plain/priors": ("5ba0956ff0861a24d0891074e20aa5d1d0c5befd8c9993592754f6a0c09974c8",
+                       "4cecf76b783c7d5baee6dcebed5222fbfb85323a33a9d7897affcfc0ef263aa8"),
+    "iamb/opt/none": ("dd2931076f6c277d23feffe4ae88bbf919dd63a2692fa4b1a9cf57f62df1cf78",
+                     "d00e400d35d4a09f60c3bfca6319049350117f911a6c50755768e0bc9d4b2104"),
+    "iamb/opt/priors": ("17265425d58b0770806cfb90fea4b820dac154fc9d54d66b3d8192685bdb4e39",
+                       "2fe8f4794e40ea5a33f12f6c84080c850bf80065fdd9feb78b8bffc3d2e6a886"),
+    "iamb/plain/none": ("5ffcc23bd1eaddd42070e09218041ff219405069297128b68eb3dabac3bc8dfc",
+                       "e9f060a9c5fcf14d211fba17dff221b2bc8dd4433f2dd0373e6efe6aa1ebf750"),
+    "iamb/plain/priors": ("9f6dc712a6e04ccd2755189e084c472a410575ee93135b91b46e953a0ddacb95",
+                         "9777733a6c395cd4d3b5a2abf5756e105be611e7f4c9021f4f8938d22f479e3e"),
+    "fast-iamb/opt/none": ("1acf4e8e367fba381b289c860c9f9a543efbf18a02908622c2e14944b5dcbe79",
+                          "4f782f2612e70dfd0168a0b83f38476247d0b8ee9ff4587b541d0ebc0ad60d0a"),
+    "fast-iamb/opt/priors": ("b2a95e84927c825acb1cb2c685ee64e476fbee72cbee89646a6339660fee240b",
+                            "21c44b692efce30919baae02375fa69fda618e540c09e7d522c9a38a1f2f3490"),
+    "fast-iamb/plain/none": ("f126bcccea4201a91578649a25586a764a99f4465eee537f11d0859ee3f0ee9d",
+                            "8c11c42b7be4dc75513be60ca9c754ba3c59b3e1e2030ca875ecce20fe84fc08"),
+    "fast-iamb/plain/priors": ("7e44c7719eab57b1a7a420d6ab67d389643b266ade1ed38fd52eb823c1336126",
+                              "50a64bb45f5b4c799b8e45e111261471b313555bee95923751c3bacacc6d8a82"),
+    "inter-iamb/opt/none": ("0149e6f8f6bf0a97333aaa1e8f240d66e14641188ccf960b7a6ea6de60fa870e",
+                           "e7fe180767fa0b47ab3da875c4a021f2e7cac713a2b384343b1aceae649e9c1e"),
+    "inter-iamb/opt/priors": ("363fc98a3c82e444ad0daac981a944cf180e7b25a98df08025ca2929953295c2",
+                             "b138e5e8a736ef0faad967aa1daa69bab84767b6e35f1b036214b599d63f4093"),
+    "inter-iamb/plain/none": ("28410b315b35ed2b951c755a384a0029c4af6ed88c87a397b19cbb1249b35cac",
+                             "0c05c71ba9f37513e4f250bb5439204741da1fcc55d781d064e9ff32029cc496"),
+    "inter-iamb/plain/priors": ("235842373ef8facda4c6d56edd61060c601d1c3e0e7b03c992f7714d30e2a0b4",
+                               "53a893c3c12674336bd0db7d8f5323809e75fdd460b1989d4469e4bc225bea63"),
+    "mmpc/opt/none": ("ba80797e00bb46d9dcbc52081080096a55745b20dbd4bc6a243a447204394329",
+                     "fea8083ed01daaa0605d06440de27aa7315af9a31562e5174dc97a9b9a522969"),
+    "mmpc/opt/priors": ("629b81c75d96f07a14402da4e137acb19f09accd6e55dee387e3c4a817d29054",
+                       "53d86ff346a0a64f309ee955e26baac7edbd137c9fe27ed4d028df0636cbd27e"),
+    "mmpc/plain/none": ("80587cd51efb9ebb30b07c9c681aab37443b338a555361b0f8b2cbe74ee42ec5",
+                       "fea8083ed01daaa0605d06440de27aa7315af9a31562e5174dc97a9b9a522969"),
+    "mmpc/plain/priors": ("b81d04492775dd0031e9dbb9bba12f7d703f17b73193fba8e396f73b999e82d2",
+                         "53d86ff346a0a64f309ee955e26baac7edbd137c9fe27ed4d028df0636cbd27e"),
+    "gs/opt/cor": ("6913428f785faae63ed2305a56b64a45fe6bbf69a9882677e9a27fef58a90228",
+                  "a00109ac3d1f471d32445a3c21618b151e95dac61a1fdeb36c5d0e953b80d388"),
+    "gs/opt/mc-mi": ("9a5efa3732ab54aa96b32d317dfc8ff409272e79c3671620249e3f73b1829623",
+                    "9c4f4bd099dc612d4cec1183cd9592a741e6732569f22c81501a1b5361d5e6d7"),
+}
+
+
+def _golden_config(run: str) -> tuple[str, LearnConfig]:
+    algorithm, mode, extra = run.split("/")
+    opts = dict(algorithm=algorithm, optimized=mode == "opt", debug=True)
+    if extra == "priors":
+        opts["priors"] = GOLDEN_PRIORS
+    elif extra == "cor":
+        return "gauss", LearnConfig(test="cor", **opts)
+    elif extra == "mc-mi":
+        opts.update(test="mc-mi", B=50, seed=3)
+    return "sixnode", LearnConfig(**opts)
+
+
+@pytest.fixture(scope="module")
+def golden_data():
+    return {"sixnode": forward_sample(sixnode(), 3000, seed=1),
+            "gauss": _gaussian_sixnode_sample()}
+
+
+def _digests(d, cfg) -> tuple[str, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        _, trace = constraint_learn(d, cfg)
+    lines = "\n".join(trace.lines())
+    return (hashlib.sha256(lines.encode()).hexdigest(),
+            hashlib.sha256(err.getvalue().encode()).hexdigest())
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_DIGESTS))
+def test_golden_trace(run, golden_data):
+    data, cfg = _golden_config(run)
+    assert _digests(golden_data[data], cfg) == GOLDEN_DIGESTS[run]
