@@ -166,17 +166,12 @@ def _cmd_learn(args) -> int:
                           B=args.B, priors=priors, optimized=args.optimized,
                           debug=args.debug, seed=args.seed)
         graph, trace = constraint_learn(data, cfg)
-    fmt = args.format
-    if fmt is None:
-        fmt = "summary"
-        payload = ""
-        if graph.directed:
-            payload = format_modelstring(graph) + "\n"
-        else:
-            payload = "\n".join(["from,to"] + [f"{u},{v}" for u, v in graph.arcs()]) + "\n"
-        _emit(payload + summary_block(graph), args.out)
+    if args.format is None:
+        text = (_graph_payload(graph, "modelstring" if graph.directed else "arcs")
+                + summary_block(graph))
     else:
-        _emit(_graph_payload(graph, fmt), args.out)
+        text = _graph_payload(graph, args.format)
+    _emit(text, args.out)
     return 0
 
 
@@ -212,8 +207,13 @@ def _cmd_citest(args) -> int:
     return 0
 
 
+def _nodes(args) -> tuple[str, ...] | None:
+    """The --nodes universe, or None when the option is not given."""
+    return tuple(args.nodes.split(",")) if args.nodes else None
+
+
 def _cmd_compare(args) -> int:
-    nodes = tuple(args.nodes.split(",")) if args.nodes else None
+    nodes = _nodes(args)
     g1 = load_graph(args.first, nodes=nodes)
     g2 = load_graph(args.second, nodes=nodes or g1.nodes)
     equal, report = compare(g1, g2)
@@ -242,15 +242,13 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    nodes = tuple(args.nodes.split(",")) if args.nodes else None
-    graph = load_graph(args.graph, nodes=nodes)
+    graph = load_graph(args.graph, nodes=_nodes(args))
     _emit(to_dot(graph), args.out)
     return 0
 
 
 def _cmd_modelstring(args) -> int:
-    nodes = tuple(args.nodes.split(",")) if args.nodes else None
-    graph = load_graph(args.graph, nodes=nodes)
+    graph = load_graph(args.graph, nodes=_nodes(args))
     _emit(format_modelstring(graph) + "\n", args.out)
     return 0
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset, DataError, joint_config_codes
 from .graph import CycleError, Graph, Provenance, propagate_directions
-from .independence import (TEST_LABELS, TestError, _check_replicates,
+from .independence import (TEST_LABELS, TestError, _check_integer,
                            _resolve_test, ci_test)
 from .priors import Constraints, PriorKnowledge, normalize_priors, _pair
 from .trace import LearnTrace
@@ -33,6 +33,8 @@ ALGORITHM_NAMES = {
     "mmpc": "Max-Min Parents and Children",
     "hc": "Hill-Climbing",
 }
+
+_RULE = "----------------------------------------------------------------"
 
 
 @dataclass
@@ -59,7 +61,8 @@ class LearnConfig:
         if self.test is not None and self.test.startswith("mc-"):
             if self.B is None:
                 self.B = 1000
-            _check_replicates(self.B)
+            _check_integer("B", self.B, 1)
+        _check_integer("seed", self.seed, 0)
         if self.parallelism != 1:
             raise TestError("parallelism must be 1: the thread pool was removed")
 
@@ -78,19 +81,31 @@ class _CITester:
         self.label = _resolve_test(d, cfg.test)
         self.order = {name: i for i, name in enumerate(d.names)}
 
-    def sort(self, names) -> tuple[str, ...]:
-        return tuple(sorted(names, key=self.order.__getitem__))
-
     def __call__(self, x: str, y: str, z, note: str = "") -> float:
-        z = self.sort(z)
+        z = tuple(sorted(z, key=self.order.__getitem__))
         seed = None
         if self.label.startswith("mc-"):
             seed = np.random.SeedSequence(
-                [abs(int(self.cfg.seed)), self.order[x], self.order[y]]
+                [self.cfg.seed, self.order[x], self.order[y]]
                 + [self.order[c] for c in z])
         res = ci_test(self.d, x, y, z, test=self.label, B=self.cfg.B, seed=seed)
         self.trace.test(x, y, z, res.p_value, note)
         return res.p_value
+
+
+def _trace_and_tester(d: Dataset, cfg: LearnConfig, trace, tester):
+    """The given trace and tester, or defaults built from the configuration."""
+    if trace is None:
+        trace = LearnTrace(cfg.debug)
+    if tester is None:
+        tester = _CITester(d, cfg, trace)
+    return trace, tester
+
+
+def _subsets(pool):
+    """Every subset of pool as a tuple, in increasing size."""
+    for size in range(len(pool) + 1):
+        yield from combinations(pool, size)
 
 
 # -- Markov blanket discovery -------------------------------------------------------
@@ -147,39 +162,6 @@ def _grow_gs(target, candidates, blanket, tester, trace, alpha):
     return blanket, last_added
 
 
-def _grow_iamb(target, candidates, blanket, tester, trace, alpha, order,
-               interleave=False, known_good=frozenset()):
-    """Forward selection by minimum p-value, optionally shrinking after each add."""
-    remaining = list(candidates)
-    last_added = None
-    while remaining:
-        scored = []
-        for v in remaining:
-            p = tester(target, v, tuple(blanket), note="grow")
-            scored.append((p, order[v], v))
-        p, _, v = min(scored)
-        if p > alpha:
-            trace.say(f"    > no candidate is dependent on {target} given "
-                      f"{_fmt(blanket)}.")
-            break
-        blanket.append(v)
-        remaining.remove(v)
-        last_added = v
-        trace.say(f"    > node {v} included in the markov blanket ( p-value: {p:g} ).")
-        trace.say(f"    > markov blanket now is {_fmt(blanket)}.")
-        if interleave:
-            kept = set(blanket)
-            _shrink(target, kept, {v}, known_good, tester, trace, alpha, order)
-            removed = [w for w in blanket if w not in kept]
-            for w in removed:
-                blanket.remove(w)
-                if w not in remaining:
-                    remaining.append(w)
-            if removed:
-                last_added = None
-    return blanket, last_added
-
-
 def _speculative_ok(d: Dataset, target: str, cand: str, blanket) -> bool:
     # the fast-iamb reliability heuristic: five data points per parameter
     if d.discrete:
@@ -190,22 +172,28 @@ def _speculative_ok(d: Dataset, target: str, cand: str, blanket) -> bool:
     return d.n >= 5 * (len(blanket) + 2)
 
 
-def _grow_fast_iamb(target, candidates, blanket, tester, trace, alpha, order, d):
-    """Speculative batches: rank once, then add top candidates without retesting."""
+def _grow_ranked(target, candidates, blanket, tester, trace, alpha, order, d,
+                 algorithm, known_good):
+    """IAMB-family forward selection: rank every candidate, add the most dependent.
+
+    fast-iamb adds a speculative batch from each ranking instead of one
+    candidate, and inter-iamb shrinks the blanket after each addition.
+    Candidates found independent in one ranking stay eligible for the next,
+    which conditions on the grown blanket.
+    """
+    batch = algorithm == "fast-iamb"
     remaining = list(candidates)
     last_added = None
     while remaining:
-        scored = []
-        for v in remaining:
-            p = tester(target, v, tuple(blanket), note="grow")
-            scored.append((p, order[v], v))
-        # candidates found independent in this ranking stay eligible for the
-        # next ranking, which conditions on the grown blanket
+        scored = [(tester(target, v, tuple(blanket), note="grow"), order[v], v)
+                  for v in remaining]
         dependent = sorted(s for s in scored if s[0] <= alpha)
         if not dependent:
+            if not batch:
+                trace.say(f"    > no candidate is dependent on {target} given "
+                          f"{_fmt(blanket)}.")
             break
-        added = 0
-        for i, (p, _, v) in enumerate(dependent):
+        for i, (p, _, v) in enumerate(dependent if batch else dependent[:1]):
             if i > 0 and not _speculative_ok(d, target, v, blanket):
                 trace.say(f"    > stopping the speculative batch before {v} "
                           "(not enough data per parameter).")
@@ -213,11 +201,18 @@ def _grow_fast_iamb(target, candidates, blanket, tester, trace, alpha, order, d)
             blanket.append(v)
             remaining.remove(v)
             last_added = v
-            added += 1
             trace.say(f"    > node {v} included in the markov blanket "
                       f"( p-value: {p:g} ).")
-        if added == 0:
-            break
+        if not batch:
+            trace.say(f"    > markov blanket now is {_fmt(blanket)}.")
+        if algorithm == "inter-iamb":
+            kept = set(blanket)
+            _shrink(target, kept, {v}, known_good, tester, trace, alpha, order)
+            removed = [w for w in blanket if w not in kept]
+            if removed:
+                blanket[:] = [w for w in blanket if w in kept]
+                remaining += removed
+                last_added = None
     return blanket, last_added
 
 
@@ -230,10 +225,7 @@ def learn_markov_blanket(target: str, d: Dataset, cfg: LearnConfig,
         raise DataError(f"unknown column {target!r}")
     known_good = set(known_good)
     known_bad = set(known_bad) - known_good
-    if trace is None:
-        trace = LearnTrace(cfg.debug)
-    if tester is None:
-        tester = _CITester(d, cfg, trace)
+    trace, tester = _trace_and_tester(d, cfg, trace, tester)
     order = tester.order
     alpha = cfg.alpha
     blanket = [v for v in d.names if v in known_good]
@@ -247,16 +239,9 @@ def learn_markov_blanket(target: str, d: Dataset, cfg: LearnConfig,
 
     if cfg.algorithm == "gs":
         blanket, last = _grow_gs(target, candidates, blanket, tester, trace, alpha)
-    elif cfg.algorithm == "iamb":
-        blanket, last = _grow_iamb(target, candidates, blanket, tester, trace,
-                                   alpha, order)
-    elif cfg.algorithm == "inter-iamb":
-        blanket, last = _grow_iamb(target, candidates, blanket, tester, trace,
-                                   alpha, order, interleave=True,
-                                   known_good=known_good)
-    elif cfg.algorithm == "fast-iamb":
-        blanket, last = _grow_fast_iamb(target, candidates, blanket, tester,
-                                        trace, alpha, order, d)
+    elif cfg.algorithm in ("iamb", "fast-iamb", "inter-iamb"):
+        blanket, last = _grow_ranked(target, candidates, blanket, tester, trace,
+                                     alpha, order, d, cfg.algorithm, known_good)
     else:
         raise TestError(f"{cfg.algorithm!r} does not learn Markov blankets")
     result = set(blanket)
@@ -276,57 +261,38 @@ def _max_min_pc(target: str, d: Dataset, cfg: LearnConfig, known_good, known_bad
     candidates = [v for v in d.names
                   if v != target and v not in known_good and v not in known_bad
                   and (cons is None or cons.edge_allowed(target, v))]
-    maxp: dict[str, float] = {}
+    maxp = dict.fromkeys(candidates, 0.0)
 
-    for v in list(candidates):
-        p = tester(target, v, (), note="mmpc-forward")
-        maxp[v] = p
-        if p > alpha:
-            candidates.remove(v)
-
-    def incorporate(member):
-        base = [m for m in cpc if m != member]
+    def prune(base, extra):
+        # drop candidates separated from the target by extra plus a subset of base
         for v in list(candidates):
-            dead = False
-            for size in range(0, len(base) + 1):
-                for sub in combinations(base, size):
-                    p = tester(target, v, tuple(sub) + (member,), note="mmpc-forward")
-                    if p > maxp[v]:
-                        maxp[v] = p
-                    if p > alpha:
-                        dead = True
-                        break
-                if dead:
+            for sub in _subsets(base):
+                p = tester(target, v, sub + extra, note="mmpc-forward")
+                maxp[v] = max(maxp[v], p)
+                if p > alpha:
+                    candidates.remove(v)
                     break
-            if dead:
-                candidates.remove(v)
 
+    prune([], ())
     for m in list(cpc):
-        incorporate(m)
+        prune([w for w in cpc if w != m], (m,))
     while candidates:
         v = min(candidates, key=lambda c: (maxp[c], order[c]))
         cpc.append(v)
         candidates.remove(v)
         trace.say(f"    > node {v} added to the parent-children set of {target} "
                   f"( max p-value: {maxp[v]:g} ).")
-        incorporate(v)
+        prune([w for w in cpc if w != v], (v,))
 
     # backward: drop members separated by some subset of the rest
     for v in [m for m in cpc if m not in known_good]:
-        pool = [m for m in cpc if m != v]
-        separated = False
-        for size in range(0, len(pool) + 1):
-            for sub in combinations(pool, size):
-                p = tester(target, v, sub, note="mmpc-backward")
-                if p > alpha:
-                    separated = True
-                    break
-            if separated:
+        for sub in _subsets([m for m in cpc if m != v]):
+            p = tester(target, v, sub, note="mmpc-backward")
+            if p > alpha:
+                cpc.remove(v)
+                trace.say(f"    > node {v} removed from the parent-children set of "
+                          f"{target} ( p-value: {p:g} ).")
                 break
-        if separated:
-            cpc.remove(v)
-            trace.say(f"    > node {v} removed from the parent-children set of "
-                      f"{target} ( p-value: {p:g} ).")
     return set(cpc)
 
 
@@ -334,6 +300,18 @@ def symmetry_correction(blankets: dict[str, set[str]]) -> dict[str, set[str]]:
     """AND-rule symmetrization: keep y in mb(x) only when x is in mb(y)."""
     return {x: {y for y in member if x in blankets.get(y, ())}
             for x, member in blankets.items()}
+
+
+def _backtrack_seeds(target, earlier, results, forced, positive=True):
+    """(known good, known bad) for the target from the results of earlier nodes.
+
+    An earlier node whose result includes the target is known good (only when
+    positive), one whose result excludes it is known bad; prior-forced
+    neighbours are always good.
+    """
+    included = {y for y in earlier if target in results[y]}
+    good = set(forced) | (included if positive else set())
+    return good, set(earlier) - included - good
 
 
 # -- neighbourhood refinement ----------------------------------------------------------
@@ -349,12 +327,11 @@ def neighbourhood_from_mb(x: str, blankets: dict[str, set[str]], d: Dataset,
     mb(x) - y and mb(y) - x, in increasing size; the first separating subset
     found is recorded.
     """
-    if trace is None:
-        trace = LearnTrace(cfg.debug)
-    if tester is None:
-        tester = _CITester(d, cfg, trace)
+    trace, tester = _trace_and_tester(d, cfg, trace, tester)
     order = tester.order
-    alpha = cfg.alpha
+    for v in (x, *sorted(blankets.get(x, ()))):
+        if v not in blankets or v not in order:
+            raise DataError(f"node {v!r} has no Markov blanket over the data's columns")
     neighbours: list[str] = []
     dseps: dict[str, tuple[str, ...]] = {}
     members = sorted(blankets[x], key=order.__getitem__)
@@ -372,24 +349,18 @@ def neighbourhood_from_mb(x: str, blankets: dict[str, set[str]], d: Dataset,
         pool = pool_y if len(pool_y) <= len(pool_x) else pool_x
         trace.say(f"  * checking node {y} for neighbourhood.")
         trace.say(f"    > dsep.set = {_fmt(pool)}")
-        sep = None
-        for size in range(0, len(pool) + 1):
-            for sub in combinations(pool, size):
-                trace.say(f"    > trying conditioning subset {_fmt(sub)}.")
-                p = tester(x, y, sub, note="neighbourhood")
-                if p > alpha:
-                    sep = tuple(sub)
-                    trace.say(f"    > node {y} is not a neighbour of {x} . "
-                              f"( p-value: {p:g} )")
-                    break
-                trace.say(f"    > node {y} is still a neighbour of {x} . "
+        for sub in _subsets(pool):
+            trace.say(f"    > trying conditioning subset {_fmt(sub)}.")
+            p = tester(x, y, sub, note="neighbourhood")
+            if p > cfg.alpha:
+                dseps[y] = sub
+                trace.say(f"    > node {y} is not a neighbour of {x} . "
                           f"( p-value: {p:g} )")
-            if sep is not None:
                 break
-        if sep is None:
-            neighbours.append(y)
+            trace.say(f"    > node {y} is still a neighbour of {x} . "
+                      f"( p-value: {p:g} )")
         else:
-            dseps[y] = sep
+            neighbours.append(y)
     return set(neighbours), dseps
 
 
@@ -398,7 +369,7 @@ def neighbourhood_from_mb(x: str, blankets: dict[str, set[str]], d: Dataset,
 def _detect_vstructures(names, adjacency, dseps, tester, trace, alpha):
     detected = []
     for center in names:
-        trace.say("----------------------------------------------------------------")
+        trace.say(_RULE)
         trace.say(f"* v-structures centered on {center} .")
         for x, y in combinations(sorted(adjacency[center]), 2):
             if y in adjacency[x]:
@@ -420,6 +391,20 @@ def _detect_vstructures(names, adjacency, dseps, tester, trace, alpha):
     return sorted(detected)
 
 
+def _vstructure_conflict(nodes, directed, x, center, y, cons) -> str | None:
+    """Why x -> center <- y cannot join the directed arcs, or None when it can."""
+    arcs = {(x, center), (y, center)}
+    if (center, x) in directed or (center, y) in directed:
+        return "would overwrite an existing orientation"
+    if cons is not None and not all(cons.arc_allowed(a, b) for a, b in arcs):
+        return "conflicts with the priors"
+    try:
+        Graph(nodes, directed | arcs)
+    except CycleError:
+        return "the resulting graph contains cycles"
+    return None
+
+
 def orient_vstructures(skeleton: Graph, dsep_sets: dict, d: Dataset,
                        cfg: LearnConfig, tester: _CITester | None = None,
                        trace: LearnTrace | None = None,
@@ -430,10 +415,7 @@ def orient_vstructures(skeleton: Graph, dsep_sets: dict, d: Dataset,
     candidate that would overwrite an existing orientation, close a directed
     cycle or violate the priors is skipped.
     """
-    if trace is None:
-        trace = LearnTrace(cfg.debug)
-    if tester is None:
-        tester = _CITester(d, cfg, trace)
+    trace, tester = _trace_and_tester(d, cfg, trace, tester)
     adjacency = {n: set(skeleton.nbr(n)) for n in skeleton.nodes}
     dseps = {_pair(a, b): tuple(s) for (a, b), s in dsep_sets.items()}
     detected = _detect_vstructures(skeleton.nodes, adjacency, dseps, tester,
@@ -441,31 +423,28 @@ def orient_vstructures(skeleton: Graph, dsep_sets: dict, d: Dataset,
     directed = set(skeleton.directed_arcs)
     undirected = set(skeleton.undirected_arcs)
     for p, x, center, y in detected:
-        arcs = [(x, center), (y, center)]
-        if any((center, a) in directed for a, _ in arcs):
-            trace.say(f"* not applying v-structure {x} -> {center} <- {y} "
-                      f"(would overwrite an existing orientation)")
+        reason = _vstructure_conflict(skeleton.nodes, directed, x, center, y, cons)
+        if reason is not None:
+            trace.say(f"* not applying v-structure {x} -> {center} <- {y} ({reason})")
             continue
-        if cons is not None and not all(cons.arc_allowed(a, b) for a, b in arcs):
-            trace.say(f"* not applying v-structure {x} -> {center} <- {y} "
-                      f"(conflicts with the priors)")
-            continue
-        trial = directed | set(arcs)
-        try:
-            Graph(skeleton.nodes, trial)
-        except CycleError:
-            trace.say(f"* not applying v-structure {x} -> {center} <- {y} "
-                      f"(the resulting graph contains cycles)")
-            continue
-        directed = trial
-        undirected.discard(_pair(x, center))
-        undirected.discard(_pair(y, center))
+        directed |= {(x, center), (y, center)}
+        undirected -= {_pair(x, center), _pair(y, center)}
         trace.add("vstructure", x, y, (center,), p, note="applied")
         trace.say(f"* applying v-structure {x} -> {center} <- {y} ( {p:e} )")
     return Graph(skeleton.nodes, directed, undirected, skeleton.provenance)
 
 
 # -- full pipeline --------------------------------------------------------------------------
+
+def _consistent(sets, forced_adj, trace, what) -> dict[str, set[str]]:
+    """AND-rule symmetrization, then the prior-forced adjacency, which always survives."""
+    trace.say(_RULE)
+    trace.say(f"* checking consistency of {what}.")
+    sets = symmetry_correction(sets)
+    for x in sets:
+        sets[x] |= forced_adj[x]
+    return sets
+
 
 def constraint_learn(d: Dataset, cfg: LearnConfig) -> tuple[Graph, LearnTrace]:
     """Run the configured constraint-based algorithm end to end."""
@@ -479,54 +458,31 @@ def constraint_learn(d: Dataset, cfg: LearnConfig) -> tuple[Graph, LearnTrace]:
 
     blankets: dict[str, set[str]] = {}
     for i, target in enumerate(names):
-        trace.say("----------------------------------------------------------------")
+        trace.say(_RULE)
         trace.say(f"* learning markov blanket of {target} .")
-        kg = set(forced_adj[target])
-        kb: set[str] = set()
-        if cfg.optimized:
-            for y in names[:i]:
-                if target in blankets[y]:
-                    # mmpc keeps its AND-check meaningful: positive seeds
-                    # would let one false rejection survive both directions
-                    if not is_mmpc:
-                        kg.add(y)
-                else:
-                    kb.add(y)
-            kb -= kg
-            if kg or kb:
-                trace.add("backtrack", target,
-                          note=f"good={','.join(sorted(kg))} bad={','.join(sorted(kb))}")
+        # mmpc keeps its AND-check meaningful: positive seeds would let one
+        # false rejection survive both directions
+        kg, kb = _backtrack_seeds(target, names[:i] if cfg.optimized else (),
+                                  blankets, forced_adj[target], positive=not is_mmpc)
+        if cfg.optimized and (kg or kb):
+            trace.add("backtrack", target,
+                      note=f"good={','.join(sorted(kg))} bad={','.join(sorted(kb))}")
         if is_mmpc:
             blankets[target] = _max_min_pc(target, d, cfg, kg, kb, tester, trace, cons)
         else:
             blankets[target] = learn_markov_blanket(target, d, cfg, kg, kb, tester, trace)
+    blankets = _consistent(blankets, forced_adj, trace, "markov blankets")
 
-    trace.say("----------------------------------------------------------------")
-    trace.say("* checking consistency of markov blankets.")
-    blankets = symmetry_correction(blankets)
-    for x in names:  # prior-forced adjacency always survives
-        blankets[x] |= forced_adj[x]
-
-    if is_mmpc:
-        skeleton_pairs = {_pair(x, y) for x in names for y in blankets[x]}
-        dseps: dict[tuple[str, str], tuple[str, ...]] = {}
-        nbrs = blankets
-    else:
+    dseps: dict[tuple[str, str], tuple[str, ...]] = {}
+    nbrs = blankets
+    if not is_mmpc:
         nbrs = {}
-        dseps = {}
         for i, x in enumerate(names):
-            trace.say("----------------------------------------------------------------")
+            trace.say(_RULE)
             trace.say(f"* learning neighbourhood of {x} .")
-            kg = set(forced_adj[x])
-            kb: set[str] = set()
+            earlier = [y for y in names[:i] if y in blankets[x]] if cfg.optimized else ()
+            kg, kb = _backtrack_seeds(x, earlier, nbrs, forced_adj[x])
             if cfg.optimized:
-                for y in names[:i]:
-                    if y in blankets[x]:
-                        if x in nbrs[y]:
-                            kg.add(y)
-                        else:
-                            kb.add(y)
-                kb -= kg
                 if kg:
                     trace.say(f"  * known good (backtracking): {_fmt(sorted(kg, key=order.__getitem__))}.")
                 if kb:
@@ -537,47 +493,28 @@ def constraint_learn(d: Dataset, cfg: LearnConfig) -> tuple[Graph, LearnTrace]:
             nbrs[x] = found
             for y, sep in newseps.items():
                 dseps.setdefault(_pair(x, y), sep)
-        trace.say("----------------------------------------------------------------")
-        trace.say("* checking consistency of neighbourhood sets.")
-        nbrs = symmetry_correction(nbrs)
-        for x in names:
-            nbrs[x] |= forced_adj[x]
-        skeleton_pairs = {_pair(x, y) for x in names for y in nbrs[x]}
+        nbrs = _consistent(nbrs, forced_adj, trace, "neighbourhood sets")
 
     provenance = Provenance(
         method="constraint", algorithm=ALGORITHM_NAMES[cfg.algorithm],
         test=tester.label, alpha=cfg.alpha, optimized=cfg.optimized)
 
+    # every required edge is in the skeleton: forced adjacency joins each set
     directed: set[tuple[str, str]] = set(cons.forced_arcs)
     covered = {_pair(u, v) for u, v in directed}
-    undirected = set()
-
+    undirected = {_pair(x, y) for x in names for y in nbrs[x]} - covered
     if not is_mmpc:
-        skeleton = Graph(names, directed,
-                         [p for p in skeleton_pairs if p not in covered])
-        pdag = orient_vstructures(skeleton, dseps, d, cfg, tester, trace, cons)
+        pdag = orient_vstructures(Graph(names, directed, undirected), dseps, d, cfg,
+                                  tester, trace, cons)
         directed = set(pdag.directed_arcs)
         undirected = set(pdag.undirected_arcs)
-    else:
-        undirected = {p for p in skeleton_pairs if p not in covered}
-
-    # required edges are guaranteed present even if the tests missed them
-    for a, b in cons.required_edges:
-        if _pair(a, b) not in covered and (a, b) not in directed \
-                and (b, a) not in directed and _pair(a, b) not in undirected:
-            undirected.add(_pair(a, b))
 
     # orient undirected arcs whose undirected form the priors exclude
     for a, b in sorted(undirected):
-        if cons.undirected_allowed(a, b):
+        allowed = [arc for arc in ((a, b), (b, a)) if cons.arc_allowed(*arc)]
+        if cons.undirected_allowed(a, b) or len(allowed) != 1:
             continue
-        choice = None
-        if cons.arc_allowed(a, b) and not cons.arc_allowed(b, a):
-            choice = (a, b)
-        elif cons.arc_allowed(b, a) and not cons.arc_allowed(a, b):
-            choice = (b, a)
-        if choice is None:
-            continue
+        choice = allowed[0]
         try:
             Graph(names, directed | {choice})
         except CycleError:
@@ -592,7 +529,7 @@ def constraint_learn(d: Dataset, cfg: LearnConfig) -> tuple[Graph, LearnTrace]:
 
     pdag = Graph(names, directed, undirected, provenance)
     if not is_mmpc:
-        trace.say("----------------------------------------------------------------")
+        trace.say(_RULE)
         trace.say("* propagating directions for the following undirected arcs:")
         for a, b in sorted(pdag.undirected_arcs):
             trace.say(f"  > {a} - {b}")

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -562,6 +563,8 @@ def forward_sample(f: FittedNetwork, n: int, seed: int) -> Dataset:
     """Ancestral sampling in topological order; deterministic given the seed."""
     if n < 1:
         raise DataError("sample size must be positive")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DataError(f"seed must be an integer of at least 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     order = topological_order(f.graph, by_label=True)
     columns: dict[str, object] = {}

@@ -174,9 +174,9 @@ def gaussian_statistic(rho: float, n: int, zsize: int, kind: str) -> TestResult:
 _CHUNK_ELEMENTS = 2 ** 14
 
 
-def _check_replicates(B) -> None:
-    if isinstance(B, bool) or not isinstance(B, numbers.Integral) or B < 1:
-        raise TestError(f"B must be an integer of at least 1, got {B!r}")
+def _check_integer(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise TestError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def _null_tables(rng: np.random.Generator, rows: np.ndarray, cols: np.ndarray,
@@ -216,7 +216,9 @@ def _chunks(B: int, per_replicate: int):
 def permutation_pvalue(d: Dataset, x: str, y: str, z=(), kind: str = "mc-mi",
                        B: int = 1000, seed=0) -> TestResult:
     """Stratified/residual permutation test; p = (1 + #{s_b >= s0}) / (1 + B)."""
-    _check_replicates(B)
+    _check_integer("B", B, 1)
+    if not isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
+        _check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     z = list(z)
     if kind in ("mc-mi", "mc-x2"):

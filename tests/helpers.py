@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+from itertools import combinations
+from pathlib import Path
+
 import numpy as np
 
 # pass/fail lines collected by the acceptance suite; conftest prints them
@@ -22,6 +26,49 @@ def random_dag(rng: np.random.Generator, n_nodes: int, p_edge: float = 0.35) -> 
             if rng.random() < p_edge:
                 arcs.append((labels[order[i]], labels[order[j]]))
     return Graph(labels, arcs)
+
+
+def dsep(dag: Graph, x: str, y: str, z) -> bool:
+    """True when z d-separates x and y in the DAG.
+
+    x and y are d-separated by z exactly when z separates them in the moral
+    graph of the ancestral set of {x, y} and z (Lauritzen et al. 1990).
+    """
+    z = set(z)
+    keep = {x, y} | z
+    stack = list(keep)
+    while stack:
+        for u in dag.parents(stack.pop()):
+            if u not in keep:
+                keep.add(u)
+                stack.append(u)
+    adj = {v: set() for v in keep}
+    for v in keep:
+        parents = dag.parents(v)
+        for u in parents:
+            adj[u].add(v)
+            adj[v].add(u)
+        for a, b in combinations(parents, 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    seen = {x}
+    stack = [x]
+    while stack:
+        for w in adj[stack.pop()] - z - seen:
+            if w == y:
+                return False
+            seen.add(w)
+            stack.append(w)
+    return True
+
+
+def perfbench_module(name: str):
+    """A module of the benchmark harness, loaded by path (perfbench is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_discrete_dataset(rng: np.random.Generator, names, n_rows: int,

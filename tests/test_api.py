@@ -3,13 +3,14 @@
 A change here must be deliberate and written down in CHANGES.md.
 """
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
+import pytest
 
 import bnsl
 from bnsl.cli import build_parser
+from bnsl.networks import sixnode
+
+from helpers import perfbench_module
 
 PUBLIC_NAMES = [
     "ALGORITHMS", "ALGORITHM_NAMES", "ArcList", "CONTINUOUS_TESTS", "CYCLE_MESSAGE",
@@ -64,17 +65,9 @@ def test_cli_flags_unchanged():
     assert got == CLI_FLAGS
 
 
-def _load_benchmark_tracer():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_traced_benchmark_call_sites_exist():
     # the traced benchmark run replaces these names; a missing one makes it fail
-    tracing = _load_benchmark_tracer()
+    tracing = perfbench_module("tracing")
     missing = [f"{m.__name__}.{attr}" for m, attr, _ in tracing.CALL_SITES
                if not hasattr(m, attr)]
     assert missing == []
@@ -94,3 +87,27 @@ def test_hill_climb_creates_its_cache_through_the_module_name(monkeypatch):
             for n in ("A", "B")}
     bnsl.hill_climb(bnsl.Dataset(("A", "B"), cols), bnsl.HillClimbConfig())
     assert len(made) == 1 and made[0].misses > 0
+
+
+@pytest.mark.parametrize("algorithm,expected", [
+    ("gs", {"Graph", "propagate_directions", "ci_test", "learn_markov_blanket",
+            "neighbourhood_from_mb", "orient_vstructures"}),
+    ("fast-iamb", {"Graph", "propagate_directions", "ci_test", "joint_config_codes",
+                   "learn_markov_blanket", "neighbourhood_from_mb",
+                   "orient_vstructures"}),
+    ("mmpc", {"Graph", "ci_test"}),
+])
+def test_constraint_learners_call_the_traced_names(monkeypatch, algorithm, expected):
+    # a name the learners stop calling through bnsl.constraint reads 0 calls
+    # in the traced benchmark run, so its per-layer metric goes blind
+    tracing = perfbench_module("tracing")
+    names = [attr for m, attr, _ in tracing.CALL_SITES if m is bnsl.constraint]
+    calls = dict.fromkeys(names, 0)
+    for attr in names:
+        def counted(*args, _attr=attr, _fn=getattr(bnsl.constraint, attr), **kwargs):
+            calls[_attr] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(bnsl.constraint, attr, counted)
+    d = bnsl.forward_sample(sixnode(), 2000, seed=1)
+    bnsl.constraint_learn(d, bnsl.LearnConfig(algorithm=algorithm))
+    assert {attr for attr, n in calls.items() if n} == expected

@@ -309,6 +309,21 @@ class TestCitest:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["learn", "{data}", "--algo", "gs"], 1),
+    (["learn", "{data}", "--algo", "mmpc", "--test", "mc-mi", "--B", "19"], 1),
+    (["learn", "{data}", "--algo", "hc"], 1),
+    (["citest", "{data}", "A", "B", "--test", "mc-mi"], 1),
+    (["sample", "--model", SIXNODE_MODEL, "--data", "{data}", "--n", "5"], 3),
+])
+def test_negative_seed_rejected_naming_seed(capsys, data_path, argv, code):
+    argv = [data_path if a == "{data}" else a for a in argv] + ["--seed", "-1"]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert "seed must be an integer of at least 0" in err
+    assert out == ""
+
+
 class TestCompare:
     def test_equal_learns(self, capsys, data_path, tmp_path):
         f1, f2 = tmp_path / "g1.csv", tmp_path / "g2.csv"

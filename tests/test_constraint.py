@@ -3,17 +3,21 @@
 import contextlib
 import hashlib
 import io
+import itertools
 
 import numpy as np
 import pytest
 
 import bnsl
-from bnsl import (Dataset, Graph, LearnConfig, PriorKnowledge, TestError,
-                  ci_test, constraint_learn, forward_sample,
-                  learn_markov_blanket, neighbourhood_from_mb,
-                  orient_vstructures, parse_modelstring, symmetry_correction)
+from bnsl import (ALGORITHMS, DataError, Dataset, Graph, LearnConfig,
+                  PriorKnowledge, TestError, TestResult, ci_test,
+                  constraint_learn, forward_sample, learn_markov_blanket,
+                  neighbourhood_from_mb, orient_vstructures, parse_modelstring,
+                  symmetry_correction)
 from bnsl.data import CategoricalColumn, DiscreteCPT, FittedNetwork, LinearGaussian
-from bnsl.networks import SIXNODE_MODEL, sixnode
+from bnsl.networks import SIXNODE_MODEL, alarm, sixnode
+
+from helpers import dsep, perfbench_module, random_dag, random_discrete_dataset
 
 TRUE_DIRECTED = frozenset({("A", "D"), ("C", "D"), ("B", "E"), ("F", "E")})
 TRUE_UNDIRECTED = frozenset({("A", "B")})
@@ -103,6 +107,15 @@ class TestNeighbourhood:
         assert nbrs == {"B", "D"}
         assert "C" in dseps  # separated, with the separating set recorded
         assert "D" not in dseps["C"]
+
+    def test_unknown_node_rejected(self, sample):
+        cfg = LearnConfig(algorithm="gs")
+        blankets = {n: set() for n in sample.names}
+        with pytest.raises(DataError, match="'Z'"):
+            neighbourhood_from_mb("Z", blankets, sample, cfg)
+        blankets["A"] = {"B", "Q"}  # a member without a blanket of its own
+        with pytest.raises(DataError, match="'Q'"):
+            neighbourhood_from_mb("A", blankets, sample, cfg)
 
     def test_empty_blanket_no_neighbours(self, sample):
         cfg = LearnConfig(algorithm="gs")
@@ -323,9 +336,9 @@ def _gaussian_sixnode_sample(n=2000, seed=2):
 
 GOLDEN_PRIORS = PriorKnowledge(whitelist=[("C", "F")], blacklist=[("A", "D")])
 
-# sha256 of "\n".join(trace.lines()) and of the --debug stream, per run; the
-# digests were taken from the learners before they were merged onto shared
-# helpers, so any change to test order, arguments or commentary shows here
+# sha256 of "\n".join(trace.lines()) and of the --debug stream, per run: any
+# change to the order or arguments of the tests, or to the debug commentary,
+# changes a digest
 GOLDEN_DIGESTS = {
     "gs/opt/none": ("80a0081bf5f18fdc11a386c0bbc0e28df3365fae6ceca29f5d2518a2bccbec74",
                    "56e63385560aa2350ae56f7b31a03119ef520db0087c6108252bcf73494fe60b"),
@@ -405,3 +418,60 @@ def _digests(d, cfg) -> tuple[str, str]:
 def test_golden_trace(run, golden_data):
     data, cfg = _golden_config(run)
     assert _digests(golden_data[data], cfg) == GOLDEN_DIGESTS[run]
+
+
+# -- d-separation oracle ---------------------------------------------------------------
+
+def _learn_with_oracle(monkeypatch, dag, algorithm, optimized):
+    """Learn on a placeholder sample with every CI test answered by d-separation."""
+    def oracle(d, x, y, z=(), test=None, B=None, seed=None):
+        return TestResult(test, 0.0, 1.0 if dsep(dag, x, y, z) else 0.0)
+
+    monkeypatch.setattr(bnsl.constraint, "ci_test", oracle)
+    rng = np.random.default_rng(len(dag.nodes))
+    d = random_discrete_dataset(rng, dag.nodes, 200)
+    g, _ = constraint_learn(d, LearnConfig(algorithm=algorithm, optimized=optimized))
+    return g
+
+
+CPDAG = perfbench_module("cpdag")
+
+
+def _expected(dag, algorithm):
+    if algorithm == "mmpc":  # a skeleton, left undirected
+        return frozenset(), frozenset(tuple(sorted(a)) for a in dag.directed_arcs)
+    return CPDAG.cpdag(dag.nodes, dag.directed_arcs)
+
+
+def test_dsep_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(70)
+    for _ in range(60):
+        dag = random_dag(rng, int(rng.integers(3, 9)))
+        nxg = nx.DiGraph(list(dag.directed_arcs))
+        nxg.add_nodes_from(dag.nodes)
+        for x, y in itertools.combinations(dag.nodes, 2):
+            rest = [v for v in dag.nodes if v not in (x, y)]
+            z = {v for v in rest if rng.random() < 0.4}
+            assert dsep(dag, x, y, z) == nx.is_d_separator(nxg, {x}, {y}, z)
+
+
+ORACLE_DAGS = [random_dag(np.random.default_rng(71 + k), 3 + k % 6) for k in range(40)]
+
+
+@pytest.mark.parametrize("optimized", [True, False])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_oracle_recovers_the_cpdag(monkeypatch, algorithm, optimized):
+    for dag in ORACLE_DAGS:
+        g = _learn_with_oracle(monkeypatch, dag, algorithm, optimized)
+        assert (g.directed_arcs, g.undirected_arcs) == _expected(dag, algorithm), \
+            dag.directed_arcs
+
+
+# mmpc is left out: under a 0/1 oracle every max p-value ties at 0, so the
+# candidate set grows in column order and the subset search explodes
+@pytest.mark.parametrize("algorithm", ["gs", "iamb", "fast-iamb", "inter-iamb"])
+def test_oracle_recovers_the_alarm_cpdag(monkeypatch, algorithm):
+    dag = alarm()
+    g = _learn_with_oracle(monkeypatch, dag, algorithm, True)
+    assert (g.directed_arcs, g.undirected_arcs) == _expected(dag, algorithm)

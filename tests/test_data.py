@@ -599,6 +599,12 @@ class TestForwardSample:
         d3 = forward_sample(f, 500, seed=124)
         assert any(not np.array_equal(d1.codes(n), d3.codes(n)) for n in d1.names)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_rejected(self, seed):
+        from bnsl import networks
+        with pytest.raises(DataError, match="seed must be an integer of at least 0"):
+            forward_sample(networks.sixnode(), 10, seed=seed)
+
     def test_law_of_large_numbers(self):
         g = parse_modelstring("[A]")
         probs = np.array([[0.2], [0.5], [0.3]])

@@ -385,6 +385,25 @@ class TestCiTestDispatcher:
         with pytest.raises(TestError, match="B must"):
             LearnConfig(test="mc-mi", B=B)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", True, None])
+    def test_bad_seed_rejected(self, seed):
+        rng = np.random.default_rng(36)
+        d = _discrete_pair(rng, 50)
+        with pytest.raises(TestError, match="seed must be an integer of at least 0"):
+            ci_test(d, "X", "Y", test="mc-mi", B=9, seed=seed)
+        with pytest.raises(TestError, match="seed must be an integer of at least 0"):
+            LearnConfig(seed=seed)
+
+    def test_seed_objects_and_numpy_integers_accepted(self):
+        rng = np.random.default_rng(37)
+        d = _discrete_pair(rng, 50)
+        p = ci_test(d, "X", "Y", test="mc-mi", B=9, seed=4).p_value
+        assert ci_test(d, "X", "Y", test="mc-mi", B=9, seed=np.int64(4)).p_value == p
+        assert ci_test(d, "X", "Y", test="mc-mi", B=9,
+                       seed=np.random.SeedSequence(4)).p_value == p
+        assert ci_test(d, "X", "Y", test="mc-mi", B=9,
+                       seed=np.random.default_rng(4)).p_value == p
+
     def test_numpy_integer_replicate_count_accepted(self):
         rng = np.random.default_rng(35)
         d = _discrete_pair(rng, 50)
