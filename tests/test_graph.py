@@ -1,5 +1,7 @@
 """Graph type, model strings, structural queries, v-structures, propagation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,9 @@ from bnsl import (CYCLE_MESSAGE, CycleError, Graph, GraphError, compare,
                   to_dot)
 from bnsl.data import CategoricalColumn, Dataset, NumericColumn
 from bnsl.graph import set_undirected, topological_order
+from bnsl.networks import alarm
 
-from helpers import random_dag
+from helpers import perfbench_module, random_dag
 
 SIXNODE = "[A][C][F][B|A][D|A:C][E|B:F]"
 
@@ -283,6 +286,63 @@ class TestExtendPdag:
         # either orientation of A - B creates a new shielded... both are fine
         out, flagged = propagate_directions(g)
         assert isinstance(flagged, tuple)
+
+
+CPDAG = perfbench_module("cpdag")
+
+
+def _pattern(dag):
+    """The DAG's v-structure arcs directed, every other arc undirected."""
+    v_arcs = {(p, c) for p1, c, p2 in find_vstructures(dag) for p in (p1, p2)}
+    return Graph(dag.nodes, v_arcs, dag.directed_arcs - v_arcs)
+
+
+def test_propagation_matches_the_meek_cpdag():
+    rng = np.random.default_rng(91)
+    dags = [random_dag(rng, int(rng.integers(3, 10)), float(rng.uniform(0.2, 0.6)))
+            for _ in range(300)]
+    for dag in dags + [alarm()]:
+        out, flagged = propagate_directions(_pattern(dag))
+        assert flagged == ()
+        assert ((out.directed_arcs, out.undirected_arcs)
+                == CPDAG.cpdag(dag.nodes, dag.directed_arcs)), dag.directed_arcs
+
+
+def _random_pdag(rng):
+    """Arcs of a random DAG, each kept directed or relaxed to undirected, and
+    in 40% of the cases an allowed() veto banning about 20% of ordered pairs."""
+    dag = random_dag(rng, int(rng.integers(2, 10)), float(rng.uniform(0.2, 0.7)))
+    directed, undirected = [], []
+    for arc in sorted(dag.directed_arcs):
+        (undirected if rng.random() < 0.5 else directed).append(arc)
+    allowed = None
+    if rng.random() < 0.4:
+        banned = {(u, v) for u in dag.nodes for v in dag.nodes
+                  if u != v and rng.random() < 0.2}
+
+        def allowed(u, v):
+            return (u, v) not in banned
+    return Graph(dag.nodes, directed, undirected), allowed
+
+
+# sha256 over 2000 seeded PDAGs of (directed, undirected, flagged): any change
+# to the orientation rules, the veto, the sweep order or the flag report shows
+PROPAGATION_DIGEST = "5220a86a4dc3dad6ffbaf91be642dd696ebe9afd104d61b671934b08c344017d"
+
+
+def test_propagation_golden_digest():
+    rng = np.random.default_rng(92)
+    rows, n_flagged, n_vetoed = [], 0, 0
+    for _ in range(2000):
+        g, allowed = _random_pdag(rng)
+        out, flagged = propagate_directions(g, allowed)
+        rows.append(repr((sorted(out.directed_arcs), sorted(out.undirected_arcs),
+                          flagged)))
+        n_flagged += bool(flagged)
+        n_vetoed += allowed is not None
+    assert n_flagged > 200 and n_vetoed > 600  # the digest pins both paths
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == PROPAGATION_DIGEST
 
 
 class TestNparams:
