@@ -150,6 +150,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_learn(args) -> int:
+    if args.algo == "hc" and not args.optimized:
+        raise ScoreError("--optimized false applies only to the constraint-based "
+                         "algorithms; hill-climbing always keeps its score cache")
     data = load_table(args.data, type_hint=args.type, delimiter=args.delimiter)
     priors = _read_priors(args)
     start = load_graph(args.start, nodes=data.names) if args.start else None
@@ -158,8 +161,7 @@ def _cmd_learn(args) -> int:
                          iss=args.iss)
         cfg = HillClimbConfig(score=spec, priors=priors, start=start,
                               restarts=args.restart, perturb=args.perturb,
-                              optimized=args.optimized, seed=args.seed,
-                              debug=args.debug)
+                              seed=args.seed, debug=args.debug)
         graph, trace = hill_climb(data, cfg)
     else:
         cfg = LearnConfig(algorithm=args.algo, test=args.test, alpha=args.alpha,

@@ -16,10 +16,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .data import Dataset, DataError, joint_config_codes
+from .data import Dataset, DataError, _check_integer, joint_config_codes
 from .graph import CycleError, Graph, Provenance, propagate_directions
-from .independence import (TEST_LABELS, TestError, _check_integer,
-                           _resolve_test, ci_test)
+from .independence import TEST_LABELS, TestError, _resolve_test, ci_test
 from .priors import Constraints, PriorKnowledge, normalize_priors, _pair
 from .trace import LearnTrace
 
@@ -58,11 +57,11 @@ class LearnConfig:
             raise TestError("alpha must lie strictly between 0 and 1")
         if self.test is not None and self.test not in TEST_LABELS:
             raise TestError(f"unknown test label {self.test!r}")
-        if self.test is not None and self.test.startswith("mc-"):
-            if self.B is None:
-                self.B = 1000
-            _check_integer("B", self.B, 1)
-        _check_integer("seed", self.seed, 0)
+        if self.test is not None and self.test.startswith("mc-") and self.B is None:
+            self.B = 1000
+        if self.B is not None:
+            _check_integer("B", self.B, 1, TestError)
+        _check_integer("seed", self.seed, 0, TestError)
         if self.parallelism != 1:
             raise TestError("parallelism must be 1: the thread pool was removed")
 
@@ -83,7 +82,7 @@ class _CITester:
 
     def __call__(self, x: str, y: str, z, note: str = "") -> float:
         z = tuple(sorted(z, key=self.order.__getitem__))
-        seed = None
+        seed = 0  # read by the mc-* labels only
         if self.label.startswith("mc-"):
             seed = np.random.SeedSequence(
                 [self.cfg.seed, self.order[x], self.order[y]]

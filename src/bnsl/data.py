@@ -25,6 +25,12 @@ class DataError(ValueError):
     """Unusable input data or an ill-posed statistic request."""
 
 
+def _check_integer(name: str, value, least: int, error: type[Exception]) -> None:
+    """Raise error unless value is an integer (not a bool) of at least least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise error(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CategoricalColumn:
     levels: tuple[str, ...]
@@ -563,8 +569,7 @@ def forward_sample(f: FittedNetwork, n: int, seed: int) -> Dataset:
     """Ancestral sampling in topological order; deterministic given the seed."""
     if n < 1:
         raise DataError("sample size must be positive")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise DataError(f"seed must be an integer of at least 0, got {seed!r}")
+    _check_integer("seed", seed, 0, DataError)
     rng = np.random.default_rng(seed)
     order = topological_order(f.graph, by_label=True)
     columns: dict[str, object] = {}

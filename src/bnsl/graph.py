@@ -233,18 +233,15 @@ def topological_order(g: Graph, by_label: bool = False) -> list[str] | None:
     return order
 
 
-def _has_directed_path(g: Graph, source: str, target: str,
-                       skip_edge: tuple[str, str] | None = None) -> bool:
-    """Depth-first reachability along directed arcs, optionally ignoring one arc."""
+def _has_directed_path(children, source: str, target: str) -> bool:
+    """Depth-first reachability along directed arcs, given each node's children."""
     stack = [source]
     seen = {source}
     while stack:
         n = stack.pop()
         if n == target:
             return True
-        for c in g._children[n]:
-            if skip_edge is not None and (n, c) == skip_edge:
-                continue
+        for c in children[n]:
             if c not in seen:
                 seen.add(c)
                 stack.append(c)
@@ -496,28 +493,6 @@ def find_vstructures(g: Graph) -> tuple[tuple[str, str, str], ...]:
     return tuple(sorted(out))
 
 
-def _orientation_ok(g: Graph, directed: set, und_adj: dict, u: str, v: str) -> bool:
-    """Whether orienting u -> v avoids new cycles and new v-structures."""
-    # cycle: a directed path v ~> u already exists
-    stack, seen = [v], {v}
-    while stack:
-        n = stack.pop()
-        if n == u:
-            return False
-        for (a, b) in directed:
-            if a == n and b not in seen:
-                seen.add(b)
-                stack.append(b)
-    # new v-structure: some w -> v with w and u non-adjacent
-    for (w, t) in directed:
-        if t == v and w != u:
-            adjacent = ((w, u) in directed or (u, w) in directed
-                        or u in und_adj[w])
-            if not adjacent:
-                return False
-    return True
-
-
 def propagate_directions(g: Graph, allowed=None) -> tuple[Graph, tuple[tuple[str, str], ...]]:
     """Meek-style direction propagation to a fixpoint.
 
@@ -530,55 +505,55 @@ def propagate_directions(g: Graph, allowed=None) -> tuple[Graph, tuple[tuple[str
     if allowed is None:
         def allowed(u, v):
             return True
-    directed = set(g.directed_arcs)
+    parents = {n: set(s) for n, s in g._parents.items()}
+    children = {n: set(s) for n, s in g._children.items()}
+    und = {n: set(s) for n, s in g._und_nbr.items()}
     undirected = set(g.undirected_arcs)
     flagged: set[tuple[str, str]] = set()
 
-    def und_adj():
-        m = {n: set() for n in g.nodes}
-        for a, b in undirected:
-            m[a].add(b)
-            m[b].add(a)
-        return m
+    def adjacent(a, b):
+        return b in parents[a] or b in children[a] or b in und[a]
+
+    def legal(u, v):
+        """Orienting u -> v makes no new v-structure w -> v <- u and closes no cycle."""
+        return (all(adjacent(w, u) for w in parents[v])
+                and not _has_directed_path(children, v, u))
+
+    def forked(x, y):
+        """Three-fork rule: c -> y and d -> y with x - c, x - d and c, d non-adjacent."""
+        return any(not adjacent(c, d) for c, d in combinations(parents[y] & und[x], 2))
+
+    def choose(a, b):
+        """The orientation forced on a - b, or None (flagging a - b if none is legal)."""
+        ab = allowed(a, b) and legal(a, b)
+        ba = allowed(b, a) and legal(b, a)
+        if ab and not ba:
+            return a, b
+        if ba and not ab:
+            return b, a
+        if not ab:
+            flagged.add((a, b))
+            return None
+        for x, y in ((a, b), (b, a)):  # both are allowed and legal here
+            if forked(x, y):
+                return x, y
+        return None
 
     changed = True
     while changed:
         changed = False
-        adj = und_adj()
         for a, b in sorted(undirected):
-            ab = allowed(a, b) and _orientation_ok(g, directed, adj, a, b)
-            ba = allowed(b, a) and _orientation_ok(g, directed, adj, b, a)
-            chosen = None
-            if ab and not ba:
-                chosen = (a, b)
-            elif ba and not ab:
-                chosen = (b, a)
-            elif not ab and not ba:
-                flagged.add((a, b))
-                continue
-            else:
-                # three-fork rule: c -> b and d -> b with a - c, a - d
-                # undirected and c, d non-adjacent forces a -> b
-                for x, y in ((a, b), (b, a)):
-                    if not allowed(x, y):
-                        continue
-                    ps = [w for (w, t) in directed if t == y and w != x
-                          and w in adj[x]]
-                    found = False
-                    for c, d in combinations(sorted(ps), 2):
-                        adjacent = ((c, d) in directed or (d, c) in directed
-                                    or d in adj[c])
-                        if not adjacent:
-                            chosen = (x, y)
-                            found = True
-                            break
-                    if found:
-                        break
+            chosen = choose(a, b)
             if chosen is not None:
+                u, v = chosen
                 undirected.discard((a, b))
-                directed.add(chosen)
+                und[u].discard(v)
+                und[v].discard(u)
+                parents[v].add(u)
+                children[u].add(v)
                 changed = True
                 break
+    directed = [(u, v) for u, vs in children.items() for v in vs]
     out = Graph(g.nodes, directed, undirected, g.provenance)
     return out, tuple(sorted(flagged))
 

@@ -14,12 +14,11 @@ Legality is read from descendant bitmasks, recomputed once per applied move.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _check_integer
 from .graph import Graph, GraphError, Provenance, empty_graph
 from .priors import Constraints, PriorKnowledge, PriorError, normalize_priors
 from .scores import ScoreCache, ScoreError, ScoreSpec, _cached_local, network_score
@@ -36,11 +35,6 @@ _KINDS = ("add", "delete", "reverse")  # canonical order of the move kinds
 _ADD, _DELETE, _REVERSE = range(3)
 
 
-def _check_integer(name: str, value, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ScoreError(f"{name} must be an integer of at least {least}, got {value!r}")
-
-
 @dataclass
 class HillClimbConfig:
     """Options for the hill-climbing search."""
@@ -51,7 +45,6 @@ class HillClimbConfig:
     restarts: int = 0
     perturb: int = 1
     max_iterations: int = 10000
-    optimized: bool = True  # keep scores across moves (score cache, delta rows)
     seed: int = 0
     debug: bool = False
 
@@ -60,10 +53,10 @@ class HillClimbConfig:
             self.score = ScoreSpec(kind=self.score)
         if self.score.kind == "lik":
             raise ScoreError("hill-climbing maximizes loglik, not its exponential")
-        _check_integer("restarts", self.restarts, 0)
-        _check_integer("perturb", self.perturb, 0)
-        _check_integer("max_iterations", self.max_iterations, 1)
-        _check_integer("seed", self.seed, 0)
+        _check_integer("restarts", self.restarts, 0, ScoreError)
+        _check_integer("perturb", self.perturb, 0, ScoreError)
+        _check_integer("max_iterations", self.max_iterations, 1, ScoreError)
+        _check_integer("seed", self.seed, 0, ScoreError)
         if self.restarts > 0 and self.perturb < 1:
             raise ScoreError("perturb must be at least 1 when restarting")
 
@@ -227,12 +220,11 @@ def perturb_graph(g: Graph, k: int, cons: Constraints | None,
 
 
 def _climb(g: Graph, d: Dataset, spec: ScoreSpec, cons: Constraints,
-           cache: ScoreCache | None, trace: LearnTrace,
+           cache: ScoreCache, trace: LearnTrace,
            max_iterations: int) -> tuple[Graph, float]:
     dag = _Dag(g, cons)
     names, parents = dag.names, dag.parents
-    # rows[v][u] = local(v, pa(v) ^ {u}) - local(v, pa(v)), filled on demand;
-    # without the cache every row is dropped after each move
+    # rows[v][u] = local(v, pa(v) ^ {u}) - local(v, pa(v)), filled on demand
     rows: list[dict | None] = [None] * len(names)
     base = [0.0] * len(names)
     tests: dict[tuple, TraceEvent] = {}  # events are immutable, so one per move
@@ -272,12 +264,9 @@ def _climb(g: Graph, d: Dataset, spec: ScoreSpec, cons: Constraints,
             break
         kind, u, v = best_move
         dag.apply(kind, u, v)
-        if cache is None:
-            rows[:] = [None] * len(names)
-        else:
-            rows[v] = None
-            if kind == _REVERSE:
-                rows[u] = None
+        rows[v] = None
+        if kind == _REVERSE:
+            rows[u] = None
         trace.add("move", names[u], names[v], p_value=best_delta, note=_KINDS[kind])
         trace.say(f"* applying {_KINDS[kind]} {names[u]} -> {names[v]} "
                   f"( delta: {best_delta:g} )")
@@ -310,7 +299,7 @@ def hill_climb(d: Dataset, cfg: HillClimbConfig) -> tuple[Graph, LearnTrace]:
     spec = cfg.score
     cons = normalize_priors(cfg.priors, d.names)
     trace = LearnTrace(cfg.debug)
-    cache = ScoreCache() if cfg.optimized else None
+    cache = ScoreCache()
     rng = np.random.default_rng(cfg.seed)
 
     current = _starting_graph(d, cfg, cons)
@@ -331,5 +320,5 @@ def hill_climb(d: Dataset, cfg: HillClimbConfig) -> tuple[Graph, LearnTrace]:
         method="score", algorithm="Hill-Climbing", score=spec.kind,
         penalty=spec.effective_penalty(d.n) if spec.kind in ("aic", "bic") else None,
         iss=spec.iss if spec.kind in ("bde", "bge") else None,
-        ntests=trace.test_counter, optimized=cfg.optimized)
+        ntests=trace.test_counter, optimized=True)
     return best.with_provenance(provenance), trace

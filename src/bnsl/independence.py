@@ -12,13 +12,12 @@ the observed margins in every stratum) or permute the residuals of x on z
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ContingencyTable, DataError, Dataset, _check_variables, \
-    _has_zero_variance, _regress, contingency_counts, partial_correlation
+from .data import ContingencyTable, DataError, Dataset, _check_integer, \
+    _check_variables, _has_zero_variance, _regress, contingency_counts, partial_correlation
 # re-exported: the benchmark's tracer (perfbench/tracing.py) wraps this name here
 from .data import joint_config_codes  # noqa: F401
 from .special import chi2_sf, normal_two_sided, student_t_two_sided
@@ -174,9 +173,10 @@ def gaussian_statistic(rho: float, n: int, zsize: int, kind: str) -> TestResult:
 _CHUNK_ELEMENTS = 2 ** 14
 
 
-def _check_integer(name: str, value, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise TestError(f"{name} must be an integer of at least {least}, got {value!r}")
+def _check_seed(seed) -> None:
+    """A seed is an integer of at least 0, a SeedSequence or a Generator."""
+    if not isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
+        _check_integer("seed", seed, 0, TestError)
 
 
 def _null_tables(rng: np.random.Generator, rows: np.ndarray, cols: np.ndarray,
@@ -216,9 +216,8 @@ def _chunks(B: int, per_replicate: int):
 def permutation_pvalue(d: Dataset, x: str, y: str, z=(), kind: str = "mc-mi",
                        B: int = 1000, seed=0) -> TestResult:
     """Stratified/residual permutation test; p = (1 + #{s_b >= s0}) / (1 + B)."""
-    _check_integer("B", B, 1)
-    if not isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
-        _check_integer("seed", seed, 0)
+    _check_integer("B", B, 1, TestError)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     z = list(z)
     if kind in ("mc-mi", "mc-x2"):
@@ -293,8 +292,11 @@ def ci_test(d: Dataset, x: str, y: str, z=(), test: str | None = None,
 
     A Gaussian test that cannot establish dependence (too few rows for the
     label, a zero-variance column, a singular conditioning set) returns the
-    degenerate result p = 1.
+    degenerate result p = 1. seed and a given B are checked whatever the label.
     """
+    if B is not None:
+        _check_integer("B", B, 1, TestError)
+    _check_seed(seed)
     label = _resolve_test(d, test)
     z = list(z)
     if label in CONTINUOUS_TESTS:

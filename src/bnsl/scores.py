@@ -133,22 +133,11 @@ def _lgamma_shifted(d: Dataset, counts: np.ndarray, a: float) -> np.ndarray:
     return table[counts]
 
 
-def _k2_local(d: Dataset, counts: np.ndarray) -> float:
-    R = counts.shape[0]
+def _dirichlet_local(d: Dataset, counts: np.ndarray, a_cell: float, a_col: float) -> float:
+    """Log marginal likelihood of a family under a Dirichlet prior of a_cell per
+    cell and a_col per parent configuration: bde, and k2 with a_cell = 1, a_col = R."""
     totals = counts.sum(axis=0)
     seen = totals > 0  # unseen parent configurations contribute 0
-    value = float(_lgamma_shifted(d, counts[:, seen], 1.0).sum())
-    value += counts[:, seen].shape[1] * math.lgamma(R)
-    value -= float(_lgamma_shifted(d, totals[seen], float(R)).sum())
-    return value
-
-
-def _bde_local(d: Dataset, counts: np.ndarray, q: int, iss: float) -> float:
-    R = counts.shape[0]
-    a_cell = iss / (R * q)
-    a_col = iss / q
-    totals = counts.sum(axis=0)
-    seen = totals > 0
     value = float(_lgamma_shifted(d, counts[:, seen], a_cell).sum())
     value -= counts[:, seen].size * math.lgamma(a_cell)
     value += int(seen.sum()) * math.lgamma(a_col)
@@ -249,9 +238,10 @@ def local_score(node: str, parents, d: Dataset, spec: ScoreSpec) -> float:
             return math.exp(ll)
         dim = (counts.shape[0] - 1) * q
         return ll - spec.effective_penalty(d.n) * dim
+    R = counts.shape[0]
     if spec.kind == "k2":
-        return _k2_local(d, counts)
-    return _bde_local(d, counts, q, spec.iss)
+        return _dirichlet_local(d, counts, 1.0, float(R))
+    return _dirichlet_local(d, counts, spec.iss / (R * q), spec.iss / q)
 
 
 def network_score(g: Graph, d: Dataset, spec: ScoreSpec,

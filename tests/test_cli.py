@@ -129,6 +129,20 @@ class TestLearn:
         assert code == 1
         assert "iss" in err
 
+    def test_hc_rejects_optimized_false(self, capsys, data_path):
+        # the flag selects backtracking for the constraint learners only
+        code, out, err = run_cli(capsys, "learn", data_path, "--algo", "hc",
+                                 "--optimized", "false")
+        assert code == 1
+        assert "--optimized" in err
+        assert out == ""
+
+    def test_constraint_learner_accepts_optimized_false(self, capsys, data_path):
+        code, out, _ = run_cli(capsys, "learn", data_path, "--algo", "gs",
+                               "--optimized", "false")
+        assert code == 0
+        assert "optimized:                             FALSE" in out
+
     @pytest.mark.parametrize("flag,value", [
         ("--seed", "-1"), ("--restart", "-1"), ("--perturb", "-2")])
     def test_hc_bad_integer_names_parameter(self, capsys, data_path, flag, value):
@@ -314,6 +328,7 @@ class TestCitest:
     (["learn", "{data}", "--algo", "mmpc", "--test", "mc-mi", "--B", "19"], 1),
     (["learn", "{data}", "--algo", "hc"], 1),
     (["citest", "{data}", "A", "B", "--test", "mc-mi"], 1),
+    (["citest", "{data}", "A", "B"], 1),
     (["sample", "--model", SIXNODE_MODEL, "--data", "{data}", "--n", "5"], 3),
 ])
 def test_negative_seed_rejected_naming_seed(capsys, data_path, argv, code):
@@ -321,6 +336,19 @@ def test_negative_seed_rejected_naming_seed(capsys, data_path, argv, code):
     got, out, err = run_cli(capsys, *argv)
     assert got == code
     assert "seed must be an integer of at least 0" in err
+    assert out == ""
+
+
+# a given --B is checked whatever the test, asymptotic ones included
+@pytest.mark.parametrize("argv", [
+    ["citest", "{data}", "A", "B", "--B", "-5"],
+    ["learn", "{data}", "--algo", "gs", "--test", "mi", "--B", "0"],
+])
+def test_bad_replicate_count_rejected_for_any_test(capsys, data_path, argv):
+    argv = [data_path if a == "{data}" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "B must be an integer of at least 1" in err
     assert out == ""
 
 

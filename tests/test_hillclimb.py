@@ -85,7 +85,7 @@ def _reference_hill_climb(d, cfg):
     spec = cfg.score
     cons = normalize_priors(cfg.priors, d.names)
     trace = LearnTrace()
-    cache = ScoreCache() if cfg.optimized else None
+    cache = ScoreCache()
     rng = np.random.default_rng(cfg.seed)
 
     def climb(g):
@@ -219,17 +219,15 @@ class TestPerturb:
 class TestIncrementalSearch:
     """hill_climb against a reference climb over enumerate_moves and score_delta."""
 
-    @pytest.mark.parametrize("optimized", [True, False])
     @pytest.mark.parametrize("score", ["bic", "bde", "k2", "bge"])
-    def test_identical_to_reference_climb(self, score, optimized):
+    def test_identical_to_reference_climb(self, score):
         rng = np.random.default_rng(["bic", "bde", "k2", "bge"].index(score))
         for trial in range(2):
             truth = random_dag(rng, 7, p_edge=0.35)
             d = _dependent_data(rng, truth, 400, discrete=score != "bge")
             start = random_dag(rng, 7, p_edge=0.3)
             cfg = HillClimbConfig(score=score, priors=_priors_fitting(rng, start),
-                                  start=start, restarts=2, perturb=3,
-                                  optimized=optimized, seed=trial)
+                                  start=start, restarts=2, perturb=3, seed=trial)
             ref_graph, ref_score, ref_trace = _reference_hill_climb(d, cfg)
             g, trace = hill_climb(d, cfg)
             assert [e.kind for e in trace.events].count("move") > 0
@@ -285,12 +283,6 @@ class TestHillClimb:
         cfg = lambda: HillClimbConfig(score="bic", restarts=2, perturb=2, seed=3)
         g1, t1 = hill_climb(sample, cfg())
         g2, t2 = hill_climb(sample, cfg())
-        assert g1 == g2
-        assert t1.test_counter == t2.test_counter
-
-    def test_optimized_flag_changes_nothing_but_speed(self, sample):
-        g1, t1 = hill_climb(sample, HillClimbConfig(score="bic"))
-        g2, t2 = hill_climb(sample, HillClimbConfig(score="bic", optimized=False))
         assert g1 == g2
         assert t1.test_counter == t2.test_counter
 

@@ -380,17 +380,19 @@ class TestCiTestDispatcher:
     def test_bad_replicate_count_rejected(self, B):
         rng = np.random.default_rng(34)
         d = _discrete_pair(rng, 50)
-        with pytest.raises(TestError, match="B must"):
-            ci_test(d, "X", "Y", test="mc-mi", B=B)
-        with pytest.raises(TestError, match="B must"):
-            LearnConfig(test="mc-mi", B=B)
+        for test in ("mc-mi", "mi"):  # a given B is checked for every label
+            with pytest.raises(TestError, match="B must"):
+                ci_test(d, "X", "Y", test=test, B=B)
+            with pytest.raises(TestError, match="B must"):
+                LearnConfig(test=test, B=B)
 
     @pytest.mark.parametrize("seed", [-1, 2.5, "3", True, None])
     def test_bad_seed_rejected(self, seed):
         rng = np.random.default_rng(36)
         d = _discrete_pair(rng, 50)
-        with pytest.raises(TestError, match="seed must be an integer of at least 0"):
-            ci_test(d, "X", "Y", test="mc-mi", B=9, seed=seed)
+        for test in ("mc-mi", "mi"):  # the seed is checked for every label
+            with pytest.raises(TestError, match="seed must be an integer of at least 0"):
+                ci_test(d, "X", "Y", test=test, B=9, seed=seed)
         with pytest.raises(TestError, match="seed must be an integer of at least 0"):
             LearnConfig(seed=seed)
 
