@@ -12,7 +12,7 @@ import numpy as np
 # in the terminal summary (pytest captures even low-level stdout writes)
 ACCEPTANCE_VERDICTS: list[str] = []
 
-from bnsl import Dataset, Graph
+from bnsl import CycleError, Dataset, Graph, PriorError, PriorKnowledge, normalize_priors
 from bnsl.data import CategoricalColumn, NumericColumn
 
 
@@ -99,3 +99,51 @@ def random_table(rng: np.random.Generator, max_dim: int = 4):
         if counts[:, :, k].sum() == 0:
             counts[0, 0, k] = 1
     return ContingencyTable(counts.astype(np.int64), r, c, L, int(counts.sum()))
+
+
+def random_priors(rng: np.random.Generator, nodes, p_white: float = 0.1,
+                  p_black: float = 0.2) -> PriorKnowledge:
+    """Random whitelist and blacklist rows over nodes whose forced arcs are acyclic."""
+    pairs = [(u, v) for u in nodes for v in nodes if u != v]
+    while True:
+        wl = [pair for pair in pairs if rng.random() < p_white]
+        bl = [pair for pair in pairs if rng.random() < p_black]
+        priors = PriorKnowledge(whitelist=wl, blacklist=bl)
+        try:
+            normalize_priors(priors, nodes)
+        except PriorError:
+            continue
+        return priors
+
+
+def prior_violations(g: Graph, cons, ambiguous=()) -> list[str]:
+    """Ways in which a learned graph breaks normalized priors (none when it keeps them).
+
+    Every forced arc and required edge must be present and no forbidden
+    orientation may appear. A pair with a forbidden orientation may stay
+    undirected only when its one allowed orientation is illegal in g: it
+    closes a directed cycle, or direction propagation reported the pair as
+    ambiguous.
+    """
+    found = []
+    directed = g.directed_arcs
+    for u, v in sorted(cons.forced_arcs):
+        if (u, v) not in directed:
+            found.append(f"forced arc {u} -> {v} missing")
+    for a, b in sorted(cons.required_edges):
+        if not g.adjacent(a, b):
+            found.append(f"required edge {a} - {b} missing")
+    for u, v in sorted(directed):
+        if not cons.arc_allowed(u, v):
+            found.append(f"forbidden arc {u} -> {v} present")
+    for a, b in sorted(g.undirected_arcs):
+        allowed = [arc for arc in ((a, b), (b, a)) if cons.arc_allowed(*arc)]
+        if len(allowed) == 2 or (a, b) in ambiguous or (b, a) in ambiguous:
+            continue
+        if len(allowed) == 1:
+            try:
+                Graph(g.nodes, directed | set(allowed))
+            except CycleError:
+                continue
+        found.append(f"pair {a} - {b} with a forbidden orientation left undirected")
+    return found

@@ -17,7 +17,8 @@ from bnsl import (ALGORITHMS, DataError, Dataset, Graph, LearnConfig,
 from bnsl.data import CategoricalColumn, DiscreteCPT, FittedNetwork, LinearGaussian
 from bnsl.networks import SIXNODE_MODEL, alarm, sixnode
 
-from helpers import dsep, perfbench_module, random_dag, random_discrete_dataset
+from helpers import (dsep, perfbench_module, prior_violations, random_dag,
+                     random_discrete_dataset, random_priors)
 
 TRUE_DIRECTED = frozenset({("A", "D"), ("C", "D"), ("B", "E"), ("F", "E")})
 TRUE_UNDIRECTED = frozenset({("A", "B")})
@@ -320,6 +321,30 @@ class TestTrace:
         lines = trace.lines()
         assert len(lines) == len(trace.events)
         assert any(line.startswith("test\t") for line in lines)
+
+
+# -- priors on learned graphs ------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def prior_data():
+    return {"mi": forward_sample(sixnode(), 1500, seed=4),
+            "cor": _gaussian_sixnode_sample(n=600, seed=5)}
+
+
+@pytest.mark.parametrize("optimized", [True, False])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("test", ["mi", "cor"])
+def test_learned_graph_keeps_random_priors(prior_data, test, algorithm, optimized):
+    rng = np.random.default_rng([ALGORITHMS.index(algorithm), optimized, test == "cor"])
+    d = prior_data[test]
+    for _ in range(25):
+        priors = random_priors(rng, d.names)
+        cfg = LearnConfig(algorithm=algorithm, test=test, optimized=optimized,
+                          priors=priors)
+        g, trace = constraint_learn(d, cfg)
+        ambiguous = {(e.x, e.y) for e in trace.events if e.kind == "ambiguous"}
+        cons = bnsl.normalize_priors(priors, d.names)
+        assert prior_violations(g, cons, ambiguous) == [], priors
 
 
 # -- golden traces -------------------------------------------------------------------

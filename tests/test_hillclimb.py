@@ -15,7 +15,8 @@ from bnsl.hillclimb import (_IMPROVEMENT_EPS, _TIE_EPS, _starting_graph,
 from bnsl.networks import SIXNODE_MODEL, sixnode
 from bnsl.priors import normalize_priors
 
-from helpers import random_dag, random_discrete_dataset
+from helpers import (prior_violations, random_dag, random_discrete_dataset,
+                     random_priors)
 
 
 @pytest.fixture(scope="module")
@@ -299,6 +300,16 @@ class TestHillClimb:
         g, _ = hill_climb(sample, HillClimbConfig(score="aic", priors=pr))
         assert ("F", "A") in g.directed_arcs
         assert ("A", "B") not in g.directed_arcs
+
+    @pytest.mark.parametrize("restarts", [0, 2])
+    def test_learned_graph_keeps_random_priors(self, sample, restarts):
+        rng = np.random.default_rng(2006 + restarts)
+        for _ in range(12):
+            priors = random_priors(rng, sample.names)
+            g, _ = hill_climb(sample, HillClimbConfig(score="bic", priors=priors,
+                                                      restarts=restarts, perturb=3))
+            cons = normalize_priors(priors, sample.names)
+            assert prior_violations(g, cons) == [], priors
 
     def test_start_graph_violating_priors(self, sample):
         pr = PriorKnowledge(blacklist=[("A", "B")])

@@ -1,8 +1,10 @@
 """Whitelist/blacklist normalization algebra."""
 
+import numpy as np
 import pytest
 
-from bnsl import ArcList, PriorError, PriorKnowledge, normalize_priors
+from bnsl import (ArcList, CycleError, Graph, PriorError, PriorKnowledge,
+                  normalize_priors)
 
 NODES = ("A", "B", "C", "D")
 
@@ -92,3 +94,45 @@ class TestArcList:
         p = PriorKnowledge(whitelist=[("A", "B")], blacklist=[("B", "C")])
         assert isinstance(p.whitelist, ArcList)
         assert ("A", "B") in p.whitelist.rows
+
+
+def _reference(wl, bl, u, v):
+    """(arc_allowed(u, v), edge_allowed(u, v), undirected_allowed(u, v)) from the rules.
+
+    An arc on both lists is whitelisted. A pair whitelisted both ways is
+    required and free; a single-orientation whitelist bans the reverse arc
+    and the undirected form. A blacklisted arc is banned together with the
+    undirected form; blacklisting both orientations removes the pair.
+    """
+    bl = bl - wl
+    forced = {(a, b) for a, b in wl if (b, a) not in wl}
+    arc = (u, v) not in bl and (v, u) not in forced
+    edge = not ((u, v) in bl and (v, u) in bl)
+    required = (u, v) in wl and (v, u) in wl
+    listed = {(u, v), (v, u)} & (wl | bl)
+    return arc, edge, required or not listed
+
+
+@pytest.mark.parametrize("n_nodes", [4, 5])
+def test_predicates_match_the_rules(n_nodes):
+    rng = np.random.default_rng(2010 + n_nodes)
+    nodes = "ABCDE"[:n_nodes]
+    pairs = [(u, v) for u in nodes for v in nodes if u != v]
+    checked = 0
+    for _ in range(400):
+        p_white, p_black = rng.uniform(0.0, 0.4, size=2)
+        wl = {pair for pair in pairs if rng.random() < p_white}
+        bl = {pair for pair in pairs if rng.random() < p_black}
+        priors = PriorKnowledge(ArcList(tuple(sorted(wl))), ArcList(tuple(sorted(bl))))
+        forced = [(a, b) for a, b in wl if (b, a) not in wl]
+        try:
+            c = normalize_priors(priors, nodes)
+        except PriorError:
+            with pytest.raises(CycleError):
+                Graph(nodes, forced)
+            continue
+        for u, v in pairs:
+            got = (c.arc_allowed(u, v), c.edge_allowed(u, v), c.undirected_allowed(u, v))
+            assert got == _reference(wl, bl, u, v), (sorted(wl), sorted(bl), u, v)
+        checked += 1
+    assert checked > 200
