@@ -138,9 +138,11 @@ def prior_violations(g: Graph, cons, ambiguous=()) -> list[str]:
             found.append(f"forbidden arc {u} -> {v} present")
     for a, b in sorted(g.undirected_arcs):
         allowed = [arc for arc in ((a, b), (b, a)) if cons.arc_allowed(*arc)]
-        if len(allowed) == 2 or (a, b) in ambiguous or (b, a) in ambiguous:
+        if len(allowed) == 2:
             continue
         if len(allowed) == 1:
+            if (a, b) in ambiguous or (b, a) in ambiguous:
+                continue
             try:
                 Graph(g.nodes, directed | set(allowed))
             except CycleError:
