@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .constraint import LearnConfig, constraint_learn
-from .data import (DataError, FittedNetwork, _detect_delimiter, fit_mle,
+from .data import (DataError, FittedNetwork, _read_columns, _read_text, fit_mle,
                    forward_sample, load_table, write_table)
 from .graph import (Graph, GraphError, average_branching, average_mb_size,
                     average_nbr_size, compare, format_modelstring,
@@ -25,14 +25,6 @@ _ALGOS = ("gs", "iamb", "fast-iamb", "inter-iamb", "mmpc", "hc")
 _FORMATS = ("modelstring", "arcs", "dot", "summary")
 
 
-def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
-
-
 def load_graph(source: str, nodes=None) -> Graph:
     """Graph from a model string literal, a model-string file or an arcs file.
 
@@ -40,38 +32,25 @@ def load_graph(source: str, nodes=None) -> Graph:
     listed in both orientations is read back as one undirected arc.
     """
     text = source if source.lstrip().startswith("[") else _read_text(source)
-    text = text.strip()
-    if text.startswith("["):
+    if text.lstrip().startswith("["):
         return parse_modelstring("".join(text.split()), nodes)
     rows = _read_arc_rows(text, source)
     if nodes is None and not rows:
         raise DataError(f"arc file {source} lists no arcs, so it names no nodes")
-    endpoints = [n for row in rows for n in row]
     if nodes is None:
-        seen = dict.fromkeys(endpoints)
-        nodes = tuple(seen)
-    directed = set()
-    undirected = set()
-    for u, v in rows:
-        if (v, u) in directed:
-            directed.discard((v, u))
-            undirected.add((u, v) if u < v else (v, u))
-        elif (u, v) not in undirected and ((u, v) if u < v else (v, u)) not in undirected:
-            directed.add((u, v))
+        nodes = tuple(dict.fromkeys(n for row in rows for n in row))
+    arcs = set(rows)
+    undirected = {(u, v) for u, v in arcs if (v, u) in arcs and u < v}
+    # a self-loop row stays directed, for Graph to reject
+    directed = {(u, v) for u, v in arcs if (v, u) not in arcs or u == v}
     return Graph(nodes, directed, undirected)
 
 
 def _read_arc_rows(text: str, path: str) -> list[tuple[str, str]]:
-    import csv
-    import io
-
-    if not text.strip():
-        raise DataError(f"arc file {path} is empty")
-    delim = _detect_delimiter(text.splitlines()[0])
-    rows = [r for r in csv.reader(io.StringIO(text), delimiter=delim) if r]
-    if not rows or len(rows[0]) < 2:
-        raise DataError("arc files need two columns (from, to) and a header")
-    return [(r[0].strip(), r[1].strip()) for r in rows[1:]]
+    header, columns, _ = _read_columns(text, path, "arc")
+    if len(header) < 2:
+        raise DataError(f"arc file {path} needs two columns (from, to) and a header")
+    return list(zip(columns[0], columns[1]))
 
 
 def _read_priors(args) -> PriorKnowledge | None:

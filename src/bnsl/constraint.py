@@ -511,7 +511,7 @@ def constraint_learn(d: Dataset, cfg: LearnConfig) -> tuple[Graph, LearnTrace]:
     # orient undirected arcs whose undirected form the priors exclude
     for a, b in sorted(undirected):
         allowed = [arc for arc in ((a, b), (b, a)) if cons.arc_allowed(*arc)]
-        if cons.undirected_allowed(a, b) or len(allowed) != 1:
+        if len(allowed) != 1:
             continue
         choice = allowed[0]
         try:
@@ -521,10 +521,6 @@ def constraint_learn(d: Dataset, cfg: LearnConfig) -> tuple[Graph, LearnTrace]:
         undirected.discard(_pair(a, b))
         directed.add(choice)
         trace.add("prior-orient", choice[0], choice[1])
-
-    # final blacklist sweep
-    directed = {(u, v) for u, v in directed if cons.arc_allowed(u, v)}
-    undirected = {p for p in undirected if cons.edge_allowed(*p)}
 
     pdag = Graph(names, directed, undirected, provenance)
     if not is_mmpc:

@@ -50,7 +50,8 @@ class Dataset:
     def __init__(self, names, columns):
         names = tuple(names)
         if len(set(names)) != len(names):
-            raise DataError("duplicate column names")
+            dup = next(n for i, n in enumerate(names) if n in names[:i])
+            raise DataError(f"duplicate column name {dup!r}")
         if not names:
             raise DataError("dataset has no columns")
         cols = {}
@@ -144,6 +145,47 @@ def _detect_delimiter(header_line: str) -> str:
     return best
 
 
+def _read_text(path) -> str:
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _read_columns(text: str, path, what: str, delimiter: str | None = None):
+    """Header, stripped columns and each row's file line of delimited text.
+
+    Blank rows are skipped. Text with no other row, a ragged row and an empty
+    cell are rejected; the message names the file as a `what` ("data", "arc")
+    file.
+    """
+    if delimiter is None:
+        delimiter = _detect_delimiter(next((line for line in text.splitlines()
+                                            if line.strip()), ""))
+    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    rows, lines = [], []  # non-blank rows and the file line each ends on
+    for row in reader:
+        if any(field.strip() for field in row):
+            rows.append(row)
+            lines.append(reader.line_num)
+    if not rows:
+        raise DataError(f"{what} file {path} is empty")
+    header = [h.strip() for h in rows[0]]
+    ncol = len(header)
+    body, lines = rows[1:], lines[1:]
+    for row, line in zip(body, lines):
+        if len(row) != ncol:
+            raise DataError(f"ragged row {line}: expected {ncol} fields, got {len(row)}, "
+                            f"in {what} file {path}")
+    columns = [[row[j].strip() for row in body] for j in range(ncol)]
+    for name, colvals in zip(header, columns):
+        if "" in colvals:
+            raise DataError(f"empty cell in row {lines[colvals.index('')]}, "
+                            f"column {name!r}, in {what} file {path}")
+    return header, columns, lines
+
+
 def load_table(path, type_hint: str | None = None, delimiter: str | None = None) -> Dataset:
     """Read a delimited text file with a header row into a Dataset.
 
@@ -153,34 +195,9 @@ def load_table(path, type_hint: str | None = None, delimiter: str | None = None)
     """
     if type_hint not in (None, "discrete", "continuous"):
         raise DataError(f"unknown type hint {type_hint!r}")
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
-    if not text.strip():
-        raise DataError(f"data file {path} is empty")
-    if delimiter is None:
-        delimiter = _detect_delimiter(text.splitlines()[0])
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-    rows, lines = [], []  # non-blank rows and the file line each ends on
-    for row in reader:
-        if any(field.strip() for field in row):
-            rows.append(row)
-            lines.append(reader.line_num)
-    header = [h.strip() for h in rows[0]]
-    ncol = len(header)
-    if len(rows) < 2:
-        raise DataError("no data rows")
-    body = rows[1:]
-    for row, line in zip(body, lines[1:]):
-        if len(row) != ncol:
-            raise DataError(f"ragged row {line}: expected {ncol} fields, got {len(row)}")
-    raw = [[row[j].strip() for row in body] for j in range(ncol)]
-    for name, colvals in zip(header, raw):
-        if "" in colvals:
-            raise DataError(f"empty cell in row {lines[colvals.index('') + 1]}, "
-                            f"column {name!r}")
+    header, raw, lines = _read_columns(_read_text(path), path, "data", delimiter)
+    if not lines:
+        raise DataError(f"data file {path} has no data rows")
 
     def numeric(colvals):
         try:
@@ -195,7 +212,7 @@ def load_table(path, type_hint: str | None = None, delimiter: str | None = None)
             bad = np.flatnonzero(~np.isfinite(vals))
             if bad.size:
                 raise DataError(f"non-finite value {colvals[bad[0]]!r} in row "
-                                f"{lines[bad[0] + 1]}, column {name!r}")
+                                f"{lines[bad[0]]}, column {name!r}")
             columns[name] = NumericColumn(vals)
         else:
             if type_hint == "continuous":
@@ -473,12 +490,23 @@ class FittedNetwork:
             if set(loc.parents) != set(graph.parents(node)):
                 raise DataError(f"parameter parents for {node!r} do not match the graph")
             if self.discrete:
+                if (tuple(map(tuple, loc.parent_levels))
+                        != tuple(tuple(local_params[p].levels) for p in loc.parents)):
+                    raise DataError(f"parent_levels of {node!r} do not match "
+                                    f"the levels of its parents")
+                shape = (len(loc.levels), math.prod(map(len, loc.parent_levels)))
+                if np.shape(loc.table) != shape:
+                    raise DataError(f"cpt of {node!r} has shape {np.shape(loc.table)}, "
+                                    f"not levels x parent configurations {shape}")
                 sums = loc.table.sum(axis=0)
                 if not np.allclose(sums, 1.0, atol=1e-9):
                     raise DataError(f"CPT rows for {node!r} do not sum to 1")
                 if np.any(loc.table < 0):
                     raise DataError(f"negative CPT entry for {node!r}")
             else:
+                if np.shape(loc.coefficients) != (len(loc.parents),):
+                    raise DataError(f"coefficients of {node!r} must hold one value "
+                                    f"per parent, got {np.shape(loc.coefficients)}")
                 if not loc.sd > 0:
                     raise DataError(f"residual sd for {node!r} must be positive")
         self.graph = graph
@@ -514,23 +542,27 @@ class FittedNetwork:
             payload = json.loads(text)
             kind = payload["type"]
             entries = payload["nodes"]
+            names = [e["name"] for e in entries]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise DataError(f"malformed fitted-network file: {exc}") from None
-        names = [e["name"] for e in entries]
-        arcs = [(p, e["name"]) for e in entries for p in e["parents"]]
-        graph = Graph(names, arcs)
         local_params = {}
-        for e in entries:
-            if kind == "discrete":
-                local_params[e["name"]] = DiscreteCPT(
-                    tuple(e["levels"]), tuple(e["parents"]),
-                    tuple(tuple(ls) for ls in e["parent_levels"]),
-                    np.asarray(e["cpt"], dtype=float))
-            else:
-                local_params[e["name"]] = LinearGaussian(
-                    tuple(e["parents"]), float(e["intercept"]),
-                    np.asarray(e["coefficients"], dtype=float), float(e["sd"]))
-        return cls(graph, local_params)
+        for name, e in zip(names, entries):
+            try:
+                if kind == "discrete":
+                    local_params[name] = DiscreteCPT(
+                        tuple(e["levels"]), tuple(e["parents"]),
+                        tuple(tuple(ls) for ls in e["parent_levels"]),
+                        np.asarray(e["cpt"], dtype=float))
+                else:
+                    local_params[name] = LinearGaussian(
+                        tuple(e["parents"]), float(e["intercept"]),
+                        np.asarray(e["coefficients"], dtype=float), float(e["sd"]))
+            except KeyError as exc:
+                raise DataError(f"node {name!r} has no {exc.args[0]!r} field") from None
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"node {name!r} has a malformed field: {exc}") from None
+        arcs = [(p, name) for name, loc in local_params.items() for p in loc.parents]
+        return cls(Graph(names, arcs), local_params)
 
 
 def fit_mle(g: Graph, d: Dataset) -> FittedNetwork:
@@ -567,8 +599,7 @@ def fit_mle(g: Graph, d: Dataset) -> FittedNetwork:
 
 def forward_sample(f: FittedNetwork, n: int, seed: int) -> Dataset:
     """Ancestral sampling in topological order; deterministic given the seed."""
-    if n < 1:
-        raise DataError("sample size must be positive")
+    _check_integer("n", n, 1, DataError)
     _check_integer("seed", seed, 0, DataError)
     rng = np.random.default_rng(seed)
     order = topological_order(f.graph, by_label=True)

@@ -82,19 +82,16 @@ class _Dag:
         for u, v in g.directed_arcs:
             self._link(index[u], index[v])
 
-        def allowed(u, v):
-            return cons is None or cons.arc_allowed(names[u], names[v])
-
+        if cons is None:
+            cons = normalize_priors(None, names)
+        forbidden = {(index[u], index[v]) for u, v in cons.forbidden_arcs}
         # prior-allowed add targets per tail; arcs the priors pin in place
-        self.targets = [[v for v in range(k) if v != u and allowed(u, v)]
+        self.targets = [[v for v in range(k) if v != u and (u, v) not in forbidden]
                         for u in range(k)]
-        forced = set() if cons is None else {(index[u], index[v])
-                                             for u, v in cons.forced_arcs}
-        required = set() if cons is None else {(index[a], index[b])
-                                               for a, b in cons.required_edges}
-        self.undeletable = forced | required | {(b, a) for a, b in required}
-        self.irreversible = forced | {(u, v) for u in range(k) for v in range(k)
-                                      if u != v and not allowed(v, u)}
+        required = {(index[a], index[b]) for a, b in cons.required_edges}
+        self.undeletable = ({(index[u], index[v]) for u, v in cons.forced_arcs}
+                            | required | {(b, a) for a, b in required})
+        self.irreversible = {(v, u) for u, v in forbidden}
         self._descendants()
 
     def _link(self, u: int, v: int) -> None:

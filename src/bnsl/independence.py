@@ -299,15 +299,17 @@ def ci_test(d: Dataset, x: str, y: str, z=(), test: str | None = None,
     _check_seed(seed)
     label = _resolve_test(d, test)
     z = list(z)
+    mc = label.startswith("mc-")
     if label in CONTINUOUS_TESTS:
-        # a repeated or unknown variable is the caller's error, not a degenerate test
-        _check_variables(d, x, y, z)
-        if d.n <= len(z) + _EXTRA_ROWS[label.removeprefix("mc-")]:
-            return _untestable(label)
+        few = d.n <= len(z) + _EXTRA_ROWS[label.removeprefix("mc-")]
+        # a repeated or unknown variable is the caller's error, not a degenerate
+        # test; partial_correlation checks the variables of the other tests
+        if few or mc:
+            _check_variables(d, x, y, z)
         # the asymptotic labels learn of a constant column from partial_correlation
-        if label.startswith("mc-") and _has_zero_variance(d, [x, y, *z]):
+        if few or (mc and _has_zero_variance(d, [x, y, *z])):
             return _untestable(label)
-    if label.startswith("mc-"):
+    if mc:
         return permutation_pvalue(d, x, y, z, kind=label,
                                   B=1000 if B is None else B, seed=seed)
     if label in DISCRETE_TESTS:
@@ -315,6 +317,7 @@ def ci_test(d: Dataset, x: str, y: str, z=(), test: str | None = None,
     try:
         rho = partial_correlation(d, x, y, z)
     except DataError:
+        _check_variables(d, x, y, z)  # raises again if the variables were at fault
         # unidentifiable conditioning set: cannot establish dependence
         return _untestable(label)
     return gaussian_statistic(rho, d.n, len(z), label)

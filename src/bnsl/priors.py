@@ -58,29 +58,29 @@ def _pair(a: str, b: str) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class Constraints:
-    """Normalized prior knowledge, ready for the learners."""
+    """Normalized prior knowledge, ready for the learners.
+
+    forbidden_arcs is the one relation the predicates read: an orientation
+    is allowed when it is not forbidden, an edge when either orientation is
+    allowed, and the undirected form when both are.
+    """
 
     nodes: tuple[str, ...]
     forced_arcs: frozenset  # arcs that must appear, in this orientation
     required_edges: frozenset  # pairs that must appear, orientation free
     forbidden_arcs: frozenset  # orientations that may never appear
-    forbidden_edges: frozenset  # pairs that may not appear at all
-    forbidden_undirected: frozenset  # pairs that may not stay undirected
 
     def arc_allowed(self, u: str, v: str) -> bool:
-        return ((u, v) not in self.forbidden_arcs
-                and _pair(u, v) not in self.forbidden_edges)
+        return (u, v) not in self.forbidden_arcs
 
     def undirected_allowed(self, a: str, b: str) -> bool:
-        p = _pair(a, b)
-        return p not in self.forbidden_edges and p not in self.forbidden_undirected
+        return self.arc_allowed(a, b) and self.arc_allowed(b, a)
 
     def edge_allowed(self, a: str, b: str) -> bool:
-        return _pair(a, b) not in self.forbidden_edges
+        return self.arc_allowed(a, b) or self.arc_allowed(b, a)
 
     def is_empty(self) -> bool:
-        return not (self.forced_arcs or self.required_edges
-                    or self.forbidden_arcs or self.forbidden_edges)
+        return not (self.forced_arcs or self.required_edges or self.forbidden_arcs)
 
     def forced_adjacency(self) -> dict[str, set[str]]:
         adj: dict[str, set[str]] = {n: set() for n in self.nodes}
@@ -117,23 +117,11 @@ def normalize_priors(priors: PriorKnowledge | None, nodes) -> Constraints:
 
     required_edges = {_pair(u, v) for u, v in wl if (v, u) in wl}
     forced_arcs = {(u, v) for u, v in wl if (v, u) not in wl}
-    forbidden_arcs = set(bl) | {(v, u) for u, v in forced_arcs}
-    forbidden_edges = {_pair(u, v) for u, v in bl
-                       if (v, u) in bl and _pair(u, v) not in required_edges}
-    forbidden_edges -= {_pair(u, v) for u, v in forced_arcs}
-    forbidden_undirected = ({_pair(u, v) for u, v in forced_arcs}
-                            | {_pair(u, v) for u, v in bl}
-                            | forbidden_edges)
-    forbidden_undirected -= required_edges
-
-    for u, v in forced_arcs:
-        if _pair(u, v) in forbidden_edges:
-            raise PriorError(f"arc {u} -> {v} is both forced and fully blacklisted")
+    forbidden_arcs = bl | {(v, u) for u, v in forced_arcs}
 
     try:
         Graph(nodes, forced_arcs)
     except CycleError:
         raise PriorError("the whitelist forces a cycle") from None
     return Constraints(nodes, frozenset(forced_arcs), frozenset(required_edges),
-                       frozenset(forbidden_arcs), frozenset(forbidden_edges),
-                       frozenset(forbidden_undirected))
+                       frozenset(forbidden_arcs))

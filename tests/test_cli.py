@@ -1,5 +1,6 @@
 """Batch CLI: subcommands, formats, exit codes, reproducibility."""
 
+import json
 import subprocess
 import sys
 
@@ -181,6 +182,34 @@ class TestLearn:
         code, out, err = run_cli(capsys, "learn", str(bad))
         assert code == 3
         assert "empty cell in row 3, column 'B'" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [("modelstring", "ARCS"),
+                                      ("learn", "DATA", "--whitelist", "ARCS")])
+    @pytest.mark.parametrize("text, message", [
+        ("from,to\nA,B\nC\n", "ragged row 3: expected 2 fields, got 1"),
+        ("from,to\nA,B\nC,\n", "empty cell in row 3, column 'to'")])
+    def test_malformed_arc_file_exit_code(self, capsys, data_path, tmp_path, argv,
+                                          text, message):
+        arcs = tmp_path / "arcs.csv"
+        arcs.write_text(text)
+        paths = {"DATA": data_path, "ARCS": str(arcs)}
+        code, out, err = run_cli(capsys, *(paths.get(a, a) for a in argv))
+        assert code == 3
+        assert f"{message}, in arc file {arcs}" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv, what", [
+        (("learn", "BLANK"), "data"),
+        (("modelstring", "BLANK"), "arc"),
+        (("learn", "DATA", "--blacklist", "BLANK"), "arc")])
+    def test_blank_file_reported_empty(self, capsys, data_path, tmp_path, argv, what):
+        blank = tmp_path / "blank.csv"
+        blank.write_text(",,\n")
+        paths = {"DATA": data_path, "BLANK": str(blank)}
+        code, out, err = run_cli(capsys, *(paths.get(a, a) for a in argv))
+        assert code == 3
+        assert f"{what} file {blank} is empty" in err
         assert out == ""
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
@@ -408,6 +437,52 @@ class TestSample:
     def test_missing_inputs_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sample", "--n", "10")
         assert code == 3
+
+    @staticmethod
+    def _network(kind):
+        if kind == "discrete":
+            nodes = [{"name": "A", "levels": ["a", "b"], "parents": [],
+                      "parent_levels": [], "cpt": [[0.5], [0.5]]},
+                     {"name": "B", "levels": ["x", "y"], "parents": ["A"],
+                      "parent_levels": [["a", "b"]], "cpt": [[0.3, 0.6], [0.7, 0.4]]}]
+        else:
+            nodes = [{"name": "A", "parents": [], "intercept": 0.0,
+                      "coefficients": [], "sd": 1.0},
+                     {"name": "B", "parents": ["A"], "intercept": 0.0,
+                      "coefficients": [0.8], "sd": 1.0}]
+        return {"type": kind, "nodes": nodes}
+
+    @pytest.mark.parametrize("kind, field, value, message", [
+        ("discrete", "parents", None, "node 'B' has no 'parents' field"),
+        ("discrete", "cpt", [0.3, 0.7], "cpt of 'B' has shape (2,)"),
+        ("discrete", "cpt", [[0.3], [0.7]], "cpt of 'B' has shape (2, 1)"),
+        ("discrete", "parent_levels", [["a", "c"]], "parent_levels of 'B'"),
+        ("continuous", "coefficients", [], "coefficients of 'B' must hold one value"),
+        ("continuous", "sd", None, "node 'B' has no 'sd' field"),
+        ("continuous", "sd", "wide", "node 'B' has a malformed field")])
+    def test_malformed_params_file_exit_code(self, capsys, tmp_path, kind, field,
+                                             value, message):
+        payload = self._network(kind)
+        entry = payload["nodes"][1]
+        if value is None:
+            del entry[field]
+        else:
+            entry[field] = value
+        params = tmp_path / "net.json"
+        params.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "sample", "--params", str(params), "--n", "5")
+        assert code == 3
+        assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize("kind", ["discrete", "continuous"])
+    def test_params_file_written_by_hand(self, capsys, tmp_path, kind):
+        params = tmp_path / "net.json"
+        params.write_text(json.dumps(self._network(kind)))
+        code, out, err = run_cli(capsys, "sample", "--params", str(params), "--n", "5")
+        assert code == 0, err
+        assert len(out.strip().splitlines()) == 6
+
 
 
 class TestExportAndModelstring:

@@ -1,6 +1,7 @@
 """Ingestion, sufficient statistics, MLE fitting and forward sampling."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -73,6 +74,24 @@ class TestLoadTable:
             load_table(path)
         path = _write(tmp_path, "r.csv", "A,B\na,b\n\n\na\nb,a\n")
         with pytest.raises(DataError, match="ragged row 5:"):
+            load_table(path)
+
+    def test_errors_name_the_file(self, tmp_path):
+        path = _write(tmp_path, "r.csv", "A,B\na,b\na\n")
+        with pytest.raises(DataError, match=f"in data file {re.escape(str(path))}$"):
+            load_table(path)
+        path = _write(tmp_path, "blank.csv", ",,\n \n")
+        with pytest.raises(DataError, match=f"data file {re.escape(str(path))} is empty"):
+            load_table(path)
+
+    def test_delimiter_read_from_the_first_non_blank_line(self, tmp_path):
+        path = _write(tmp_path, "d.tsv", "\n\nA\tB\na\tb\nb\ta\n")
+        d = load_table(path)
+        assert d.names == ("A", "B") and d.n == 2
+
+    def test_duplicate_column_named(self, tmp_path):
+        path = _write(tmp_path, "d.csv", "A,B,A\na,b,a\nb,a,b\n")
+        with pytest.raises(DataError, match="duplicate column name 'A'"):
             load_table(path)
 
     def test_empty_rejected(self, tmp_path):
@@ -604,6 +623,12 @@ class TestForwardSample:
         from bnsl import networks
         with pytest.raises(DataError, match="seed must be an integer of at least 0"):
             forward_sample(networks.sixnode(), 10, seed=seed)
+
+    @pytest.mark.parametrize("n", [0, 2.5, True])
+    def test_bad_sample_size_rejected(self, n):
+        from bnsl import networks
+        with pytest.raises(DataError, match="n must be an integer of at least 1"):
+            forward_sample(networks.sixnode(), n, seed=0)
 
     def test_law_of_large_numbers(self):
         g = parse_modelstring("[A]")

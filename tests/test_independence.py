@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bnsl.data
+import bnsl.independence
 from bnsl import (TEST_LABELS, ContingencyTable, DataError, Dataset, TestError,
                   TestResult, aic_test, ci_test, fmi_statistic, gaussian_statistic,
                   mi_discrete, permutation_pvalue, x2_discrete)
@@ -463,6 +465,27 @@ class TestCiTestDispatcher:
             d = random_gaussian_dataset(rng, ["X", "Y", "Z"], 40)
         with pytest.raises(DataError, match=message):
             ci_test(d, x, y, z, test=label, B=19)
+
+    @pytest.mark.parametrize("label", ["cor", "zf", "mi-g"])
+    def test_asymptotic_gaussian_checks_variables_once(self, label, monkeypatch):
+        calls = {"check": 0, "partial": 0}
+        check = bnsl.data._check_variables
+        partial = bnsl.independence.partial_correlation
+
+        def counted_check(*args):
+            calls["check"] += 1
+            return check(*args)
+
+        def counted_partial(*args, **kwargs):
+            calls["partial"] += 1
+            return partial(*args, **kwargs)
+
+        monkeypatch.setattr(bnsl.data, "_check_variables", counted_check)
+        monkeypatch.setattr(bnsl.independence, "_check_variables", counted_check)
+        monkeypatch.setattr(bnsl.independence, "partial_correlation", counted_partial)
+        d = random_gaussian_dataset(np.random.default_rng(41), ["X", "Y", "Z"], 40)
+        ci_test(d, "X", "Y", ["Z"], test=label)
+        assert calls == {"check": 1, "partial": 1}
 
     def test_unidentifiable_gaussian_returns_degenerate(self):
         rng = np.random.default_rng(36)
