@@ -66,30 +66,54 @@ class LearnConfig:
             raise TestError("parallelism must be 1: the thread pool was removed")
 
 
-class _CITester:
-    """Runs the configured test, records trace events, derives MC seeds.
+def _data_pvalue(d: Dataset, cfg: LearnConfig):
+    """The default pvalue(x, y, z): the configured test on the data.
 
     Monte Carlo seeds are a pure function of the tested variables, so any
     recorded test replays to the identical p-value regardless of scheduling.
     """
+    label = _resolve_test(d, cfg.test)
+    order = {name: i for i, name in enumerate(d.names)}
 
-    def __init__(self, d: Dataset, cfg: LearnConfig, trace: LearnTrace):
-        self.d = d
-        self.cfg = cfg
+    def pvalue(x: str, y: str, z: tuple[str, ...]) -> float:
+        seed = 0  # read by the mc-* labels only
+        if label.startswith("mc-"):
+            seed = np.random.SeedSequence(
+                [cfg.seed, order[x], order[y]] + [order[c] for c in z])
+        return ci_test(d, x, y, z, test=label, B=cfg.B, seed=seed).p_value
+
+    return pvalue
+
+
+class _CITester:
+    """The learners' one way to a test: sorts z, answers repeats, records events.
+
+    pvalue(x, y, z) is called with z sorted in data-column order, at most
+    once per ordered (x, y, z) in a run; the default runs the configured
+    test on the data. Every call is recorded as a test event, repeats too.
+    """
+
+    def __init__(self, d: Dataset, cfg: LearnConfig, trace: LearnTrace, pvalue=None):
         self.trace = trace
         self.label = _resolve_test(d, cfg.test)
         self.order = {name: i for i, name in enumerate(d.names)}
+        self.pvalue = pvalue if pvalue is not None else _data_pvalue(d, cfg)
+        # the key keeps x and y in order: an mc-* seed depends on it
+        self.memo: dict[tuple, float] = {}
+        self.computed = 0
+        self.hits = 0
 
     def __call__(self, x: str, y: str, z, note: str = "") -> float:
         z = tuple(sorted(z, key=self.order.__getitem__))
-        seed = 0  # read by the mc-* labels only
-        if self.label.startswith("mc-"):
-            seed = np.random.SeedSequence(
-                [self.cfg.seed, self.order[x], self.order[y]]
-                + [self.order[c] for c in z])
-        res = ci_test(self.d, x, y, z, test=self.label, B=self.cfg.B, seed=seed)
-        self.trace.test(x, y, z, res.p_value, note)
-        return res.p_value
+        key = (x, y, z)
+        p = self.memo.get(key)
+        if p is None:
+            p = self.memo[key] = self.pvalue(x, y, z)
+            self.computed += 1
+        else:
+            self.hits += 1
+        self.trace.test(x, y, z, p, note)
+        return p
 
 
 def _trace_and_tester(d: Dataset, cfg: LearnConfig, trace, tester):
@@ -445,11 +469,17 @@ def _consistent(sets, forced_adj, trace, what) -> dict[str, set[str]]:
     return sets
 
 
-def constraint_learn(d: Dataset, cfg: LearnConfig) -> tuple[Graph, LearnTrace]:
-    """Run the configured constraint-based algorithm end to end."""
+def constraint_learn(d: Dataset, cfg: LearnConfig,
+                     pvalue=None) -> tuple[Graph, LearnTrace]:
+    """Run the configured constraint-based algorithm end to end.
+
+    pvalue(x, y, z) -> float, when given, answers every independence test
+    in place of cfg's test on the data (a d-separation oracle, say); z
+    arrives sorted in data-column order.
+    """
     cons = normalize_priors(cfg.priors, d.names)
     trace = LearnTrace(cfg.debug)
-    tester = _CITester(d, cfg, trace)
+    tester = _CITester(d, cfg, trace, pvalue)
     names = d.names
     order = tester.order
     forced_adj = cons.forced_adjacency()
@@ -517,6 +547,8 @@ def constraint_learn(d: Dataset, cfg: LearnConfig) -> tuple[Graph, LearnTrace]:
         try:
             Graph(names, directed | {choice})
         except CycleError:
+            if is_mmpc:  # the other learners' propagation reports the pair
+                trace.add("ambiguous", a, b, note="left undirected")
             continue
         undirected.discard(_pair(a, b))
         directed.add(choice)

@@ -3,8 +3,9 @@
 Datasets are homogeneous: either every column is categorical (discrete
 networks) or every column is numeric (Gaussian networks). A Dataset's
 columns never change after construction; derived statistics that several
-callers reuse (Gaussian moments, the correlation matrix, log-gamma tables)
-are filled in lazily, on first use, in its private memo.
+callers reuse (Gaussian moments, the correlation matrix, log-gamma tables,
+recent configuration codes) are filled in lazily, on first use, in its
+private memo.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import io
 import json
 import math
 import numbers
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,12 +285,39 @@ _CODE_SPACE_PER_ROW = 4
 _CODE_SPACE_BASE = 1024
 
 
+# Each dataset keeps the codes of its most recently used column tuples in at
+# most this many bytes: about 52 tuples at n = 5000.
+_CODE_CACHE_BYTES = 2 << 20
+
+
 def joint_config_codes(d: Dataset, names) -> tuple[np.ndarray, int]:
     """Dense 0..L-1 codes of the observed configurations of the given columns.
 
     Codes follow the mixed-radix order of the configurations (first column
-    most significant), as np.unique would number them.
+    most significant), as np.unique would number them. The codes are
+    read-only: the dataset keeps the most recently used ones, by the tuple
+    of names, and returns the same array while the tuple stays cached.
     """
+    key = tuple(names)
+    cache = d._memo.get("config-codes")
+    if cache is None:
+        cache = d._memo["config-codes"] = OrderedDict()
+    hit = cache.get(key)
+    if hit is not None:
+        cache.move_to_end(key)
+        return hit
+    codes, L = _config_codes(d, key)
+    codes.flags.writeable = False
+    capacity = _CODE_CACHE_BYTES // max(codes.nbytes, 1)
+    if capacity:
+        cache[key] = codes, L
+        if len(cache) > capacity:
+            cache.popitem(last=False)
+    return codes, L
+
+
+def _config_codes(d: Dataset, names) -> tuple[np.ndarray, int]:
+    """joint_config_codes without the cache."""
     names = list(names)
     if not names:
         return np.zeros(d.n, dtype=np.int64), 1

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, _check_integer
-from .graph import Graph, GraphError, Provenance, empty_graph
+from .graph import CycleError, Graph, GraphError, Provenance, empty_graph
 from .priors import Constraints, PriorKnowledge, PriorError, normalize_priors
 from .scores import ScoreCache, ScoreError, ScoreSpec, _cached_local, network_score
 from .trace import LearnTrace, TraceEvent
@@ -225,7 +225,6 @@ def _climb(g: Graph, d: Dataset, spec: ScoreSpec, cons: Constraints,
     rows: list[dict | None] = [None] * len(names)
     base = [0.0] * len(names)
     tests: dict[tuple, TraceEvent] = {}  # events are immutable, so one per move
-    record = trace.events.append
 
     def gain(v: int, u: int) -> float:
         row = rows[v]
@@ -244,6 +243,8 @@ def _climb(g: Graph, d: Dataset, spec: ScoreSpec, cons: Constraints,
         # score-equivalent moves differ only by rounding noise; requiring a
         # clear margin keeps the canonical (first-enumerated) move
         threshold = best_delta + _TIE_EPS * max(1.0, abs(best_delta))
+        evaluated: list[TraceEvent] = []
+        record = evaluated.append
         for move in dag.moves():
             kind, u, v = move
             # same operand order as score_delta, so deltas are bit-identical
@@ -257,6 +258,7 @@ def _climb(g: Graph, d: Dataset, spec: ScoreSpec, cons: Constraints,
                 best_move = move
                 best_delta = delta
                 threshold = best_delta + _TIE_EPS * max(1.0, abs(best_delta))
+        trace.add_tests(evaluated)
         if best_move is None:
             break
         kind, u, v = best_move
@@ -280,15 +282,22 @@ def _starting_graph(d: Dataset, cfg: HillClimbConfig, cons: Constraints) -> Grap
     for u, v in g.directed_arcs:
         if not cons.arc_allowed(u, v):
             raise PriorError(f"start graph violates the blacklist on {u} -> {v}")
-    directed = set(g.directed_arcs)
-    directed |= cons.forced_arcs
-    for a, b in sorted(cons.required_edges):
-        if (a, b) not in directed and (b, a) not in directed:
-            directed.add((a, b))
+    directed = set(g.directed_arcs) | cons.forced_arcs
     try:
-        return Graph(d.names, directed)
+        Graph(d.names, directed)
     except GraphError as exc:
         raise PriorError(f"priors conflict with the start graph: {exc}") from None
+    # a required edge a - b (normalize_priors forbids neither orientation)
+    # becomes a -> b unless b already reaches a; then b -> a closes no cycle
+    for a, b in sorted(cons.required_edges):
+        if (a, b) in directed or (b, a) in directed:
+            continue
+        try:
+            Graph(d.names, directed | {(a, b)})
+        except CycleError:
+            a, b = b, a
+        directed.add((a, b))
+    return Graph(d.names, directed)
 
 
 def hill_climb(d: Dataset, cfg: HillClimbConfig) -> tuple[Graph, LearnTrace]:

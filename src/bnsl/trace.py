@@ -23,15 +23,23 @@ class LearnTrace:
         self.events: list[TraceEvent] = []
         self.debug = debug
         self.stream = stream if stream is not None else sys.stderr
+        self._tests = 0
 
     @property
     def test_counter(self) -> int:
-        return sum(1 for e in self.events if e.kind == "test")
+        return self._tests
 
     def add(self, kind: str, x=None, y=None, z=(), p_value=None, note="") -> TraceEvent:
         event = TraceEvent(kind, x, y, tuple(z), p_value, note)
         self.events.append(event)
+        if kind == "test":
+            self._tests += 1
         return event
+
+    def add_tests(self, events: list[TraceEvent]) -> None:
+        """Append test events built elsewhere; hill-climbing shares one per move."""
+        self.events.extend(events)
+        self._tests += len(events)
 
     def test(self, x: str, y: str, z, p_value: float, note: str = "") -> None:
         self.add("test", x, y, z, p_value, note)

@@ -3,6 +3,8 @@
 A change here must be deliberate and written down in CHANGES.md.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,15 @@ CLI_FLAGS = {
 
 def test_public_names_unchanged():
     assert sorted(bnsl.__all__) == sorted(PUBLIC_NAMES)
+
+
+def test_constraint_learn_parameters_unchanged():
+    params = inspect.signature(bnsl.constraint_learn).parameters
+    assert [(p.name, p.kind, p.default) for p in params.values()] == [
+        ("d", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("cfg", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("pvalue", inspect.Parameter.POSITIONAL_OR_KEYWORD, None),
+    ]
 
 
 def test_cli_flags_unchanged():

@@ -10,12 +10,12 @@ import pytest
 
 import bnsl
 from bnsl import (ALGORITHMS, DataError, Dataset, Graph, LearnConfig,
-                  PriorKnowledge, TestError, TestResult, ci_test,
+                  PriorKnowledge, TestError, ci_test,
                   constraint_learn, forward_sample, learn_markov_blanket,
                   neighbourhood_from_mb, orient_vstructures, parse_modelstring,
                   symmetry_correction)
 from bnsl.data import CategoricalColumn, DiscreteCPT, FittedNetwork, LinearGaussian
-from bnsl.networks import SIXNODE_MODEL, alarm, sixnode
+from bnsl.networks import SIXNODE_MODEL, alarm, alarm_fitted, sixnode
 
 from helpers import (dsep, perfbench_module, prior_violations, random_dag,
                      random_discrete_dataset, random_priors)
@@ -225,6 +225,9 @@ class TestConstraintLearn:
         assert ("A", "B") in g.undirected_arcs
         assert not any(e.kind == "prior-orient" and (e.x, e.y) == ("A", "B")
                        for e in trace.events)
+        # mmpc runs no direction propagation, so this step reports the pair
+        ambiguous = [(e.x, e.y, e.note) for e in trace.events if e.kind == "ambiguous"]
+        assert ambiguous == [("A", "B", "left undirected")]
 
     def test_whitelist_adds_edge(self, sample):
         pr = PriorKnowledge(whitelist=[("C", "F"), ("F", "C")])
@@ -286,6 +289,19 @@ class TestTrace:
         assert trace.test_counter == sum(
             1 for e in trace.events if e.kind == "test")
 
+    def test_counter_counts_every_kind_of_append(self):
+        from bnsl.trace import LearnTrace, TraceEvent
+        tr = LearnTrace()
+        shared = TraceEvent("test", "A", "B", note="add")
+        for k in range(30):
+            if k % 3 == 0:
+                tr.test("A", "B", ("C",), 0.5)
+            elif k % 3 == 1:
+                tr.add(["move", "test", "vstructure", "ambiguous"][k % 4], "A", "B")
+            else:
+                tr.add_tests([shared] * (k % 5))
+            assert tr.test_counter == sum(1 for e in tr.events if e.kind == "test")
+
     def test_events_replay_to_same_pvalue(self, sample):
         cfg = LearnConfig(algorithm="gs")
         _, trace = constraint_learn(sample, cfg)
@@ -321,6 +337,56 @@ class TestTrace:
         lines = trace.lines()
         assert len(lines) == len(trace.events)
         assert any(line.startswith("test\t") for line in lines)
+
+
+# -- the injected tester -------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def tester_data():
+    return {"sixnode": forward_sample(sixnode(), 3000, seed=1),
+            "alarm": forward_sample(alarm_fitted(1), 2000, seed=2)}
+
+
+@pytest.mark.parametrize("data", ["sixnode", "alarm"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_injected_pvalue_runs_once_per_distinct_test(tester_data, data, algorithm):
+    from bnsl.constraint import _data_pvalue
+    d = tester_data[data]
+    cfg = LearnConfig(algorithm=algorithm)
+    default = _data_pvalue(d, cfg)
+    calls = []
+
+    def counted(x, y, z):
+        calls.append((x, y, z))
+        return default(x, y, z)
+
+    g, trace = constraint_learn(d, cfg, pvalue=counted)
+    tests = [(e.x, e.y, e.z) for e in trace.events if e.kind == "test"]
+    assert sorted(calls) == sorted(set(tests))
+    # the same run as the default tester's, repeats included
+    want_g, want_trace = constraint_learn(d, cfg)
+    assert g == want_g and g.provenance.ntests == want_g.provenance.ntests == len(tests)
+    assert trace.lines() == want_trace.lines()
+
+
+def test_tester_answers_repeats_from_its_memo():
+    from bnsl.constraint import _CITester
+    from bnsl.trace import LearnTrace
+    d = forward_sample(sixnode(), 500, seed=3)
+    calls = []
+
+    def pvalue(x, y, z):
+        calls.append((x, y, z))
+        return 0.25 * len(calls)
+
+    tr = LearnTrace()
+    tester = _CITester(d, LearnConfig(), tr, pvalue)
+    assert tester("A", "B", ["F", "C"]) == 0.25
+    assert tester("A", "B", ("C", "F"), note="again") == 0.25  # z sorted: a repeat
+    assert tester("B", "A", ("C", "F")) == 0.5  # the key keeps x and y in order
+    assert calls == [("A", "B", ("C", "F")), ("B", "A", ("C", "F"))]
+    assert (tester.computed, tester.hits, tr.test_counter) == (2, 1, 3)
+    assert tr.lines()[1] == "test\tA\tB\tC F\t0.25\tagain"
 
 
 # -- priors on learned graphs ------------------------------------------------------------
@@ -447,15 +513,15 @@ def test_golden_trace(run, golden_data):
 
 # -- d-separation oracle ---------------------------------------------------------------
 
-def _learn_with_oracle(monkeypatch, dag, algorithm, optimized):
+def _learn_with_oracle(dag, algorithm, optimized):
     """Learn on a placeholder sample with every CI test answered by d-separation."""
-    def oracle(d, x, y, z=(), test=None, B=None, seed=None):
-        return TestResult(test, 0.0, 1.0 if dsep(dag, x, y, z) else 0.0)
+    def oracle(x, y, z):
+        return 1.0 if dsep(dag, x, y, z) else 0.0
 
-    monkeypatch.setattr(bnsl.constraint, "ci_test", oracle)
     rng = np.random.default_rng(len(dag.nodes))
     d = random_discrete_dataset(rng, dag.nodes, 200)
-    g, _ = constraint_learn(d, LearnConfig(algorithm=algorithm, optimized=optimized))
+    g, _ = constraint_learn(d, LearnConfig(algorithm=algorithm, optimized=optimized),
+                            pvalue=oracle)
     return g
 
 
@@ -486,9 +552,9 @@ ORACLE_DAGS = [random_dag(np.random.default_rng(71 + k), 3 + k % 6) for k in ran
 
 @pytest.mark.parametrize("optimized", [True, False])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_oracle_recovers_the_cpdag(monkeypatch, algorithm, optimized):
+def test_oracle_recovers_the_cpdag(algorithm, optimized):
     for dag in ORACLE_DAGS:
-        g = _learn_with_oracle(monkeypatch, dag, algorithm, optimized)
+        g = _learn_with_oracle(dag, algorithm, optimized)
         assert (g.directed_arcs, g.undirected_arcs) == _expected(dag, algorithm), \
             dag.directed_arcs
 
@@ -496,7 +562,7 @@ def test_oracle_recovers_the_cpdag(monkeypatch, algorithm, optimized):
 # mmpc is left out: under a 0/1 oracle every max p-value ties at 0, so the
 # candidate set grows in column order and the subset search explodes
 @pytest.mark.parametrize("algorithm", ["gs", "iamb", "fast-iamb", "inter-iamb"])
-def test_oracle_recovers_the_alarm_cpdag(monkeypatch, algorithm):
+def test_oracle_recovers_the_alarm_cpdag(algorithm):
     dag = alarm()
-    g = _learn_with_oracle(monkeypatch, dag, algorithm, True)
+    g = _learn_with_oracle(dag, algorithm, True)
     assert (g.directed_arcs, g.undirected_arcs) == _expected(dag, algorithm)

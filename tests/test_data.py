@@ -290,6 +290,28 @@ class TestConfigCodes:
         codes, L = joint_config_codes(d, ["Z2", "Z1"])
         assert L == 4 and codes.tolist() == [2, 0, 2, 3, 0, 1]
 
+    def test_cache_returns_the_uncached_codes_within_its_byte_cap(self):
+        d = forward_sample(alarm_fitted(1), 20000, seed=12)
+        capacity = bnsl.data._CODE_CACHE_BYTES // (8 * d.n)
+        rng = np.random.default_rng(13)
+        pool = list(d.names[:9])  # few columns, so sets recur and get evicted
+        seen = set()
+        for _ in range(6 * capacity):
+            z = tuple(str(v) for v in rng.choice(pool, size=int(rng.integers(0, 4)),
+                                                 replace=False))
+            codes, L = joint_config_codes(d, z)
+            want, want_L = bnsl.data._config_codes(d, z)
+            assert L == want_L and codes.dtype == want.dtype
+            assert codes.tobytes() == want.tobytes()
+            assert not codes.flags.writeable
+            with pytest.raises(ValueError):
+                codes[0] = 1
+            cache = d._memo["config-codes"]
+            assert sum(c.nbytes for c, _ in cache.values()) <= bnsl.data._CODE_CACHE_BYTES
+            assert cache[z][0] is codes  # the latest set is always kept
+            seen.add(z)
+        assert len(seen) > capacity and len(cache) == capacity
+
 
 class TestCorrelation:
     def test_self_correlation(self):

@@ -311,6 +311,14 @@ class TestHillClimb:
             cons = normalize_priors(priors, sample.names)
             assert prior_violations(g, cons) == [], priors
 
+    def test_required_edge_oriented_to_keep_the_start_acyclic(self, sample):
+        # C -> B -> A is forced, so the required edge A - C can only be C -> A
+        pr = PriorKnowledge(whitelist=[("A", "C"), ("C", "A"), ("C", "B"), ("B", "A")])
+        g, _ = hill_climb(sample, HillClimbConfig(score="bic", priors=pr))
+        cons = normalize_priors(pr, sample.names)
+        assert ("C", "A") in g.directed_arcs
+        assert prior_violations(g, cons) == []
+
     def test_start_graph_violating_priors(self, sample):
         pr = PriorKnowledge(blacklist=[("A", "B")])
         start = parse_modelstring(SIXNODE_MODEL, nodes=sample.names)
