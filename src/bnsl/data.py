@@ -321,17 +321,18 @@ def _config_codes(d: Dataset, names) -> tuple[np.ndarray, int]:
     names = list(names)
     if not names:
         return np.zeros(d.n, dtype=np.int64), 1
-    radix = [len(d.levels(name)) for name in names]
+    columns = [d._col(name, CategoricalColumn) for name in names]
+    radix = [len(c.levels) for c in columns]
     space = math.prod(radix)
     if space <= _CODE_SPACE_PER_ROW * d.n + _CODE_SPACE_BASE:
-        code = _parent_config_index(radix, [d.codes(name) for name in names], d.n)
+        code = _parent_config_index(radix, [c.codes for c in columns], d.n)
         rank = np.cumsum(np.bincount(code, minlength=space) > 0) - 1
         return rank[code], int(rank[-1]) + 1
-    combined = d.codes(names[0]).copy()
-    for name, r in zip(names[1:], radix[1:]):
+    combined = columns[0].codes.copy()
+    for c, r in zip(columns[1:], radix[1:]):
         if combined.max(initial=0) > (2**62) // r:
             _, combined = np.unique(combined, return_inverse=True)
-        combined = combined * r + d.codes(name)
+        combined = combined * r + c.codes
     uniq, dense = np.unique(combined, return_inverse=True)
     return dense.astype(np.int64), int(uniq.size)
 
@@ -459,9 +460,12 @@ def _regress(d: Dataset, name: str, z) -> tuple[np.ndarray, np.ndarray]:
 
 def _parent_config_index(level_counts, parent_codes, n: int) -> np.ndarray:
     """Mixed-radix index of n parent configurations, first parent most significant."""
-    idx = np.zeros(n, dtype=np.int64)
-    for r, codes in zip(level_counts, parent_codes):
-        idx = idx * r + codes
+    if not parent_codes:
+        return np.zeros(n, dtype=np.int64)
+    idx = np.array(parent_codes[0], dtype=np.int64)  # a copy, then built in place
+    for r, codes in zip(level_counts[1:], parent_codes[1:]):
+        idx *= r
+        idx += codes
     return idx
 
 
@@ -470,14 +474,17 @@ _MAX_PARENT_CONFIGS = 1 << 24
 
 def family_counts(d: Dataset, node: str, parents) -> tuple[np.ndarray, int]:
     """Counts (node levels x all q parent configurations, mixed radix) and q."""
-    R = len(d.levels(node))
-    q = math.prod(len(d.levels(p)) for p in parents)
+    column = d._col(node, CategoricalColumn)
+    columns = [d._col(p, CategoricalColumn) for p in parents]
+    R = len(column.levels)
+    radix = [len(c.levels) for c in columns]
+    q = math.prod(radix)
     if q > _MAX_PARENT_CONFIGS:
         raise DataError(f"parent configuration space of {node!r} is too large")
-    cfg = _parent_config_index([len(d.levels(p)) for p in parents],
-                               [d.codes(p) for p in parents], d.n)
-    counts = np.bincount(d.codes(node) * q + cfg, minlength=R * q).reshape(R, q)
-    return counts, q
+    # the node is the most significant digit: index = node * q + configuration
+    idx = _parent_config_index([R] + radix, [column.codes] + [c.codes for c in columns],
+                               d.n)
+    return np.bincount(idx, minlength=R * q).reshape(R, q), q
 
 
 # -- fitted networks ------------------------------------------------------------------

@@ -7,9 +7,11 @@ runs are exactly reproducible. Random restarts perturb the local optimum
 with random legal moves and climb again, keeping the best graph seen.
 
 A move changes the parent sets of one node (add, delete) or two (reverse),
-so the search keeps, for every node v, the gains of toggling each u in or
-out of v's parent set and drops only the rows of the nodes a move touched.
-Legality is read from descendant bitmasks, recomputed once per applied move.
+so the search keeps an n×n array of the gains of toggling each u in or out
+of each v's parent set, and clears only the rows of the nodes a move
+touched. Legal moves are boolean masks built from the adjacency, the
+reachability (recomputed once per applied move) and the priors; one rule
+serves enumerate_moves, the perturbations and the climb.
 """
 
 from __future__ import annotations
@@ -64,9 +66,10 @@ class HillClimbConfig:
 class _Dag:
     """A fully directed acyclic graph that the search edits in place.
 
-    Nodes are numbered in label order, so walking moves by kind, then by
-    (from, to) number, walks them in the canonical order. desc[x] is the
-    bitmask of x's proper descendants and adj[x] that of its neighbours.
+    Nodes are numbered in label order. A[u, v] holds the arc u -> v and
+    R[a, b] says that b is a proper descendant of a; R is recomputed once
+    per applied move. The prior masks say which adds the priors allow and
+    which arcs may not be deleted or reversed.
     """
 
     def __init__(self, g: Graph, cons: Constraints | None):
@@ -76,98 +79,72 @@ class _Dag:
         index = {name: i for i, name in enumerate(names)}
         k = len(names)
         self.parents = [g.parents(name) for name in names]  # labels, for scoring
-        self.children = [{index[c] for c in g.children(name)} for name in names]
-        self.adj = [0] * k
-        self.arcs = set()
-        for u, v in g.directed_arcs:
-            self._link(index[u], index[v])
+
+        def mask(arcs) -> np.ndarray:
+            m = np.zeros((k, k), dtype=bool)
+            for u, v in arcs:
+                for x in (u, v):
+                    if x not in index:
+                        raise PriorError(f"priors name {x!r}, which is not a node "
+                                         "of the graph")
+                m[index[u], index[v]] = True
+            return m
 
         if cons is None:
             cons = normalize_priors(None, names)
-        forbidden = {(index[u], index[v]) for u, v in cons.forbidden_arcs}
-        # prior-allowed add targets per tail; arcs the priors pin in place
-        self.targets = [[v for v in range(k) if v != u and (u, v) not in forbidden]
-                        for u in range(k)]
-        required = {(index[a], index[b]) for a, b in cons.required_edges}
-        self.undeletable = ({(index[u], index[v]) for u, v in cons.forced_arcs}
-                            | required | {(b, a) for a, b in required})
-        self.irreversible = {(v, u) for u, v in forbidden}
-        self._descendants()
+        forbidden = mask(cons.forbidden_arcs)
+        required = mask(cons.required_edges)
+        self.allowed = ~forbidden & ~np.eye(k, dtype=bool)  # prior-allowed adds
+        self.undeletable = mask(cons.forced_arcs) | required | required.T
+        self.irreversible = forbidden.T  # reversing u -> v makes the arc v -> u
+        self.A = mask(g.directed_arcs)
+        self._reach()
 
-    def _link(self, u: int, v: int) -> None:
-        self.arcs.add((u, v))
-        self.children[u].add(v)
-        self.adj[u] |= 1 << v
-        self.adj[v] |= 1 << u
+    def _reach(self) -> None:
+        # transitive closure by squaring: each pass doubles the path length
+        R = self.A.copy()
+        while True:
+            f = R.astype(np.float32)
+            closer = R | (f @ f > 0)
+            if np.array_equal(closer, R):
+                break
+            R = closer
+        self.R = R
 
-    def _unlink(self, u: int, v: int) -> None:
-        self.arcs.discard((u, v))
-        self.children[u].discard(v)
-        self.adj[u] &= ~(1 << v)
-        self.adj[v] &= ~(1 << u)
+    def legal(self) -> np.ndarray:
+        """Legal moves as a (kind, from, to) boolean array over node numbers.
 
-    def _descendants(self) -> None:
-        children = self.children
-        indegree = [len(p) for p in self.parents]
-        order = [x for x, n in enumerate(indegree) if n == 0]
-        for x in order:  # Kahn's algorithm; order grows while it is walked
-            for c in children[x]:
-                indegree[c] -= 1
-                if indegree[c] == 0:
-                    order.append(c)
-        desc = [0] * len(children)
-        for x in reversed(order):
-            mask = 0
-            for c in children[x]:
-                mask |= desc[c] | 1 << c
-            desc[x] = mask
-        self.desc = desc
-
-    def moves(self):
-        """Legal (kind, from, to) moves as node numbers, in the canonical order.
-
+        Its row-major nonzero entries list the moves in the canonical order.
         An add u -> v is legal when u and v are not adjacent and v does not
         reach u; a reverse of u -> v when no other child of u reaches v.
         """
-        desc, adj, children = self.desc, self.adj, self.children
-        for u, targets in enumerate(self.targets):
-            near = adj[u]
-            for v in targets:
-                if not (near >> v & 1 or desc[v] >> u & 1):
-                    yield _ADD, u, v
-        arcs = sorted(self.arcs)
-        for u, v in arcs:
-            if (u, v) not in self.undeletable:
-                yield _DELETE, u, v
-        for u, v in arcs:
-            if (u, v) in self.irreversible:
-                continue
-            others = 0
-            for c in children[u]:
-                if c != v:
-                    others |= desc[c]
-            if not others >> v & 1:
-                yield _REVERSE, u, v
+        A, R = self.A, self.R
+        add = self.allowed & ~(A | A.T) & ~R.T
+        delete = A & ~self.undeletable
+        # bypassed[u, v]: some child of u reaches v (float32, so BLAS multiplies)
+        bypassed = A.astype(np.float32) @ R.astype(np.float32) > 0
+        reverse = A & ~self.irreversible & ~bypassed
+        return np.stack([add, delete, reverse])
 
     def apply(self, kind: int, u: int, v: int) -> None:
         names, parents = self.names, self.parents
         if kind == _ADD:
-            self._link(u, v)
+            self.A[u, v] = True
             parents[v] = parents[v] | {names[u]}
         elif kind == _DELETE:
-            self._unlink(u, v)
+            self.A[u, v] = False
             parents[v] = parents[v] - {names[u]}
         else:
-            self._unlink(u, v)
-            self._link(v, u)
+            self.A[u, v] = False
+            self.A[v, u] = True
             parents[v] = parents[v] - {names[u]}
             parents[u] = parents[u] | {names[v]}
-        self._descendants()
+        self._reach()
 
     def graph(self, g: Graph) -> Graph:
         names = self.names
-        return Graph(g.nodes, [(names[u], names[v]) for u, v in self.arcs], (),
-                     g.provenance)
+        return Graph(g.nodes, [(names[u], names[v])
+                               for u, v in np.argwhere(self.A).tolist()], (), g.provenance)
 
 
 def enumerate_moves(g: Graph, cons: Constraints | None = None) -> list[tuple[str, str, str]]:
@@ -179,7 +156,8 @@ def enumerate_moves(g: Graph, cons: Constraints | None = None) -> list[tuple[str
     """
     dag = _Dag(g, cons)
     names = dag.names
-    return [(_KINDS[kind], names[u], names[v]) for kind, u, v in dag.moves()]
+    return [(_KINDS[kind], names[u], names[v])
+            for kind, u, v in np.argwhere(dag.legal()).tolist()]
 
 
 def apply_move(g: Graph, move: tuple[str, str, str]) -> Graph:
@@ -201,11 +179,14 @@ def perturb_graph(g: Graph, k: int, cons: Constraints | None,
                   seed) -> tuple[Graph, int]:
     """Apply k uniformly random legal moves; returns the graph and how many applied.
 
-    Fewer than k moves means the move set ran dry (flagged via the count).
+    seed is an integer of at least 0 or a numpy Generator, which is drawn
+    from in place. Fewer than k moves means the move set ran dry (flagged
+    via the count).
     """
-    if k < 1:
-        raise ScoreError("perturb count must be at least 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    _check_integer("k", k, 1, ScoreError)
+    if not isinstance(seed, np.random.Generator):
+        _check_integer("seed", seed, 0, ScoreError)
+    rng = np.random.default_rng(seed)
     applied = 0
     for _ in range(k):
         moves = enumerate_moves(g, cons)
@@ -221,51 +202,61 @@ def _climb(g: Graph, d: Dataset, spec: ScoreSpec, cons: Constraints,
            max_iterations: int) -> tuple[Graph, float]:
     dag = _Dag(g, cons)
     names, parents = dag.names, dag.parents
-    # rows[v][u] = local(v, pa(v) ^ {u}) - local(v, pa(v)), filled on demand
-    rows: list[dict | None] = [None] * len(names)
-    base = [0.0] * len(names)
-    tests: dict[tuple, TraceEvent] = {}  # events are immutable, so one per move
+    k = len(names)
+    # gain[v, u] = local(v, pa(v) ^ {u}) - local(v, pa(v)), NaN until filled
+    gain = np.full((k, k), np.nan)
+    base: list[float | None] = [None] * k
+    # one immutable test event per move, made the first time the move is legal
+    events = np.empty((3, k, k), dtype=object)
+    made = np.zeros((3, k, k), dtype=bool)
+    # score-equivalent moves differ only by rounding noise; requiring a clear
+    # margin over the best delta so far keeps the canonical (first) move
+    opening = _IMPROVEMENT_EPS + _TIE_EPS * max(1.0, _IMPROVEMENT_EPS)
 
-    def gain(v: int, u: int) -> float:
-        row = rows[v]
-        if row is None:
-            row = rows[v] = {}
-            base[v] = _cached_local(names[v], parents[v], d, spec, cache)
-        value = row.get(u)
-        if value is None:
-            value = row[u] = (_cached_local(names[v], parents[v] ^ {names[u]},
-                                            d, spec, cache) - base[v])
-        return value
+    def fill(v: int, u: int) -> None:
+        if gain[v, u] != gain[v, u]:  # NaN
+            if base[v] is None:
+                base[v] = _cached_local(names[v], parents[v], d, spec, cache)
+            gain[v, u] = (_cached_local(names[v], parents[v] ^ {names[u]},
+                                        d, spec, cache) - base[v])
 
     for _ in range(max_iterations):
-        best_move = None
-        best_delta = _IMPROVEMENT_EPS
-        # score-equivalent moves differ only by rounding noise; requiring a
-        # clear margin keeps the canonical (first-enumerated) move
-        threshold = best_delta + _TIE_EPS * max(1.0, abs(best_delta))
-        evaluated: list[TraceEvent] = []
-        record = evaluated.append
-        for move in dag.moves():
-            kind, u, v = move
-            # same operand order as score_delta, so deltas are bit-identical
-            delta = gain(v, u) if kind != _REVERSE else gain(v, u) + gain(u, v)
-            event = tests.get(move)
-            if event is None:
-                event = tests[move] = TraceEvent("test", names[u], names[v],
-                                                 note=_KINDS[kind])
-            record(event)
+        legal = dag.legal()
+        # fill the entries the legal moves read, in the canonical move order:
+        # gain[v, u] for every move u -> v, and gain[u, v] too for a reverse
+        missing = np.isnan(gain)
+        stale = np.stack([missing.T, missing.T, missing.T | missing])
+        for kind, u, v in np.argwhere(legal & stale).tolist():
+            fill(v, u)
+            if kind == _REVERSE:
+                fill(u, v)
+        new = legal & ~made
+        for kind, u, v in np.argwhere(new).tolist():
+            events[kind, u, v] = TraceEvent("test", names[u], names[v],
+                                            note=_KINDS[kind])
+        made |= new
+        trace.add_tests(events[legal].tolist())
+
+        kinds, us, vs = np.nonzero(legal)
+        # same operand order as score_delta, so deltas are bit-identical
+        deltas = gain[vs, us]
+        reverse = kinds == _REVERSE
+        deltas[reverse] += gain[us[reverse], vs[reverse]]
+        best, best_delta, threshold = None, _IMPROVEMENT_EPS, opening
+        for i in np.flatnonzero(deltas > opening).tolist():
+            delta = float(deltas[i])
             if delta > threshold:
-                best_move = move
-                best_delta = delta
+                best, best_delta = i, delta
                 threshold = best_delta + _TIE_EPS * max(1.0, abs(best_delta))
-        trace.add_tests(evaluated)
-        if best_move is None:
+        if best is None:
             break
-        kind, u, v = best_move
+        kind, u, v = int(kinds[best]), int(us[best]), int(vs[best])
         dag.apply(kind, u, v)
-        rows[v] = None
+        gain[v] = np.nan
+        base[v] = None
         if kind == _REVERSE:
-            rows[u] = None
+            gain[u] = np.nan
+            base[u] = None
         trace.add("move", names[u], names[v], p_value=best_delta, note=_KINDS[kind])
         trace.say(f"* applying {_KINDS[kind]} {names[u]} -> {names[v]} "
                   f"( delta: {best_delta:g} )")

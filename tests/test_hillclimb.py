@@ -80,6 +80,32 @@ def _dependent_data(rng, dag, n_rows, discrete):
     return Dataset(dag.nodes, cols)
 
 
+def _check_against_brute_force(rng, n_nodes, p_edge, trials):
+    """enumerate_moves equals the moves whose result (built by apply_move) is a
+    DAG that keeps the priors, in the canonical order."""
+    for trial in range(trials):
+        g = random_dag(rng, n_nodes, p_edge=p_edge)
+        cons = normalize_priors(_priors_fitting(rng, g) if trial % 4 else None,
+                                g.nodes)
+        g = Graph(g.nodes, g.directed_arcs | cons.forced_arcs | cons.required_edges)
+        expected = []
+        for u in g.nodes:
+            for v in g.nodes:
+                if u == v:
+                    continue
+                present = (u, v) in g.directed_arcs
+                if not present and (v, u) in g.directed_arcs:
+                    continue
+                for kind in (("delete", "reverse") if present else ("add",)):
+                    try:
+                        h = apply_move(g, (kind, u, v))
+                    except CycleError:
+                        continue
+                    if _respects(h, cons):
+                        expected.append((kind, u, v))
+        assert enumerate_moves(g, cons) == _canonical(expected)
+
+
 def _reference_hill_climb(d, cfg):
     """The search as a plain loop: every move from enumerate_moves, scored by
     score_delta, the first of any near-tie kept; restarts as in hill_climb."""
@@ -159,29 +185,24 @@ class TestEnumerateMoves:
         assert kinds == sorted(kinds, key=["add", "delete", "reverse"].index)
 
     def test_matches_brute_force(self):
-        # legal = apply_move builds a DAG that keeps the priors; order canonical
-        rng = np.random.default_rng(73)
-        for trial in range(40):
-            g = random_dag(rng, 6, p_edge=0.4)
-            cons = normalize_priors(_priors_fitting(rng, g) if trial % 4 else None,
-                                    g.nodes)
-            g = Graph(g.nodes, g.directed_arcs | cons.forced_arcs | cons.required_edges)
-            expected = []
-            for u in g.nodes:
-                for v in g.nodes:
-                    if u == v:
-                        continue
-                    present = (u, v) in g.directed_arcs
-                    if not present and (v, u) in g.directed_arcs:
-                        continue
-                    for kind in (("delete", "reverse") if present else ("add",)):
-                        try:
-                            h = apply_move(g, (kind, u, v))
-                        except CycleError:
-                            continue
-                        if _respects(h, cons):
-                            expected.append((kind, u, v))
-            assert enumerate_moves(g, cons) == _canonical(expected)
+        _check_against_brute_force(np.random.default_rng(73), 6, 0.4, 40)
+
+    @pytest.mark.parametrize("n_nodes,p_edge,trials", [
+        (9, 0.3, 10), (12, 0.25, 6), (17, 0.15, 4), (20, 0.12, 3), (70, 0.04, 2)])
+    def test_matches_brute_force_past_a_byte_and_a_word(self, n_nodes, p_edge, trials):
+        # node counts around 8, 16 and 64 cross the width of a byte and a word
+        _check_against_brute_force(np.random.default_rng(n_nodes), n_nodes, p_edge,
+                                   trials)
+
+    @pytest.mark.parametrize("listed", ["whitelist", "blacklist"])
+    def test_prior_naming_an_unknown_node(self, listed):
+        cons = normalize_priors(PriorKnowledge(**{listed: ArcList((("A", "D"),))}),
+                                ("A", "B", "C", "D"))
+        g = empty_graph(("A", "B", "C"))
+        with pytest.raises(PriorError, match="'D'"):
+            enumerate_moves(g, cons)
+        with pytest.raises(PriorError, match="'D'"):
+            perturb_graph(g, 1, cons, 0)
 
     def test_rejects_pdag(self):
         from bnsl.graph import set_undirected
@@ -213,8 +234,20 @@ class TestPerturb:
         assert out == g
 
     def test_k_validation(self):
+        g = empty_graph(("A", "B"))
         with pytest.raises(ScoreError):
-            perturb_graph(empty_graph(("A", "B")), 0, None, seed=0)
+            perturb_graph(g, 0, None, seed=0)
+        for field, value in [("k", 2.5), ("k", True), ("k", "1"), ("seed", -1),
+                             ("seed", 2.5), ("seed", True), ("seed", None)]:
+            args = {"k": 1, "seed": 0, field: value}
+            with pytest.raises(ScoreError, match=f"{field} must be an integer"):
+                perturb_graph(g, args["k"], None, args["seed"])
+
+    def test_accepts_a_generator_and_numpy_integers(self):
+        g = empty_graph(("A", "B", "C"))
+        a, _ = perturb_graph(g, np.int64(2), None, np.random.default_rng(4))
+        b, _ = perturb_graph(g, 2, None, np.uint8(4))
+        assert a == b
 
 
 class TestIncrementalSearch:
@@ -237,6 +270,22 @@ class TestIncrementalSearch:
             assert g == ref_graph
             assert g.provenance.ntests == ref_trace.test_counter
             assert network_score(g, d, cfg.score) == ref_score
+
+    def test_identical_to_reference_climb_at_thirty_nodes(self):
+        rng = np.random.default_rng(30)
+        truth = random_dag(rng, 30, p_edge=0.08)
+        d = _dependent_data(rng, truth, 300, discrete=True)
+        start = random_dag(rng, 30, p_edge=0.05)
+        cfg = HillClimbConfig(score="bic", priors=_priors_fitting(rng, start),
+                              start=start, restarts=2, perturb=4, seed=5)
+        ref_graph, ref_score, ref_trace = _reference_hill_climb(d, cfg)
+        g, trace = hill_climb(d, cfg)
+        kinds = [e.kind for e in trace.events]
+        assert kinds.count("move") > 10 and kinds.count("restart") == 2
+        assert trace.events == ref_trace.events
+        assert g == ref_graph
+        assert g.provenance.ntests == ref_trace.test_counter
+        assert network_score(g, d, cfg.score) == ref_score
 
     def test_climb_score_identical_to_reference(self, sample):
         from bnsl.hillclimb import _climb
