@@ -57,8 +57,6 @@ class LearnConfig:
             raise TestError("alpha must lie strictly between 0 and 1")
         if self.test is not None and self.test not in TEST_LABELS:
             raise TestError(f"unknown test label {self.test!r}")
-        if self.test is not None and self.test.startswith("mc-") and self.B is None:
-            self.B = 1000
         if self.B is not None:
             _check_integer("B", self.B, 1, TestError)
         _check_integer("seed", self.seed, 0, TestError)

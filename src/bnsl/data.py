@@ -60,7 +60,10 @@ class Dataset:
         kinds = set()
         length = None
         for name in names:
-            col = columns[name]
+            try:
+                col = columns[name]
+            except KeyError:
+                raise DataError(f"no data for column {name!r}") from None
             if isinstance(col, CategoricalColumn):
                 kinds.add("categorical")
                 m = len(col.levels)
@@ -158,9 +161,9 @@ def _read_text(path) -> str:
 def _read_columns(text: str, path, what: str, delimiter: str | None = None):
     """Header, stripped columns and each row's file line of delimited text.
 
-    Blank rows are skipped. Text with no other row, a ragged row and an empty
-    cell are rejected; the message names the file as a `what` ("data", "arc")
-    file.
+    Blank rows are skipped. Text with no other row, an empty header field, a
+    ragged row and an empty cell are rejected; the message names the file as
+    a `what` ("data", "arc") file.
     """
     if delimiter is None:
         delimiter = _detect_delimiter(next((line for line in text.splitlines()
@@ -174,6 +177,9 @@ def _read_columns(text: str, path, what: str, delimiter: str | None = None):
     if not rows:
         raise DataError(f"{what} file {path} is empty")
     header = [h.strip() for h in rows[0]]
+    if "" in header:
+        raise DataError(f"empty column name in header field {header.index('') + 1}, "
+                        f"in {what} file {path}")
     ncol = len(header)
     body, lines = rows[1:], lines[1:]
     for row, line in zip(body, lines):
@@ -269,6 +275,11 @@ class ContingencyTable:
         return self.counts.sum(axis=(0, 1))  # n_{++k}, shape (L,)
 
 
+def _name_list(names) -> list[str]:
+    """Column names as a list; a single string names one column."""
+    return [names] if isinstance(names, str) else list(names)
+
+
 def _check_variables(d: Dataset, x: str, y: str, z) -> None:
     """Reject a test of x and y given z whose variables repeat or are unknown."""
     labels = [x, y, *z]
@@ -341,7 +352,7 @@ def contingency_counts(d: Dataset, x: str, y: str, z=()) -> ContingencyTable:
     """Exact n_ijk counts of x versus y within each observed z configuration."""
     if not d.discrete:
         raise DataError("contingency tables require a discrete dataset")
-    z = list(z)
+    z = _name_list(z)
     _check_variables(d, x, y, z)
     xc = d.codes(x)
     yc = d.codes(y)
@@ -387,7 +398,7 @@ def correlation_matrix(d: Dataset, names) -> np.ndarray:
     """Pearson correlations of the given numeric columns."""
     if d.discrete:
         raise DataError("correlations require a numeric dataset")
-    names = list(names)
+    names = _name_list(names)
     if d.n < 2:
         raise DataError("need at least 2 rows")
     index, _, sds, _ = _gaussian_moments(d)
@@ -401,12 +412,6 @@ def correlation_matrix(d: Dataset, names) -> np.ndarray:
     return _correlations(d)[idx[:, None], idx]
 
 
-def _has_zero_variance(d: Dataset, names) -> bool:
-    """Whether any of the given numeric columns is constant."""
-    index, _, sds, _ = _gaussian_moments(d)
-    return any(sds[index[c]] == 0.0 for c in names)
-
-
 def partial_correlation(d: Dataset, x: str, y: str, z=()) -> float:
     """Partial correlation of x and y given z from one Cholesky factor.
 
@@ -418,7 +423,7 @@ def partial_correlation(d: Dataset, x: str, y: str, z=()) -> float:
     linear function of z, the vanishing residuals define a zero partial
     correlation; other singularities are reported.
     """
-    z = list(z)
+    z = _name_list(z)
     _check_variables(d, x, y, z)
     if d.n <= len(z) + 2:
         raise DataError("not enough rows for the conditioning set")

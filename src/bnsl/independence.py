@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ContingencyTable, DataError, Dataset, _check_integer, \
-    _check_variables, _has_zero_variance, _regress, contingency_counts, partial_correlation
+    _check_variables, _name_list, _regress, contingency_counts, partial_correlation
 # re-exported: the benchmark's tracer (perfbench/tracing.py) wraps this name here
 from .data import joint_config_codes  # noqa: F401
 from .special import chi2_sf, normal_two_sided, student_t_two_sided
@@ -135,35 +135,37 @@ def table_test(t: ContingencyTable, kind: str) -> TestResult:
 
 # -- Gaussian statistics ------------------------------------------------------------
 
+# A Gaussian test needs n > |z| + k rows, k per label (an mc-* label as its twin).
+_EXTRA_ROWS = {"cor": 2, "zf": 3, "mi-g": 2}
+
+
 def gaussian_statistic(rho: float, n: int, zsize: int, kind: str) -> TestResult:
     """Asymptotic test of a partial correlation with |z| = zsize."""
     if math.isnan(rho):
         raise TestError("partial correlation is NaN")
     if abs(rho) > 1.0 + 1e-12:
         raise TestError("|rho| must not exceed 1")
+    if kind not in _EXTRA_ROWS:
+        raise TestError(f"unknown Gaussian test {kind!r}")
+    if n <= zsize + _EXTRA_ROWS[kind]:
+        raise TestError(f"{kind} requires n > |z| + {_EXTRA_ROWS[kind]}")
     rho = max(-1.0, min(1.0, rho))
     if kind == "cor":
         df = n - zsize - 2
-        if df <= 0:
-            raise TestError("cor requires n > |z| + 2")
         if abs(rho) == 1.0:
             return TestResult("cor", math.inf, 0.0, df=df, degenerate=True)
         t = rho * math.sqrt(df / (1.0 - rho * rho))
         return TestResult("cor", t, student_t_two_sided(t, df), df=df)
     if kind == "zf":
-        if n - zsize - 3 <= 0:
-            raise TestError("zf requires n > |z| + 3")
         if abs(rho) == 1.0:
             return TestResult("zf", math.copysign(math.inf, rho), 0.0,
                               df=float(n - zsize - 3), degenerate=True)
         z = 0.5 * math.sqrt(n - zsize - 3) * math.log((1.0 + rho) / (1.0 - rho))
         return TestResult("zf", z, normal_two_sided(z), df=float(n - zsize - 3))
-    if kind == "mi-g":
-        if abs(rho) == 1.0:
-            return TestResult("mi-g", math.inf, 0.0, df=1.0, degenerate=True)
-        stat = 2.0 * n * (-0.5 * math.log1p(-rho * rho))
-        return TestResult("mi-g", stat, chi2_sf(stat, 1.0), df=1.0)
-    raise TestError(f"unknown Gaussian test {kind!r}")
+    if abs(rho) == 1.0:
+        return TestResult("mi-g", math.inf, 0.0, df=1.0, degenerate=True)
+    stat = 2.0 * n * (-0.5 * math.log1p(-rho * rho))
+    return TestResult("mi-g", stat, chi2_sf(stat, 1.0), df=1.0)
 
 
 # -- Monte Carlo permutation tests -----------------------------------------------------
@@ -171,6 +173,9 @@ def gaussian_statistic(rho: float, n: int, zsize: int, kind: str) -> TestResult:
 # Replicates are drawn in chunks whose working arrays hold about this many
 # elements, so memory stays fixed whatever B is.
 _CHUNK_ELEMENTS = 2 ** 14
+
+# Replicates per Monte Carlo test when B is not given.
+_DEFAULT_REPLICATES = 1000
 
 
 def _check_seed(seed) -> None:
@@ -214,12 +219,12 @@ def _chunks(B: int, per_replicate: int):
 
 
 def permutation_pvalue(d: Dataset, x: str, y: str, z=(), kind: str = "mc-mi",
-                       B: int = 1000, seed=0) -> TestResult:
+                       B: int = _DEFAULT_REPLICATES, seed=0) -> TestResult:
     """Stratified/residual permutation test; p = (1 + #{s_b >= s0}) / (1 + B)."""
     _check_integer("B", B, 1, TestError)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
-    z = list(z)
+    z = _name_list(z)
     if kind in ("mc-mi", "mc-x2"):
         if not d.discrete:
             raise TestError(f"{kind} requires discrete data")
@@ -278,46 +283,38 @@ def _resolve_test(d: Dataset, test: str | None) -> str:
     return label
 
 
-# A Gaussian test needs n > |z| + k rows, k per label (an mc-* label as its twin).
-_EXTRA_ROWS = {"cor": 2, "zf": 3, "mi-g": 2}
-
-
-def _untestable(label: str) -> TestResult:
-    return TestResult(label, 0.0, 1.0, degenerate=True)
-
-
 def ci_test(d: Dataset, x: str, y: str, z=(), test: str | None = None,
             B: int | None = None, seed=0) -> TestResult:
     """Run the named conditional independence test of x and y given z.
 
     A Gaussian test that cannot establish dependence (too few rows for the
     label, a zero-variance column, a singular conditioning set) returns the
-    degenerate result p = 1. seed and a given B are checked whatever the label.
+    degenerate result p = 1; an mc-* label decides this as its asymptotic
+    twin does. seed and a given B are checked whatever the label.
     """
     if B is not None:
         _check_integer("B", B, 1, TestError)
     _check_seed(seed)
     label = _resolve_test(d, test)
-    z = list(z)
-    mc = label.startswith("mc-")
-    if label in CONTINUOUS_TESTS:
-        few = d.n <= len(z) + _EXTRA_ROWS[label.removeprefix("mc-")]
-        # a repeated or unknown variable is the caller's error, not a degenerate
-        # test; partial_correlation checks the variables of the other tests
-        if few or mc:
-            _check_variables(d, x, y, z)
-        # the asymptotic labels learn of a constant column from partial_correlation
-        if few or (mc and _has_zero_variance(d, [x, y, *z])):
-            return _untestable(label)
-    if mc:
-        return permutation_pvalue(d, x, y, z, kind=label,
-                                  B=1000 if B is None else B, seed=seed)
+    z = _name_list(z)
+    B = _DEFAULT_REPLICATES if B is None else B
     if label in DISCRETE_TESTS:
+        if label.startswith("mc-"):
+            return permutation_pvalue(d, x, y, z, kind=label, B=B, seed=seed)
         return table_test(contingency_counts(d, x, y, z), label)
-    try:
-        rho = partial_correlation(d, x, y, z)
-    except DataError:
-        _check_variables(d, x, y, z)  # raises again if the variables were at fault
-        # unidentifiable conditioning set: cannot establish dependence
-        return _untestable(label)
-    return gaussian_statistic(rho, d.n, len(z), label)
+    twin = label.removeprefix("mc-")
+    rho = None
+    if d.n > len(z) + _EXTRA_ROWS[twin]:
+        try:
+            rho = partial_correlation(d, x, y, z)
+        except DataError:  # a zero-variance column or a singular conditioning set
+            pass
+    if rho is None:
+        # a repeated or unknown variable is the caller's error, not a degenerate test
+        _check_variables(d, x, y, z)
+        return TestResult(label, 0.0, 1.0, degenerate=True)
+    if label == twin:
+        return gaussian_statistic(rho, d.n, len(z), label)
+    if rho == 0.0:  # every replicate ties with the observed statistic
+        return TestResult(label, 0.0, 1.0, replicates=B)
+    return permutation_pvalue(d, x, y, z, kind=label, B=B, seed=seed)

@@ -282,23 +282,16 @@ def score_delta(g: Graph, move, d: Dataset, spec: ScoreSpec,
     kind, u, v = move
     if spec.kind == "lik":
         raise ScoreError("delta scoring works on the log scale; use loglik")
-    pv = g.parents(v)
-    if kind == "add":
-        if (u, v) in g.directed_arcs or u == v:
-            raise ScoreError(f"illegal add {u} -> {v}")
-        return (_cached_local(v, pv | {u}, d, spec, cache)
-                - _cached_local(v, pv, d, spec, cache))
-    if kind == "delete":
-        if (u, v) not in g.directed_arcs:
-            raise ScoreError(f"illegal delete {u} -> {v}")
-        return (_cached_local(v, pv - {u}, d, spec, cache)
-                - _cached_local(v, pv, d, spec, cache))
+    if kind not in ("add", "delete", "reverse"):
+        raise ScoreError(f"unknown move kind {kind!r}")
+    if u == v or ((u, v) in g.directed_arcs) == (kind == "add"):
+        raise ScoreError(f"illegal {kind} {u} -> {v}")
+
+    def toggle(node, other):  # the gain of toggling other in node's parents
+        pa = g.parents(node)
+        return (_cached_local(node, pa ^ {other}, d, spec, cache)
+                - _cached_local(node, pa, d, spec, cache))
+
     if kind == "reverse":
-        if (u, v) not in g.directed_arcs:
-            raise ScoreError(f"illegal reverse {u} -> {v}")
-        pu = g.parents(u)
-        return ((_cached_local(v, pv - {u}, d, spec, cache)
-                 - _cached_local(v, pv, d, spec, cache))
-                + (_cached_local(u, pu | {v}, d, spec, cache)
-                   - _cached_local(u, pu, d, spec, cache)))
-    raise ScoreError(f"unknown move kind {kind!r}")
+        return toggle(v, u) + toggle(u, v)
+    return toggle(v, u)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class TraceEvent:
-    kind: str  # "test", "include", "exclude", "backtrack", "vstructure", ...
+    kind: str  # test, backtrack, vstructure, ambiguous, prior-orient, move, restart
     x: str | None = None
     y: str | None = None
     z: tuple[str, ...] = ()

@@ -184,11 +184,20 @@ class TestLearn:
         assert "empty cell in row 3, column 'B'" in err
         assert out == ""
 
+    def test_empty_header_field_exit_code(self, capsys, tmp_path):
+        bad = tmp_path / "unnamed.csv"
+        bad.write_text("A,,C\na,b,a\nb,a,b\n")
+        code, out, err = run_cli(capsys, "learn", str(bad))
+        assert code == 3
+        assert f"empty column name in header field 2, in data file {bad}" in err
+        assert out == ""
+
     @pytest.mark.parametrize("argv", [("modelstring", "ARCS"),
                                       ("learn", "DATA", "--whitelist", "ARCS")])
     @pytest.mark.parametrize("text, message", [
         ("from,to\nA,B\nC\n", "ragged row 3: expected 2 fields, got 1"),
-        ("from,to\nA,B\nC,\n", "empty cell in row 3, column 'to'")])
+        ("from,to\nA,B\nC,\n", "empty cell in row 3, column 'to'"),
+        ("from,\nA,B\n", "empty column name in header field 2")])
     def test_malformed_arc_file_exit_code(self, capsys, data_path, tmp_path, argv,
                                           text, message):
         arcs = tmp_path / "arcs.csv"
@@ -507,6 +516,14 @@ class TestExportAndModelstring:
         assert code == 3
         assert out == ""
         assert str(hdr) in err
+
+    def test_one_column_arc_file_rejected(self, capsys, tmp_path):
+        one = tmp_path / "one.csv"
+        one.write_text("from\nA\nB\n")
+        code, out, err = run_cli(capsys, "modelstring", str(one))
+        assert code == 3
+        assert f"arc file {one} needs two columns" in err
+        assert out == ""
 
     def test_cycle_message_propagates(self, capsys):
         code, _, err = run_cli(capsys, "modelstring", "[A|C][B|A][C|B]")

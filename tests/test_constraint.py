@@ -282,6 +282,14 @@ class TestConstraintLearn:
                                                 B=120, seed=9))
         assert g == g2
 
+    def test_monte_carlo_replicates_default_to_1000(self):
+        d = forward_sample(sixnode(), 300, seed=5)
+        g, trace = constraint_learn(d, LearnConfig(algorithm="gs", test="mc-mi", seed=2))
+        g2, trace2 = constraint_learn(d, LearnConfig(algorithm="gs", test="mc-mi",
+                                                     B=1000, seed=2))
+        assert g == g2
+        assert trace.lines() == trace2.lines()
+
 
 class TestTrace:
     def test_counter_matches_test_events(self, sample):

@@ -165,6 +165,10 @@ class TestDatasetInvariants:
                 "B": CategoricalColumn(("a", "b"), np.zeros(4, dtype=np.int64)),
             })
 
+    def test_missing_column_named(self):
+        with pytest.raises(DataError, match="no data for column 'B'"):
+            Dataset(("A", "B"), {"A": NumericColumn(np.zeros(3))})
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_numeric_rejected(self, bad):
         with pytest.raises(DataError, match="column 'Y' has a non-finite value at row 2"):
@@ -320,6 +324,14 @@ class TestCorrelation:
                                  "Y": NumericColumn(rng.standard_normal(50))})
         m = correlation_matrix(d, ["X", "Y"])
         assert m[0, 0] == pytest.approx(1.0)
+
+    def test_string_names_one_column(self):
+        rng = np.random.default_rng(7)
+        d = Dataset.from_values(("X", "Y", "XY"), {c: rng.standard_normal(50)
+                                                   for c in ("X", "Y", "XY")})
+        assert np.array_equal(correlation_matrix(d, "XY"), correlation_matrix(d, ["XY"]))
+        assert partial_correlation(d, "X", "Y", "XY") == \
+            partial_correlation(d, "X", "Y", ["XY"])
 
     def test_anticorrelation(self):
         x = np.arange(10.0)

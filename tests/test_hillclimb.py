@@ -344,6 +344,16 @@ class TestHillClimb:
         assert network_score(restarted, sample, spec) >= \
             network_score(base, sample, spec) - 1e-9
 
+    def test_restart_without_legal_perturbation(self):
+        # the forced arc can be neither deleted nor reversed, and nothing can be added
+        d = random_discrete_dataset(np.random.default_rng(71), ["A", "B"], 200)
+        cfg = HillClimbConfig(score="bic", priors=PriorKnowledge(whitelist=[("A", "B")]),
+                              restarts=1)
+        g, trace = hill_climb(d, cfg)
+        assert g.directed_arcs == {("A", "B")}
+        assert [(e.kind, e.note) for e in trace.events if e.kind == "restart"] == \
+            [("restart", "no legal perturbation")]
+
     def test_whitelist_and_blacklist(self, sample):
         pr = PriorKnowledge(whitelist=[("F", "A")], blacklist=[("A", "B")])
         g, _ = hill_climb(sample, HillClimbConfig(score="aic", priors=pr))

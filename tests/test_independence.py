@@ -197,6 +197,8 @@ class TestGaussianStatistics:
             gaussian_statistic(0.5, 4, 2, "cor")
         with pytest.raises(TestError):
             gaussian_statistic(0.5, 5, 2, "zf")
+        with pytest.raises(TestError, match=r"mi-g requires n > \|z\| \+ 2"):
+            gaussian_statistic(0.5, 4, 2, "mi-g")
         with pytest.raises(TestError):
             gaussian_statistic(1.5, 50, 0, "cor")
 
@@ -513,28 +515,52 @@ class TestCiTestDispatcher:
         d = random_gaussian_dataset(rng, names, limit + 1)
         assert not ci_test(d, "X", "Y", names[2:], test=label, B=19).degenerate
 
-    @pytest.mark.parametrize("label", ["mc-cor", "mc-zf"])
+    @pytest.mark.parametrize("label", ["mc-cor", "mc-zf", "mc-mi-g"])
     def test_direct_permutation_test_with_too_few_rows_raises(self, label):
         rng = np.random.default_rng(39)
-        d = random_gaussian_dataset(rng, ["X", "Y", "Z"], 3 if label == "mc-cor" else 4)
+        d = random_gaussian_dataset(rng, ["X", "Y", "Z"], 4 if label == "mc-zf" else 3)
         with pytest.raises(TestError, match="requires n >"):
             permutation_pvalue(d, "X", "Y", ["Z"], kind=label, B=19)
 
     @pytest.mark.parametrize("label", ["mc-cor", "mc-zf", "mc-mi-g"])
-    @pytest.mark.parametrize("x,y,z", [("A", "B", ["C"]), ("C", "B", ["A"]),
-                                       ("A", "C", []), ("A", "B", ["D", "C"])])
-    def test_monte_carlo_zero_variance_matches_twin(self, label, x, y, z):
+    @pytest.mark.parametrize("case,x,y,z", [
+        ("few-rows", "A", "B", ["C", "D"]),
+        ("constant-C", "A", "B", ["C"]), ("constant-C", "C", "B", ["A"]),
+        ("constant-C", "A", "C", []), ("constant-C", "A", "B", ["D", "C"]),
+        ("D-is-2C", "A", "B", ["C", "D"]),
+        ("A-is-2C+1", "A", "B", ["C"]), ("A-is-2C+1", "B", "A", ["C", "D"])])
+    def test_monte_carlo_matches_twin_when_untestable(self, label, case, x, y, z):
+        # an mc-* label decides whether it can test as its asymptotic twin does
         rng = np.random.default_rng(40)
-        d = Dataset(("A", "B", "C", "D"), {
-            "A": NumericColumn(rng.standard_normal(50)),
-            "B": NumericColumn(rng.standard_normal(50)),
-            "C": NumericColumn(np.full(50, 1.5)),
-            "D": NumericColumn(rng.standard_normal(50)),
-        })
+        n = 4 if case == "few-rows" else 300
+        cols = {c: rng.standard_normal(n) for c in "ABCD"}
+        if case == "constant-C":
+            cols["C"] = np.full(n, 1.5)
+        elif case == "D-is-2C":
+            cols["D"] = 2.0 * cols["C"]
+        elif case == "A-is-2C+1":
+            cols["A"] = 2.0 * cols["C"] + 1.0
+        d = Dataset.from_values(("A", "B", "C", "D"), cols)
         twin = ci_test(d, x, y, z, test=label[3:])
-        assert twin == TestResult(label[3:], 0.0, 1.0, degenerate=True)
-        assert ci_test(d, x, y, z, test=label, B=50) == \
-            TestResult(label, 0.0, 1.0, degenerate=True)
+        res = ci_test(d, x, y, z, test=label, B=50)
+        assert (res.statistic, res.p_value, res.degenerate) == \
+            (twin.statistic, twin.p_value, twin.degenerate)
+        if case.startswith("A-is"):  # a zero partial correlation, not untestable
+            assert res == TestResult(label, 0.0, 1.0, replicates=50)
+        else:
+            assert res == TestResult(label, 0.0, 1.0, degenerate=True)
+
+    @pytest.mark.parametrize("label", TEST_LABELS)
+    def test_string_conditioning_set_names_one_column(self, label):
+        rng = np.random.default_rng(42)
+        names = ("A", "B", "C", "D", "CD")
+        if label in ("mi", "mc-mi", "x2", "mc-x2", "fmi", "aict"):
+            d = Dataset(names, {c: CategoricalColumn(("a", "b"), rng.integers(0, 2, 200))
+                                for c in names})
+        else:
+            d = random_gaussian_dataset(rng, names, 200)
+        assert ci_test(d, "A", "B", "CD", test=label, B=19) == \
+            ci_test(d, "A", "B", ["CD"], test=label, B=19)
 
 
 class TestTableTest:
