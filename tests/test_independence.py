@@ -548,6 +548,7 @@ class TestCiTestDispatcher:
         if case.startswith("A-is"):  # a zero partial correlation, not untestable
             assert res == TestResult(label, 0.0, 1.0, replicates=50)
         else:
+            assert twin == TestResult(label[3:], 0.0, 1.0, degenerate=True)
             assert res == TestResult(label, 0.0, 1.0, degenerate=True)
 
     @pytest.mark.parametrize("label", TEST_LABELS)
