@@ -71,10 +71,13 @@ class Dataset:
                     raise DataError(f"column {name!r} has fewer than 2 levels")
                 if len(set(col.levels)) != m:
                     raise DataError(f"column {name!r} has duplicate levels")
-                codes = np.asarray(col.codes, dtype=np.int64)
+                codes = np.asarray(col.codes)
+                if not (codes.dtype.kind in "biu" or codes.dtype.kind == "f"
+                        and np.array_equal(codes, np.trunc(codes))):
+                    raise DataError(f"column {name!r} has non-integer codes")
                 if codes.size and (codes.min() < 0 or codes.max() >= m):
                     raise DataError(f"column {name!r} has out-of-range codes")
-                col = CategoricalColumn(tuple(col.levels), codes)
+                col = CategoricalColumn(tuple(col.levels), codes.astype(np.int64))
             elif isinstance(col, NumericColumn):
                 kinds.add("numeric")
                 col = NumericColumn(np.asarray(col.values, dtype=np.float64))
@@ -586,6 +589,9 @@ class FittedNetwork:
             names = [e["name"] for e in entries]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise DataError(f"malformed fitted-network file: {exc}") from None
+        if kind not in ("discrete", "continuous"):
+            raise DataError(f"unknown fitted-network type {kind!r}: "
+                            f"expected 'discrete' or 'continuous'")
         local_params = {}
         for name, e in zip(names, entries):
             try:

@@ -12,7 +12,7 @@ the observed margins in every stratum) or permute the residuals of x on z
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -220,49 +220,46 @@ def _chunks(B: int, per_replicate: int):
 
 def permutation_pvalue(d: Dataset, x: str, y: str, z=(), kind: str = "mc-mi",
                        B: int = _DEFAULT_REPLICATES, seed=0) -> TestResult:
-    """Stratified/residual permutation test; p = (1 + #{s_b >= s0}) / (1 + B)."""
+    """Permutation twin of an asymptotic test; p = (1 + #{s_b >= s0}) / (1 + B).
+
+    The twin (kind without "mc-") decides whether the test can run and gives
+    s0 as a magnitude; a degenerate twin is returned as it is, under kind.
+    """
     _check_integer("B", B, 1, TestError)
     _check_seed(seed)
-    rng = np.random.default_rng(seed)
+    if not (isinstance(kind, str) and kind.startswith("mc-")):
+        raise TestError(f"unknown permutation test {kind!r}")
     z = _name_list(z)
-    if kind in ("mc-mi", "mc-x2"):
-        if not d.discrete:
-            raise TestError(f"{kind} requires discrete data")
-        t = contingency_counts(d, x, y, z)
+    twin, t = _asymptotic_test(d, x, y, z, _resolve_test(d, kind)[3:])
+    if twin.degenerate:
+        return replace(twin, label=kind)
+    s0 = abs(twin.statistic)
+    rng = np.random.default_rng(seed)
+    exceed = 0
+    if isinstance(t, ContingencyTable):
         if kind == "mc-mi":
             def stat(counts):
                 return 2.0 * t.n * _mi_from_counts(counts, t.n)
         else:
             stat = _x2_from_counts
-        s0 = stat(t.counts[None])[0]
         rows, cols = t.margin_x(), t.margin_y()
-        exceed = 0
         for b in _chunks(B, t.counts.size):
             exceed += int(np.count_nonzero(stat(_null_tables(rng, rows, cols, b)) >= s0))
-        return TestResult(kind, float(s0), (1 + exceed) / (1 + B), replicates=B)
-
-    if kind in ("mc-cor", "mc-zf", "mc-mi-g"):
-        if d.discrete:
-            raise TestError(f"{kind} requires continuous data")
-        _check_variables(d, x, y, z)
+    elif t == 0.0:  # a zero partial correlation: every replicate ties with it
+        exceed = B
+    else:
         _, rx = _regress(d, x, z)
         _, ry = _regress(d, y, z)
         norm = math.sqrt(float(rx @ rx)) * math.sqrt(float(ry @ ry))
-        rho0 = float(np.clip(rx @ ry / norm, -1.0, 1.0)) if norm > 0.0 else 0.0
-        s0 = abs(gaussian_statistic(rho0, d.n, len(z), kind[3:]).statistic)
-        if norm <= 0.0:
-            return TestResult(kind, s0, 1.0, replicates=B)
-        # every statistic grows with |rho|, so replicates compare on |rho| alone;
-        # permuted() draws exactly what successive rng.permutation(n) calls do
+        rho0 = abs(float(np.clip(rx @ ry / norm, -1.0, 1.0)))
+        # every statistic grows with |rho|, so replicates compare on the residuals'
+        # |rho|; permuted() draws exactly what successive rng.permutation(n) calls do
         identity = np.arange(d.n)
-        exceed = 0
         for b in _chunks(B, d.n):
             perms = rng.permuted(np.broadcast_to(identity, (b, d.n)), axis=1)
             rho = np.clip(rx[perms] @ ry / norm, -1.0, 1.0)
-            exceed += int(np.count_nonzero(np.abs(rho) >= abs(rho0)))
-        return TestResult(kind, s0, (1 + exceed) / (1 + B), replicates=B)
-
-    raise TestError(f"unknown permutation test {kind!r}")
+            exceed += int(np.count_nonzero(np.abs(rho) >= rho0))
+    return TestResult(kind, s0, (1 + exceed) / (1 + B), replicates=B)
 
 
 # -- dispatcher -------------------------------------------------------------------------
@@ -283,28 +280,17 @@ def _resolve_test(d: Dataset, test: str | None) -> str:
     return label
 
 
-def ci_test(d: Dataset, x: str, y: str, z=(), test: str | None = None,
-            B: int | None = None, seed=0) -> TestResult:
-    """Run the named conditional independence test of x and y given z.
+def _asymptotic_test(d: Dataset, x: str, y: str, z: list[str], label: str) -> tuple:
+    """An asymptotic test's result and its contingency table or partial correlation.
 
-    A Gaussian test that cannot establish dependence (too few rows for the
-    label, a zero-variance column, a singular conditioning set) returns the
-    degenerate result p = 1; an mc-* label decides this as its asymptotic
-    twin does. seed and a given B are checked whatever the label.
+    A Gaussian test that cannot establish dependence (too few rows for the label,
+    a zero-variance column, a singular conditioning set) gives p = 1 and None.
     """
-    if B is not None:
-        _check_integer("B", B, 1, TestError)
-    _check_seed(seed)
-    label = _resolve_test(d, test)
-    z = _name_list(z)
-    B = _DEFAULT_REPLICATES if B is None else B
     if label in DISCRETE_TESTS:
-        if label.startswith("mc-"):
-            return permutation_pvalue(d, x, y, z, kind=label, B=B, seed=seed)
-        return table_test(contingency_counts(d, x, y, z), label)
-    twin = label.removeprefix("mc-")
+        t = contingency_counts(d, x, y, z)
+        return table_test(t, label), t
     rho = None
-    if d.n > len(z) + _EXTRA_ROWS[twin]:
+    if d.n > len(z) + _EXTRA_ROWS[label]:
         try:
             rho = partial_correlation(d, x, y, z)
         except DataError:  # a zero-variance column or a singular conditioning set
@@ -312,9 +298,22 @@ def ci_test(d: Dataset, x: str, y: str, z=(), test: str | None = None,
     if rho is None:
         # a repeated or unknown variable is the caller's error, not a degenerate test
         _check_variables(d, x, y, z)
-        return TestResult(label, 0.0, 1.0, degenerate=True)
-    if label == twin:
-        return gaussian_statistic(rho, d.n, len(z), label)
-    if rho == 0.0:  # every replicate ties with the observed statistic
-        return TestResult(label, 0.0, 1.0, replicates=B)
-    return permutation_pvalue(d, x, y, z, kind=label, B=B, seed=seed)
+        return TestResult(label, 0.0, 1.0, degenerate=True), None
+    return gaussian_statistic(rho, d.n, len(z), label), rho
+
+
+def ci_test(d: Dataset, x: str, y: str, z=(), test: str | None = None,
+            B: int | None = None, seed=0) -> TestResult:
+    """Run the named conditional independence test of x and y given z.
+
+    An mc-* label differs from its asymptotic twin only in the p-value. seed
+    and a given B are checked whatever the label.
+    """
+    if B is not None:
+        _check_integer("B", B, 1, TestError)
+    _check_seed(seed)
+    label = _resolve_test(d, test)
+    if label.startswith("mc-"):
+        return permutation_pvalue(d, x, y, z, kind=label,
+                                  B=_DEFAULT_REPLICATES if B is None else B, seed=seed)
+    return _asymptotic_test(d, x, y, _name_list(z), label)[0]

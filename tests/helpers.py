@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -63,11 +64,20 @@ def dsep(dag: Graph, x: str, y: str, z) -> bool:
 
 
 def perfbench_module(name: str):
-    """A module of the benchmark harness, loaded by path (perfbench is not a package)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    """A module of the benchmark harness, loaded by path (perfbench is not a package).
+
+    The module is registered in sys.modules, as dataclasses need, and the
+    harness's folder is on sys.path while it loads: its modules import each
+    other by bare name.
+    """
+    folder = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", folder / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(folder))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(folder))
     return module
 
 

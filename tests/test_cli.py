@@ -484,6 +484,17 @@ class TestSample:
         assert message in err
         assert out == ""
 
+    @pytest.mark.parametrize("kind", ["Discrete", "gaussian", None])
+    def test_unknown_params_type_exit_code(self, capsys, tmp_path, kind):
+        payload = {**self._network("discrete" if kind == "Discrete" else "continuous"),
+                   "type": kind}
+        params = tmp_path / "net.json"
+        params.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "sample", "--params", str(params), "--n", "5")
+        assert code == 3
+        assert f"unknown fitted-network type {kind!r}" in err
+        assert out == ""
+
     @pytest.mark.parametrize("kind", ["discrete", "continuous"])
     def test_params_file_written_by_hand(self, capsys, tmp_path, kind):
         params = tmp_path / "net.json"

@@ -175,6 +175,24 @@ class TestDatasetInvariants:
             Dataset(("X", "Y"), {"X": NumericColumn(np.zeros(4)),
                                  "Y": NumericColumn(np.array([0.0, 1.0, bad, bad]))})
 
+    @pytest.mark.parametrize("bad", [[0.7, 1.9, 0.2], [0.0, 1.0, math.nan],
+                                     ["0", "1", "0"]])
+    def test_non_integer_codes_rejected(self, bad):
+        levels = {"A": ("a", "b"), "B": ("a", "b")}
+        with pytest.raises(DataError, match="column 'A' has non-integer codes"):
+            Dataset.from_codes(["A", "B"], levels, {"A": bad, "B": [0, 1, 0]})
+
+    def test_integral_float_codes_accepted(self):
+        d = Dataset.from_codes(["A", "B"], {"A": ("a", "b"), "B": ("a", "b")},
+                               {"A": [0.0, 1.0, 0.0], "B": [True, False, True]})
+        assert d.codes("A").tolist() == [0, 1, 0] and d.codes("A").dtype == np.int64
+        assert d.codes("B").tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("bad", [[0.0, 2.0, 1.0], [0.0, math.inf, 1.0], [-1, 0, 1]])
+    def test_out_of_range_codes_rejected(self, bad):
+        with pytest.raises(DataError, match="column 'A' has out-of-range codes"):
+            Dataset.from_codes(["A"], {"A": ("a", "b")}, {"A": bad})
+
     def test_reorder(self):
         d = Dataset(("A", "B"), {
             "A": CategoricalColumn(("a", "b"), np.zeros(3, dtype=np.int64)),

@@ -1,5 +1,6 @@
 """Discrete and Gaussian independence tests: statistics, p-values, permutations."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from bnsl.data import CategoricalColumn, NumericColumn
 from bnsl.constraint import LearnConfig
 from bnsl.independence import _null_tables, table_test
 
-from helpers import random_gaussian_dataset, random_table
+from helpers import perfbench_module, random_gaussian_dataset, random_table
 
 
 def _table(cells, L=1):
@@ -291,6 +292,16 @@ class TestPermutation:
         dep = permutation_pvalue(d, "X", "Z", kind="mc-cor", B=400, seed=4)
         assert dep.p_value == pytest.approx(1 / 401)
 
+    @pytest.mark.parametrize("kind,discrete", [
+        ("mi", True), ("cor", False), ("mc-foo", True), ("mc-", False), (None, True),
+        ("mc-mi", False), ("mc-cor", True)])
+    def test_invalid_kind_rejected(self, kind, discrete):
+        rng = np.random.default_rng(31)
+        d = _discrete_pair(rng, 50) if discrete else \
+            random_gaussian_dataset(rng, ["X", "Y"], 50)
+        with pytest.raises(TestError):
+            permutation_pvalue(d, "X", "Y", kind=kind, B=19)
+
     def test_b_validation(self):
         rng = np.random.default_rng(30)
         d = _discrete_pair(rng, 50)
@@ -370,6 +381,26 @@ class TestNullSampler:
         })
         res = permutation_pvalue(d, "X", "Y", ["Z"], kind=kind, B=999, seed=seed)
         assert res.p_value == expected
+
+
+# sha256 of repr(p-values) of the benchmark's mc-tests triples at seeds 1 and 2,
+# recorded before permutation_pvalue took its statistic from the asymptotic twin
+MC_TESTS_PVALUES_SHA256 = "0ec6096bcc8b559c844da7b8a9bde9c9ead2ae1a63dc3889d3a0ce521e4af074"
+
+
+def test_benchmark_monte_carlo_pvalues_pinned(tmp_path):
+    workloads = perfbench_module("workloads")
+    pvalues = []
+    for seed in (1, 2):
+        inputs = workloads.make_inputs("mc-tests", seed, tmp_path)
+        for label, k, x, y, z, test_seed in inputs.tests:
+            d = inputs.samples[k].data
+            res = ci_test(d, x, y, z, test=label, B=workloads.MC_REPLICATES, seed=test_seed)
+            twin = ci_test(d, x, y, z, test=workloads.MC_TWIN[label])
+            assert res.statistic == abs(twin.statistic)
+            pvalues.append(res.p_value)
+    assert len(pvalues) == 80
+    assert hashlib.sha256(repr(pvalues).encode()).hexdigest() == MC_TESTS_PVALUES_SHA256
 
 
 class TestCiTestDispatcher:
@@ -516,11 +547,12 @@ class TestCiTestDispatcher:
         assert not ci_test(d, "X", "Y", names[2:], test=label, B=19).degenerate
 
     @pytest.mark.parametrize("label", ["mc-cor", "mc-zf", "mc-mi-g"])
-    def test_direct_permutation_test_with_too_few_rows_raises(self, label):
+    def test_direct_permutation_test_with_too_few_rows_is_degenerate(self, label):
         rng = np.random.default_rng(39)
         d = random_gaussian_dataset(rng, ["X", "Y", "Z"], 4 if label == "mc-zf" else 3)
-        with pytest.raises(TestError, match="requires n >"):
-            permutation_pvalue(d, "X", "Y", ["Z"], kind=label, B=19)
+        assert permutation_pvalue(d, "X", "Y", ["Z"], kind=label, B=19) == \
+            ci_test(d, "X", "Y", ["Z"], test=label, B=19) == \
+            TestResult(label, 0.0, 1.0, degenerate=True)
 
     @pytest.mark.parametrize("label", ["mc-cor", "mc-zf", "mc-mi-g"])
     @pytest.mark.parametrize("case,x,y,z", [
@@ -543,6 +575,7 @@ class TestCiTestDispatcher:
         d = Dataset.from_values(("A", "B", "C", "D"), cols)
         twin = ci_test(d, x, y, z, test=label[3:])
         res = ci_test(d, x, y, z, test=label, B=50)
+        assert permutation_pvalue(d, x, y, z, kind=label, B=50) == res
         assert (res.statistic, res.p_value, res.degenerate) == \
             (twin.statistic, twin.p_value, twin.degenerate)
         if case.startswith("A-is"):  # a zero partial correlation, not untestable
