@@ -77,7 +77,7 @@ class Dataset:
                     raise DataError(f"column {name!r} has non-integer codes")
                 if codes.size and (codes.min() < 0 or codes.max() >= m):
                     raise DataError(f"column {name!r} has out-of-range codes")
-                col = CategoricalColumn(tuple(col.levels), codes.astype(np.int64))
+                col = CategoricalColumn(tuple(col.levels), codes.astype(np.int64, copy=False))
             elif isinstance(col, NumericColumn):
                 kinds.add("numeric")
                 col = NumericColumn(np.asarray(col.values, dtype=np.float64))

@@ -223,7 +223,7 @@ def permutation_pvalue(d: Dataset, x: str, y: str, z=(), kind: str = "mc-mi",
     """Permutation twin of an asymptotic test; p = (1 + #{s_b >= s0}) / (1 + B).
 
     The twin (kind without "mc-") decides whether the test can run and gives
-    s0 as a magnitude; a degenerate twin is returned as it is, under kind.
+    s0 as a magnitude; an untestable twin is returned as it is, under kind.
     """
     _check_integer("B", B, 1, TestError)
     _check_seed(seed)
@@ -231,7 +231,7 @@ def permutation_pvalue(d: Dataset, x: str, y: str, z=(), kind: str = "mc-mi",
         raise TestError(f"unknown permutation test {kind!r}")
     z = _name_list(z)
     twin, t = _asymptotic_test(d, x, y, z, _resolve_test(d, kind)[3:])
-    if twin.degenerate:
+    if t is None:
         return replace(twin, label=kind)
     s0 = abs(twin.statistic)
     rng = np.random.default_rng(seed)

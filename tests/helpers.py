@@ -66,18 +66,23 @@ def dsep(dag: Graph, x: str, y: str, z) -> bool:
 def perfbench_module(name: str):
     """A module of the benchmark harness, loaded by path (perfbench is not a package).
 
-    The module is registered in sys.modules, as dataclasses need, and the
-    harness's folder is on sys.path while it loads: its modules import each
-    other by bare name.
+    The module is registered in sys.modules as perfbench_<name>, as dataclasses
+    need. The harness's modules import each other by bare name, so its folder is
+    on sys.path while it loads; the bare-name modules that load pulls in are
+    then dropped from sys.modules, so no second copy of them stays shared.
     """
     folder = Path(__file__).resolve().parents[1] / "perfbench"
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", folder / f"{name}.py")
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    before = set(sys.modules)
     sys.path.insert(0, str(folder))
     try:
         spec.loader.exec_module(module)
     finally:
         sys.path.remove(str(folder))
+        for key in set(sys.modules) - before:
+            if Path(getattr(sys.modules[key], "__file__", None) or "").parent == folder:
+                del sys.modules[key]
     return module
 
 

@@ -584,6 +584,23 @@ class TestCiTestDispatcher:
             assert twin == TestResult(label[3:], 0.0, 1.0, degenerate=True)
             assert res == TestResult(label, 0.0, 1.0, degenerate=True)
 
+    @pytest.mark.parametrize("label", ["mc-cor", "mc-zf", "mc-mi-g"])
+    @pytest.mark.parametrize("sign", [2.0, -2.0])
+    def test_monte_carlo_draws_null_when_twin_has_unit_correlation(self, label, sign):
+        # |rho| = 1 makes the twin degenerate with an infinite statistic, but the
+        # mc-* test is still a permutation test: p on the (1 + k)/(1 + B) lattice
+        x = np.arange(300.0)
+        d = Dataset.from_values(("X", "Y"), {"X": x, "Y": sign * x})
+        twin = ci_test(d, "X", "Y", test=label[3:])
+        assert twin.degenerate and math.isinf(twin.statistic)
+        res = ci_test(d, "X", "Y", test=label, B=50)
+        assert permutation_pvalue(d, "X", "Y", kind=label, B=50) == res
+        assert res.statistic == abs(twin.statistic)
+        assert (res.replicates, res.df) == (50, None)
+        k = res.p_value * 51 - 1
+        assert abs(k - round(k)) < 1e-9 and 0 <= round(k) <= 50
+        assert res.p_value == 1 / 51  # no permutation of 300 rows reaches |rho| = 1
+
     @pytest.mark.parametrize("label", TEST_LABELS)
     def test_string_conditioning_set_names_one_column(self, label):
         rng = np.random.default_rng(42)
