@@ -215,10 +215,8 @@ def _cmd_sample(args) -> int:
         graph = load_graph(args.model, nodes=data.names)
         fitted = fit_mle(graph, data)
     sampled = forward_sample(fitted, args.n, args.seed)
-    if args.out:
-        write_table(sampled, args.out, delimiter=args.delimiter or ",")
-    else:
-        write_table(sampled, sys.stdout, delimiter=args.delimiter or ",")
+    delimiter = "," if args.delimiter is None else args.delimiter
+    write_table(sampled, args.out or sys.stdout, delimiter=delimiter)
     return 0
 
 
@@ -234,8 +232,8 @@ def _cmd_modelstring(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="write the primary output to this file")
+def _add_data_flags(p: argparse.ArgumentParser) -> None:
+    """Ingestion flags, for the subcommands that read a data file."""
     p.add_argument("--delimiter", help="field delimiter (default: auto-detect)")
     p.add_argument("--type", choices=("discrete", "continuous"),
                    help="force the column type on ingestion")
@@ -266,6 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--debug", action="store_true")
     p.add_argument("--format", choices=_FORMATS, default=None)
+    _add_data_flags(p)
     p.set_defaults(func=_cmd_learn)
 
     p = sub.add_parser("score", help="score a network structure against data")
@@ -273,6 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data")
     p.add_argument("--score", choices=SCORE_LABELS)
     p.add_argument("--iss", type=float, default=1.0)
+    _add_data_flags(p)
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("citest", help="run one conditional independence test")
@@ -283,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", choices=TEST_LABELS)
     p.add_argument("--B", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
+    _add_data_flags(p)
     p.set_defaults(func=_cmd_citest)
 
     p = sub.add_parser("compare", help="compare two network structures")
@@ -297,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="fitted-parameter JSON file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
+    _add_data_flags(p)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("export-dot", help="write the graph as DOT text")
@@ -310,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_modelstring)
 
     for sp in sub.choices.values():
-        _add_common(sp)
+        sp.add_argument("--out", help="write the primary output to this file")
     return parser
 
 

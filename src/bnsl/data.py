@@ -87,10 +87,13 @@ class Dataset:
                                     f"at row {bad[0]}")
             else:
                 raise DataError(f"column {name!r} has unsupported type")
-            size = col.codes.size if isinstance(col, CategoricalColumn) else col.values.size
+            array = col.codes if isinstance(col, CategoricalColumn) else col.values
+            if array.ndim != 1:
+                raise DataError(f"column {name!r} is not one-dimensional: "
+                                f"its shape is {array.shape}")
             if length is None:
-                length = size
-            elif size != length:
+                length = array.size
+            elif array.size != length:
                 raise DataError("columns have differing lengths")
             cols[name] = col
         if len(kinds) > 1:
@@ -153,6 +156,11 @@ def _detect_delimiter(header_line: str) -> str:
     return best
 
 
+def _check_delimiter(delimiter) -> None:
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise DataError(f"delimiter must be a single character, got {delimiter!r}")
+
+
 def _read_text(path) -> str:
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -171,6 +179,7 @@ def _read_columns(text: str, path, what: str, delimiter: str | None = None):
     if delimiter is None:
         delimiter = _detect_delimiter(next((line for line in text.splitlines()
                                             if line.strip()), ""))
+    _check_delimiter(delimiter)
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     rows, lines = [], []  # non-blank rows and the file line each ends on
     for row in reader:
@@ -240,6 +249,7 @@ def load_table(path, type_hint: str | None = None, delimiter: str | None = None)
 
 def write_table(d: Dataset, path_or_file, delimiter: str = ",") -> None:
     """Write a Dataset back out as delimited text with a header row."""
+    _check_delimiter(delimiter)
     own = isinstance(path_or_file, (str, bytes))
     fh = open(path_or_file, "w", newline="", encoding="utf-8") if own else path_or_file
     try:
@@ -416,15 +426,16 @@ def correlation_matrix(d: Dataset, names) -> np.ndarray:
 
 
 def partial_correlation(d: Dataset, x: str, y: str, z=()) -> float:
-    """Partial correlation of x and y given z from one Cholesky factor.
+    """Partial correlation of x and y given z.
 
     The correlation matrix of z + [a, b] (a, b = x, y in label order) factors
     as L L^T; the last 2 x 2 block of L factors the covariance of a and b given
     z, so rho = l21 / sqrt(l21^2 + l22^2). Exactly symmetric in x and y. The
     factor is trusted only when the 2-norm condition number, read from the
-    eigenvalues, is below 1e12. Otherwise, when x or y is a deterministic
-    linear function of z, the vanishing residuals define a zero partial
-    correlation; other singularities are reported.
+    eigenvalues, is below 1e12. Otherwise rho is the correlation of the
+    residuals of a and b on z: 0 when either residual vanishes (x or y is a
+    linear function of z), +-1 for an exact linear relation of x and y, and
+    the partial correlation given the span of z when z is singular.
     """
     z = _name_list(z)
     _check_variables(d, x, y, z)
@@ -434,25 +445,22 @@ def partial_correlation(d: Dataset, x: str, y: str, z=()) -> float:
     corr = correlation_matrix(d, z + [a, b])
     if not z:
         return float(corr[0, 1])
-    try:
-        # a near-singular matrix can still factor; its pivots alone do not
-        # show it, so the guard reads the condition number from the spectrum
-        lam = np.abs(np.linalg.eigvalsh(corr))
-        smallest = float(lam.min())
-        if smallest > 0.0 and float(lam.max()) / smallest < 1e12:
-            chol = np.linalg.cholesky(corr)
-            l21, l22 = float(chol[-1, -2]), float(chol[-1, -1])
-            rho = l21 / math.sqrt(l21 * l21 + l22 * l22)
-            if math.isfinite(rho):
-                return min(1.0, max(-1.0, rho))
-    except (np.linalg.LinAlgError, ValueError):
-        pass
-    for name in (a, b):
+    # a near-singular matrix can still factor; its pivots alone do not
+    # show it, so the guard reads the condition number from the spectrum
+    lam = np.abs(np.linalg.eigvalsh(corr))
+    smallest = float(lam.min())
+    if smallest > 0.0 and float(lam.max()) / smallest < 1e12:
+        chol = np.linalg.cholesky(corr)
+        l21, l22 = float(chol[-1, -2]), float(chol[-1, -1])
+        return min(1.0, max(-1.0, l21 / math.sqrt(l21 * l21 + l22 * l22)))
+    ra, rb = (_regress(d, name, z)[1] for name in (a, b))
+    for name, resid in ((a, ra), (b, rb)):
         vals = d.values(name)
-        _, resid = _regress(d, name, z)
         if np.linalg.norm(resid) <= 1e-6 * max(np.linalg.norm(vals - vals.mean()), 1e-30):
             return 0.0
-    raise DataError("singular correlation submatrix")
+    rho = float(ra @ rb) / math.sqrt(float(ra @ ra) * float(rb @ rb))
+    # one residual leaves at most 1e-6 of the other's norm: x and y exactly related
+    return math.copysign(1.0, rho) if 1.0 - rho * rho <= 1e-12 else rho
 
 
 def _regress(d: Dataset, name: str, z) -> tuple[np.ndarray, np.ndarray]:
@@ -551,6 +559,11 @@ class FittedNetwork:
                 if np.shape(loc.coefficients) != (len(loc.parents),):
                     raise DataError(f"coefficients of {node!r} must hold one value "
                                     f"per parent, got {np.shape(loc.coefficients)}")
+                for field, finite in (("intercept", math.isfinite(loc.intercept)),
+                                      ("coefficients", np.isfinite(loc.coefficients).all()),
+                                      ("sd", math.isfinite(loc.sd))):
+                    if not finite:
+                        raise DataError(f"{field} of {node!r} must be finite")
                 if not loc.sd > 0:
                     raise DataError(f"residual sd for {node!r} must be positive")
         self.graph = graph

@@ -150,22 +150,18 @@ def gaussian_statistic(rho: float, n: int, zsize: int, kind: str) -> TestResult:
     if n <= zsize + _EXTRA_ROWS[kind]:
         raise TestError(f"{kind} requires n > |z| + {_EXTRA_ROWS[kind]}")
     rho = max(-1.0, min(1.0, rho))
+    df = {"cor": n - zsize - 2, "zf": float(n - zsize - 3), "mi-g": 1.0}[kind]
+    if abs(rho) == 1.0:  # cor and zf keep the sign of rho; mi-g is a magnitude
+        stat = math.inf if kind == "mi-g" else math.copysign(math.inf, rho)
+        return TestResult(kind, stat, 0.0, df=df, degenerate=True)
     if kind == "cor":
-        df = n - zsize - 2
-        if abs(rho) == 1.0:
-            return TestResult("cor", math.inf, 0.0, df=df, degenerate=True)
         t = rho * math.sqrt(df / (1.0 - rho * rho))
         return TestResult("cor", t, student_t_two_sided(t, df), df=df)
     if kind == "zf":
-        if abs(rho) == 1.0:
-            return TestResult("zf", math.copysign(math.inf, rho), 0.0,
-                              df=float(n - zsize - 3), degenerate=True)
-        z = 0.5 * math.sqrt(n - zsize - 3) * math.log((1.0 + rho) / (1.0 - rho))
-        return TestResult("zf", z, normal_two_sided(z), df=float(n - zsize - 3))
-    if abs(rho) == 1.0:
-        return TestResult("mi-g", math.inf, 0.0, df=1.0, degenerate=True)
+        z = 0.5 * math.sqrt(df) * math.log((1.0 + rho) / (1.0 - rho))
+        return TestResult("zf", z, normal_two_sided(z), df=df)
     stat = 2.0 * n * (-0.5 * math.log1p(-rho * rho))
-    return TestResult("mi-g", stat, chi2_sf(stat, 1.0), df=1.0)
+    return TestResult("mi-g", stat, chi2_sf(stat, df), df=df)
 
 
 # -- Monte Carlo permutation tests -----------------------------------------------------
@@ -283,8 +279,8 @@ def _resolve_test(d: Dataset, test: str | None) -> str:
 def _asymptotic_test(d: Dataset, x: str, y: str, z: list[str], label: str) -> tuple:
     """An asymptotic test's result and its contingency table or partial correlation.
 
-    A Gaussian test that cannot establish dependence (too few rows for the label,
-    a zero-variance column, a singular conditioning set) gives p = 1 and None.
+    A Gaussian test is untestable for exactly two reasons, too few rows for the
+    label or a zero-variance column; it then gives p = 1 and None.
     """
     if label in DISCRETE_TESTS:
         t = contingency_counts(d, x, y, z)
@@ -293,7 +289,7 @@ def _asymptotic_test(d: Dataset, x: str, y: str, z: list[str], label: str) -> tu
     if d.n > len(z) + _EXTRA_ROWS[label]:
         try:
             rho = partial_correlation(d, x, y, z)
-        except DataError:  # a zero-variance column or a singular conditioning set
+        except DataError:  # a zero-variance column
             pass
     if rho is None:
         # a repeated or unknown variable is the caller's error, not a degenerate test

@@ -35,18 +35,21 @@ PUBLIC_NAMES = [
     "trace", "write_table", "x2_discrete",
 ]
 
-_COMMON = ["--delimiter", "--help", "--out", "--type", "-h"]
+_COMMON = ["--help", "--out", "-h"]
+# the ingestion flags, only on the subcommands that read a data file
+_DATA = ["--delimiter", "--type"]
 
 # subcommand -> (positional arguments in order, sorted option strings)
 CLI_FLAGS = {
-    "learn": (["data"], sorted(_COMMON + [
+    "learn": (["data"], sorted(_COMMON + _DATA + [
         "--B", "--algo", "--alpha", "--blacklist", "--debug", "--format", "--iss",
         "--optimized", "--perturb", "--restart", "--score", "--seed", "--start",
         "--test", "--whitelist"])),
-    "score": (["graph", "data"], sorted(_COMMON + ["--iss", "--score"])),
-    "citest": (["data", "x", "y", "z"], sorted(_COMMON + ["--B", "--seed", "--test"])),
+    "score": (["graph", "data"], sorted(_COMMON + _DATA + ["--iss", "--score"])),
+    "citest": (["data", "x", "y", "z"],
+               sorted(_COMMON + _DATA + ["--B", "--seed", "--test"])),
     "compare": (["first", "second"], sorted(_COMMON + ["--nodes"])),
-    "sample": ([], sorted(_COMMON + ["--data", "--model", "--n", "--params", "--seed"])),
+    "sample": ([], sorted(_COMMON + _DATA + ["--data", "--model", "--n", "--params", "--seed"])),
     "export-dot": (["graph"], sorted(_COMMON + ["--nodes"])),
     "modelstring": (["graph"], sorted(_COMMON + ["--nodes"])),
 }

@@ -242,6 +242,17 @@ class TestLearn:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_whitelist_conflicting_with_start_graph_exit_code(self, capsys, data_path,
+                                                              tmp_path):
+        wl = tmp_path / "wl.csv"
+        wl.write_text("from,to\nC,A\n")
+        code, out, err = run_cli(capsys, "learn", data_path, "--algo", "hc",
+                                 "--start", "[A][B|A][C|B][D][E][F]",
+                                 "--whitelist", str(wl))
+        assert code == 4
+        assert "priors conflict with the start graph" in err
+        assert out == ""
+
     def test_hc_start_graph(self, capsys, data_path):
         code, out, _ = run_cli(capsys, "learn", data_path, "--algo", "hc",
                                "--score", "aic", "--start", "[A][B][C][D][E|B:F][F]")
@@ -310,6 +321,14 @@ class TestCitest:
                                "--test", "mc-mi", "--B", "150", "--seed", "3")
         assert code == 0
         assert "B = 150" in out
+
+    @pytest.mark.parametrize("delimiter", ["ab", ""])
+    def test_delimiter_of_other_length_exit_code(self, capsys, data_path, delimiter):
+        code, out, err = run_cli(capsys, "citest", data_path, "A", "B",
+                                 "--delimiter", delimiter)
+        assert code == 3
+        assert f"delimiter must be a single character, got {delimiter!r}" in err
+        assert out == ""
 
     @pytest.mark.parametrize("variables", [("A", "A"), ("A", "B", "A"), ("A", "Q")])
     def test_repeated_or_unknown_variable_exit_code(self, capsys, tmp_path, variables):
@@ -468,7 +487,10 @@ class TestSample:
         ("discrete", "parent_levels", [["a", "c"]], "parent_levels of 'B'"),
         ("continuous", "coefficients", [], "coefficients of 'B' must hold one value"),
         ("continuous", "sd", None, "node 'B' has no 'sd' field"),
-        ("continuous", "sd", "wide", "node 'B' has a malformed field")])
+        ("continuous", "sd", "wide", "node 'B' has a malformed field"),
+        ("continuous", "intercept", "inf", "intercept of 'B' must be finite"),
+        ("continuous", "coefficients", ["nan"], "coefficients of 'B' must be finite"),
+        ("continuous", "sd", "inf", "sd of 'B' must be finite")])
     def test_malformed_params_file_exit_code(self, capsys, tmp_path, kind, field,
                                              value, message):
         payload = self._network(kind)
@@ -482,6 +504,15 @@ class TestSample:
         code, out, err = run_cli(capsys, "sample", "--params", str(params), "--n", "5")
         assert code == 3
         assert message in err
+        assert out == ""
+
+    def test_output_delimiter_of_other_length_exit_code(self, capsys, tmp_path):
+        params = tmp_path / "net.json"
+        params.write_text(json.dumps(self._network("continuous")))
+        code, out, err = run_cli(capsys, "sample", "--params", str(params), "--n", "5",
+                                 "--delimiter", "")
+        assert code == 3
+        assert "delimiter must be a single character, got ''" in err
         assert out == ""
 
     @pytest.mark.parametrize("kind", ["Discrete", "gaussian", None])

@@ -262,6 +262,20 @@ class TestConstraintLearn:
         assert set(g.nodes) == {"A", "B", "C"}
         assert trace.test_counter > 0
 
+    @pytest.mark.parametrize("algorithm", ["gs", "iamb", "mmpc"])
+    @pytest.mark.parametrize("test", ["cor", "zf"])
+    def test_exact_linear_relation_stays_adjacent(self, algorithm, test):
+        # Y = 2 X + 1: every test of X and Y given W or V sees a singular
+        # correlation matrix, and its residuals still read as dependence
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(1000)
+        w = x + rng.standard_normal(1000)
+        v = w + rng.standard_normal(1000)
+        d = Dataset.from_values(("V", "W", "X", "Y"),
+                                {"V": v, "W": w, "X": x, "Y": 2.0 * x + 1.0})
+        g, _ = constraint_learn(d, LearnConfig(algorithm=algorithm, test=test))
+        assert g.adjacent("X", "Y")
+
     def test_unknown_algorithm(self):
         with pytest.raises(TestError):
             LearnConfig(algorithm="pc")

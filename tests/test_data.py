@@ -108,6 +108,16 @@ class TestLoadTable:
         forced = load_table(semi, delimiter=";")
         assert forced.names == ("A", "B")
 
+    @pytest.mark.parametrize("delimiter", ["ab", "", 0])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        path = _write(tmp_path, "d.csv", "A,B\na,b\nb,a\n")
+        message = f"delimiter must be a single character, got {delimiter!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_table(path, delimiter=delimiter)
+        with pytest.raises(DataError, match=re.escape(message)):
+            write_table(load_table(path), str(tmp_path / "out.csv"), delimiter=delimiter)
+        assert not (tmp_path / "out.csv").exists()
+
     def test_type_hint_discrete(self, tmp_path):
         path = _write(tmp_path, "d.csv", "X,Y\n1,2\n2,1\n1,1\n")
         d = load_table(path, type_hint="discrete")
@@ -192,6 +202,17 @@ class TestDatasetInvariants:
     def test_out_of_range_codes_rejected(self, bad):
         with pytest.raises(DataError, match="column 'A' has out-of-range codes"):
             Dataset.from_codes(["A"], {"A": ("a", "b")}, {"A": bad})
+
+    def test_codes_must_be_one_dimensional(self):
+        with pytest.raises(DataError, match=re.escape(
+                "column 'A' is not one-dimensional: its shape is (2, 2)")):
+            Dataset.from_codes(["A", "B"], {"A": ("a", "b"), "B": ("a", "b")},
+                               {"A": [[0, 1], [1, 0]], "B": [0, 1, 0, 1]})
+
+    @pytest.mark.parametrize("bad", [5.0, [[1.0, 2.0]]])
+    def test_values_must_be_one_dimensional(self, bad):
+        with pytest.raises(DataError, match="column 'A' is not one-dimensional"):
+            Dataset.from_values(["A", "B"], {"A": bad, "B": [3.0]})
 
     def test_reorder(self):
         d = Dataset(("A", "B"), {
@@ -491,7 +512,7 @@ class TestPartialCorrelation:
                                       "Z": NumericColumn(z)})
         assert abs(partial_correlation(d, "X", "Y", ["Z"])) < 1e-10
 
-    def test_singular_conditioning_reported(self):
+    def test_singular_conditioning_set_tests_its_span(self):
         rng = np.random.default_rng(18)
         n = 50
         z1 = rng.standard_normal(n)
@@ -501,8 +522,8 @@ class TestPartialCorrelation:
             "Z1": NumericColumn(z1),
             "Z2": NumericColumn(z1.copy()),  # duplicated conditioning column
         })
-        with pytest.raises(DataError, match="singular"):
-            partial_correlation(d, "X", "Y", ["Z1", "Z2"])
+        assert abs(partial_correlation(d, "X", "Y", ["Z1", "Z2"])
+                   - partial_correlation(d, "X", "Y", ["Z1"])) <= 1e-12
 
     def test_near_deterministic_residual_vanishes(self):
         rng = np.random.default_rng(14)
@@ -526,8 +547,9 @@ def _inverse_rule(d, x, y, z):
     """Partial correlation by the rule it had before the Cholesky kernel.
 
     The SVD condition number of the [a, b] + z correlation matrix must be
-    below 1e12, then rho comes from its inverse; otherwise the regression
-    fallback.
+    below 1e12, then rho comes from its inverse ("value"); otherwise the
+    regression fallback: 0 when a residual vanishes ("zero"), else the
+    correlation of the residuals ("residual"). Returns rho and its rule.
     """
     if d.n <= len(z) + 2:
         raise DataError("not enough rows for the conditioning set")
@@ -537,13 +559,16 @@ def _inverse_rule(d, x, y, z):
         omega = np.linalg.inv(corr)
         rho = -omega[0, 1] / math.sqrt(omega[0, 0] * omega[1, 1])
         if math.isfinite(rho):
-            return float(np.clip(rho, -1.0, 1.0))
+            return float(np.clip(rho, -1.0, 1.0)), "value"
+    resid = []
     for name in (a, b):
         vals = d.values(name)
-        _, resid = _regress(d, name, z)
-        if np.linalg.norm(resid) <= 1e-6 * max(np.linalg.norm(vals - vals.mean()), 1e-30):
-            return 0.0
-    raise DataError("singular correlation submatrix")
+        _, r = _regress(d, name, z)
+        if np.linalg.norm(r) <= 1e-6 * max(np.linalg.norm(vals - vals.mean()), 1e-30):
+            return 0.0, "zero"
+        resid.append(r)
+    ra, rb = resid
+    return float(np.clip(ra @ rb / np.sqrt((ra @ ra) * (rb @ rb)), -1.0, 1.0)), "residual"
 
 
 def _near_collinear_case(rng):
@@ -561,28 +586,28 @@ def _near_collinear_case(rng):
     return Dataset(("X", "Y", *z), cols), z
 
 
-def _classify(call):
-    try:
-        rho = call()
-    except DataError:
-        return "error", None
-    return ("zero" if rho == 0.0 else "value"), rho
-
-
 class TestNearCollinearSweep:
     def test_keeps_every_decision(self):
-        # the eigenvalue guard and the Cholesky factor decide value / 0.0 /
-        # DataError exactly as the SVD guard and the inverse did
+        # the eigenvalue guard and the Cholesky factor decide value / 0.0
+        # exactly as the SVD guard and the inverse did, and a matrix neither
+        # trusts takes the residuals' correlation
         rng = np.random.default_rng(2024)
-        seen = {"value": 0, "zero": 0, "error": 0}
+        seen = {"value": 0, "zero": 0, "residual": 0}
         compared = 0
         for _ in range(4000):
             d, z = _near_collinear_case(rng)
-            got, rho = _classify(lambda: partial_correlation(d, "X", "Y", z))
-            want, ref_rho = _classify(lambda: _inverse_rule(d, "X", "Y", z))
-            assert got == want
-            seen[got] += 1
-            if got != "value":
+            try:
+                ref_rho, rule = _inverse_rule(d, "X", "Y", z)
+            except DataError:  # too few rows: both rules refuse
+                with pytest.raises(DataError, match="not enough rows"):
+                    partial_correlation(d, "X", "Y", z)
+                continue
+            rho = partial_correlation(d, "X", "Y", z)
+            assert (rho == 0.0) == (rule == "zero")
+            seen[rule] += 1
+            if rule == "residual":
+                assert abs(rho - ref_rho) <= 1e-12
+            if rule != "value":
                 continue
             if np.linalg.cond(correlation_matrix(d, ["X", "Y"] + z)) >= 1e4:
                 continue
@@ -746,6 +771,17 @@ class TestFittedNetworkJson:
         back = FittedNetwork.from_json(f.to_json())
         assert back.locals["Y"].coefficients[0] == -0.5
         assert back.locals["Y"].sd == 0.25
+
+    @pytest.mark.parametrize("field, value", [
+        ("intercept", math.nan), ("intercept", math.inf), ("coefficients", [math.nan]),
+        ("sd", math.inf), ("sd", math.nan)])
+    def test_linear_gaussian_must_be_finite(self, field, value):
+        params = {"intercept": 0.0, "coefficients": [0.5], "sd": 1.0, field: value}
+        with pytest.raises(DataError, match=f"{field} of 'Y' must be finite"):
+            FittedNetwork(parse_modelstring("[X][Y|X]"), {
+                "X": LinearGaussian((), 0.0, np.array([]), 1.0),
+                "Y": LinearGaussian(("X",), params["intercept"],
+                                    np.array(params["coefficients"]), params["sd"])})
 
     def test_invariants_enforced(self):
         g = parse_modelstring("[A]")

@@ -188,10 +188,15 @@ class TestGaussianStatistics:
         assert res.p_value == pytest.approx(0.6209, abs=5e-4)
 
     def test_degenerate_rho(self):
+        # cor and zf keep the sign of rho; mi-g is a magnitude
+        assert gaussian_statistic(-1.0, 50, 0, "cor").statistic == -math.inf
         for kind in ("zf", "mi-g", "cor"):
-            res = gaussian_statistic(1.0, 50, 0, kind)
-            assert res.p_value == 0.0
-            assert res.degenerate
+            for rho in (1.0, -1.0):
+                res = gaussian_statistic(rho, 50, 0, kind)
+                assert res.p_value == 0.0
+                assert res.degenerate
+                assert res.statistic == (math.inf if kind == "mi-g"
+                                         else math.copysign(math.inf, rho))
 
     def test_preconditions(self):
         with pytest.raises(TestError):
@@ -520,7 +525,7 @@ class TestCiTestDispatcher:
         ci_test(d, "X", "Y", ["Z"], test=label)
         assert calls == {"check": 1, "partial": 1}
 
-    def test_unidentifiable_gaussian_returns_degenerate(self):
+    def test_singular_conditioning_set_is_tested(self):
         rng = np.random.default_rng(36)
         z = rng.standard_normal(30)
         d = Dataset(("X", "Y", "Z1", "Z2"), {
@@ -530,7 +535,46 @@ class TestCiTestDispatcher:
             "Z2": NumericColumn(z.copy()),
         })
         res = ci_test(d, "X", "Y", ["Z1", "Z2"], test="cor")
-        assert res.degenerate and res.p_value == 1.0
+        assert not res.degenerate
+        # the span of [Z1, Z2] is that of Z1; the df still counts both columns
+        ref = gaussian_statistic(
+            bnsl.data.partial_correlation(d, "X", "Y", ["Z1"]), 30, 2, "cor")
+        assert res.df == ref.df == 26
+        assert res.p_value == pytest.approx(ref.p_value, abs=1e-12)
+
+    def test_exact_relation_given_z_gives_p_zero(self):
+        # Y = c X + b, exact up to rounding, given 1 to 3 columns that X may
+        # depend on: what the residuals on z leave of each other vanishes
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            n, k = int(rng.integers(8, 300)), int(rng.integers(1, 4))
+            zs = rng.standard_normal((n, k))
+            x = rng.standard_normal(n) + zs @ rng.standard_normal(k)
+            cols = {"X": x, "Y": rng.uniform(-5.0, 5.0) * x + rng.uniform(-5.0, 5.0)}
+            cols.update((f"Z{i}", zs[:, i]) for i in range(k))
+            d = Dataset.from_values(tuple(cols), cols)
+            for label in ("cor", "zf", "mi-g"):
+                res = ci_test(d, "X", "Y", list(cols)[2:], test=label)
+                assert res.p_value == 0.0 and math.isinf(res.statistic)
+
+    @pytest.mark.parametrize("label", ["cor", "zf", "mi-g", "mc-cor", "mc-zf", "mc-mi-g"])
+    @pytest.mark.parametrize("sign", [2.0, -2.0])
+    def test_exact_relation_given_unrelated_z_is_dependence(self, label, sign):
+        # Y = +-2 X with an unrelated Z: a singular [Z, X, Y] whose residuals
+        # on Z are proportional, so |rho| = 1 given Z as without it
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(300)
+        d = Dataset.from_values(("X", "Y", "Z"), {"X": x, "Y": sign * x,
+                                                  "Z": rng.standard_normal(300)})
+        res = ci_test(d, "X", "Y", ["Z"], test=label, B=50)
+        assert math.isinf(res.statistic)
+        if label.startswith("mc-"):
+            assert res.replicates == 50 and res.statistic > 0
+            k = res.p_value * 51 - 1
+            assert abs(k - round(k)) < 1e-9 and 0 <= round(k) <= 50
+        else:
+            assert res.p_value == 0.0 and res.degenerate
+            assert (res.statistic > 0) == (sign > 0 or label == "mi-g")
 
     @pytest.mark.parametrize("label", ["cor", "zf", "mi-g", "mc-cor", "mc-zf", "mc-mi-g"])
     @pytest.mark.parametrize("k", [0, 1, 3])
@@ -576,6 +620,10 @@ class TestCiTestDispatcher:
         twin = ci_test(d, x, y, z, test=label[3:])
         res = ci_test(d, x, y, z, test=label, B=50)
         assert permutation_pvalue(d, x, y, z, kind=label, B=50) == res
+        if case == "D-is-2C":  # a singular z is tested given its span
+            assert not twin.degenerate and res.replicates == 50
+            assert res.statistic == abs(twin.statistic)
+            return
         assert (res.statistic, res.p_value, res.degenerate) == \
             (twin.statistic, twin.p_value, twin.degenerate)
         if case.startswith("A-is"):  # a zero partial correlation, not untestable
