@@ -10,8 +10,8 @@ import argparse
 import sys
 
 from .constraint import LearnConfig, constraint_learn
-from .data import (DataError, FittedNetwork, _read_columns, _read_text, fit_mle,
-                   forward_sample, load_table, write_table)
+from .data import (DataError, FittedNetwork, _check_delimiter, _read_columns,
+                   _read_text, fit_mle, forward_sample, load_table, write_table)
 from .graph import (Graph, GraphError, average_branching, average_mb_size,
                     average_nbr_size, compare, format_modelstring,
                     parse_modelstring, to_dot)
@@ -206,6 +206,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    delimiter = "," if args.delimiter is None else args.delimiter
+    _check_delimiter(delimiter)  # before any sampling, as load_table checks it
     if args.params:
         fitted = FittedNetwork.from_json(_read_text(args.params))
     else:
@@ -215,7 +217,6 @@ def _cmd_sample(args) -> int:
         graph = load_graph(args.model, nodes=data.names)
         fitted = fit_mle(graph, data)
     sampled = forward_sample(fitted, args.n, args.seed)
-    delimiter = "," if args.delimiter is None else args.delimiter
     write_table(sampled, args.out or sys.stdout, delimiter=delimiter)
     return 0
 

@@ -434,8 +434,9 @@ def partial_correlation(d: Dataset, x: str, y: str, z=()) -> float:
     factor is trusted only when the 2-norm condition number, read from the
     eigenvalues, is below 1e12. Otherwise rho is the correlation of the
     residuals of a and b on z: 0 when either residual vanishes (x or y is a
-    linear function of z), +-1 for an exact linear relation of x and y, and
-    the partial correlation given the span of z when z is singular.
+    linear function of z), and the partial correlation given the span of z
+    when z is singular. For every z, empty or not, |rho| within 5e-13 of 1
+    reads as an exact linear relation of x and y and is reported as +-1.
     """
     z = _name_list(z)
     _check_variables(d, x, y, z)
@@ -443,23 +444,26 @@ def partial_correlation(d: Dataset, x: str, y: str, z=()) -> float:
         raise DataError("not enough rows for the conditioning set")
     a, b = (x, y) if x <= y else (y, x)
     corr = correlation_matrix(d, z + [a, b])
-    if not z:
-        return float(corr[0, 1])
-    # a near-singular matrix can still factor; its pivots alone do not
-    # show it, so the guard reads the condition number from the spectrum
-    lam = np.abs(np.linalg.eigvalsh(corr))
-    smallest = float(lam.min())
-    if smallest > 0.0 and float(lam.max()) / smallest < 1e12:
-        chol = np.linalg.cholesky(corr)
-        l21, l22 = float(chol[-1, -2]), float(chol[-1, -1])
-        return min(1.0, max(-1.0, l21 / math.sqrt(l21 * l21 + l22 * l22)))
-    ra, rb = (_regress(d, name, z)[1] for name in (a, b))
-    for name, resid in ((a, ra), (b, rb)):
-        vals = d.values(name)
-        if np.linalg.norm(resid) <= 1e-6 * max(np.linalg.norm(vals - vals.mean()), 1e-30):
-            return 0.0
-    rho = float(ra @ rb) / math.sqrt(float(ra @ ra) * float(rb @ rb))
-    # one residual leaves at most 1e-6 of the other's norm: x and y exactly related
+    rho = float(corr[0, 1])
+    if z:
+        # a near-singular matrix can still factor; its pivots alone do not
+        # show it, so the guard reads the condition number from the spectrum
+        lam = np.abs(np.linalg.eigvalsh(corr))
+        smallest = float(lam.min())
+        if smallest > 0.0 and float(lam.max()) / smallest < 1e12:
+            chol = np.linalg.cholesky(corr)
+            l21, l22 = float(chol[-1, -2]), float(chol[-1, -1])
+            rho = l21 / math.sqrt(l21 * l21 + l22 * l22)
+        else:
+            ra, rb = (_regress(d, name, z)[1] for name in (a, b))
+            for name, resid in ((a, ra), (b, rb)):
+                vals = d.values(name)
+                scale = max(np.linalg.norm(vals - vals.mean()), 1e-30)
+                if np.linalg.norm(resid) <= 1e-6 * scale:
+                    return 0.0
+            rho = float(ra @ rb) / math.sqrt(float(ra @ ra) * float(rb @ rb))
+    # an exact x-y relation (one residual leaves at most 1e-6 of the other's norm)
+    # or rounding past +-1; a trusted factor has 1 - rho^2 >= 1 / cond > 1e-12
     return math.copysign(1.0, rho) if 1.0 - rho * rho <= 1e-12 else rho
 
 

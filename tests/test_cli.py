@@ -506,7 +506,12 @@ class TestSample:
         assert message in err
         assert out == ""
 
-    def test_output_delimiter_of_other_length_exit_code(self, capsys, tmp_path):
+    def test_output_delimiter_of_other_length_exit_code(self, capsys, tmp_path,
+                                                          monkeypatch):
+        # the delimiter is refused before any row is sampled
+        def no_sampling(*args):
+            raise AssertionError("sampled before the delimiter was checked")
+        monkeypatch.setattr(bnsl.cli, "forward_sample", no_sampling)
         params = tmp_path / "net.json"
         params.write_text(json.dumps(self._network("continuous")))
         code, out, err = run_cli(capsys, "sample", "--params", str(params), "--n", "5",

@@ -587,10 +587,16 @@ def _near_collinear_case(rng):
 
 
 class TestNearCollinearSweep:
-    def test_keeps_every_decision(self):
+    def test_keeps_every_decision(self, monkeypatch):
         # the eigenvalue guard and the Cholesky factor decide value / 0.0
         # exactly as the SVD guard and the inverse did, and a matrix neither
-        # trusts takes the residuals' correlation
+        # trusts takes the residuals' correlation. The regressions counted
+        # show which path partial_correlation took: none for a trusted factor.
+        regressions = []
+        def counted(*args):
+            regressions.append(args[1])
+            return _regress(*args)
+        monkeypatch.setattr(bnsl.data, "_regress", counted)
         rng = np.random.default_rng(2024)
         seen = {"value": 0, "zero": 0, "residual": 0}
         compared = 0
@@ -602,7 +608,9 @@ class TestNearCollinearSweep:
                 with pytest.raises(DataError, match="not enough rows"):
                     partial_correlation(d, "X", "Y", z)
                 continue
+            regressions.clear()
             rho = partial_correlation(d, "X", "Y", z)
+            assert bool(regressions) == (rule != "value"), (rule, regressions)
             assert (rho == 0.0) == (rule == "zero")
             seen[rule] += 1
             if rule == "residual":
