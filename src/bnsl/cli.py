@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .constraint import LearnConfig, constraint_learn
+from .constraint import ALGORITHMS, LearnConfig, constraint_learn
 from .data import (DataError, FittedNetwork, _check_delimiter, _read_columns,
                    _read_text, fit_mle, forward_sample, load_table, write_table)
 from .graph import (Graph, GraphError, average_branching, average_mb_size,
@@ -18,10 +18,9 @@ from .graph import (Graph, GraphError, average_branching, average_mb_size,
 from .hillclimb import HillClimbConfig, hill_climb
 from .independence import TEST_LABELS, TEST_NAMES, TestError, ci_test
 from .priors import ArcList, PriorError, PriorKnowledge
-from .scores import SCORE_LABELS, SCORE_NAMES, ScoreError, ScoreSpec, \
+from .scores import SCORE_LABELS, SCORE_NAMES, ScoreError, ScoreSpec, default_score, \
     network_score
 
-_ALGOS = ("gs", "iamb", "fast-iamb", "inter-iamb", "mmpc", "hc")
 _FORMATS = ("modelstring", "arcs", "dot", "summary")
 
 
@@ -72,14 +71,13 @@ def _graph_payload(g: Graph, fmt: str) -> str:
     return summary_block(g)
 
 
+_TITLES = {"constraint": "Bayesian network learned via Constraint-based methods",
+           "score": "Bayesian network learned via Score-based methods"}
+
+
 def summary_block(g: Graph) -> str:
     p = g.provenance
-    if p.method == "constraint":
-        title = "Bayesian network learned via Constraint-based methods"
-    elif p.method == "score":
-        title = "Bayesian network learned via Score-based methods"
-    else:
-        title = "Bayesian network"
+    title = _TITLES.get(p.method, "Bayesian network")
     model = format_modelstring(g) if g.directed else "[partially directed graph]"
     lines = [
         "",
@@ -96,24 +94,21 @@ def summary_block(g: Graph) -> str:
         f"  average branching factor:              {average_branching(g):.2f} ",
         "",
     ]
-    if p.method == "constraint":
+    if p.method in _TITLES:
+        if p.method == "constraint":
+            criterion = [
+                f"  conditional independence test:         {TEST_NAMES[p.test]} ",
+                f"  alpha threshold:                       {p.alpha:g} ",
+            ]
+        else:
+            criterion = [f"  score:                                 {SCORE_NAMES[p.score]} "]
+            if p.penalty is not None:
+                criterion.append(f"  penalization coefficient:              {p.penalty:g} ")
+            if p.iss is not None:
+                criterion.append(f"  equivalent sample size:                {p.iss:g} ")
         lines += [
             f"  learning algorithm:                    {p.algorithm} ",
-            f"  conditional independence test:         {TEST_NAMES[p.test]} ",
-            f"  alpha threshold:                       {p.alpha:g} ",
-            f"  tests used in the learning procedure:  {p.ntests} ",
-            f"  optimized:                             {'TRUE' if p.optimized else 'FALSE'} ",
-        ]
-    elif p.method == "score":
-        lines += [
-            f"  learning algorithm:                    {p.algorithm} ",
-            f"  score:                                 {SCORE_NAMES[p.score]} ",
-        ]
-        if p.penalty is not None:
-            lines.append(f"  penalization coefficient:              {p.penalty:g} ")
-        if p.iss is not None:
-            lines.append(f"  equivalent sample size:                {p.iss:g} ")
-        lines += [
+            *criterion,
             f"  tests used in the learning procedure:  {p.ntests} ",
             f"  optimized:                             {'TRUE' if p.optimized else 'FALSE'} ",
         ]
@@ -128,6 +123,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _score_spec(args, data) -> ScoreSpec:
+    """--score and --iss, with the data's default score when --score is not given."""
+    return ScoreSpec(kind=args.score or default_score(data), iss=args.iss)
+
+
 def _cmd_learn(args) -> int:
     if args.algo == "hc" and not args.optimized:
         raise ScoreError("--optimized false applies only to the constraint-based "
@@ -136,9 +136,7 @@ def _cmd_learn(args) -> int:
     priors = _read_priors(args)
     start = load_graph(args.start, nodes=data.names) if args.start else None
     if args.algo == "hc":
-        spec = ScoreSpec(kind=args.score or ("bic" if data.discrete else "bge"),
-                         iss=args.iss)
-        cfg = HillClimbConfig(score=spec, priors=priors, start=start,
+        cfg = HillClimbConfig(score=_score_spec(args, data), priors=priors, start=start,
                               restarts=args.restart, perturb=args.perturb,
                               seed=args.seed, debug=args.debug)
         graph, trace = hill_climb(data, cfg)
@@ -159,9 +157,7 @@ def _cmd_learn(args) -> int:
 def _cmd_score(args) -> int:
     data = load_table(args.data, type_hint=args.type, delimiter=args.delimiter)
     graph = load_graph(args.graph, nodes=data.names)
-    spec = ScoreSpec(kind=args.score or ("bic" if data.discrete else "bge"),
-                     iss=args.iss)
-    value = network_score(graph, data, spec)
+    value = network_score(graph, data, _score_spec(args, data))
     _emit(f"{value!r}\n", args.out)
     return 0
 
@@ -221,15 +217,10 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _cmd_export_dot(args) -> int:
+def _cmd_render(args) -> int:
+    """export-dot and modelstring: the graph in args.format, as learn --format writes it."""
     graph = load_graph(args.graph, nodes=_nodes(args))
-    _emit(to_dot(graph), args.out)
-    return 0
-
-
-def _cmd_modelstring(args) -> int:
-    graph = load_graph(args.graph, nodes=_nodes(args))
-    _emit(format_modelstring(graph) + "\n", args.out)
+    _emit(_graph_payload(graph, args.format), args.out)
     return 0
 
 
@@ -248,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("learn", help="learn a network structure from data")
     p.add_argument("data", help="delimited data file with a header row")
-    p.add_argument("--algo", choices=_ALGOS, default="gs")
+    p.add_argument("--algo", choices=ALGORITHMS + ("hc",), default="gs")
     p.add_argument("--test", choices=TEST_LABELS)
     p.add_argument("--score", choices=SCORE_LABELS)
     p.add_argument("--alpha", type=float, default=0.05)
@@ -305,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-dot", help="write the graph as DOT text")
     p.add_argument("graph")
     p.add_argument("--nodes")
-    p.set_defaults(func=_cmd_export_dot)
+    p.set_defaults(func=_cmd_render, format="dot")
 
     p = sub.add_parser("modelstring", help="print the canonical model string")
     p.add_argument("graph")
     p.add_argument("--nodes")
-    p.set_defaults(func=_cmd_modelstring)
+    p.set_defaults(func=_cmd_render, format="modelstring")
 
     for sp in sub.choices.values():
         sp.add_argument("--out", help="write the primary output to this file")

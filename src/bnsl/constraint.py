@@ -17,9 +17,9 @@ from itertools import combinations
 import numpy as np
 
 from .data import Dataset, DataError, _check_integer, joint_config_codes
-from .graph import CycleError, Graph, Provenance, propagate_directions
+from .graph import CycleError, Graph, Provenance, _pair, propagate_directions
 from .independence import TEST_LABELS, TestError, _resolve_test, ci_test
-from .priors import Constraints, PriorKnowledge, normalize_priors, _pair
+from .priors import Constraints, PriorKnowledge, normalize_priors
 from .trace import LearnTrace
 
 ALGORITHMS = ("gs", "iamb", "fast-iamb", "inter-iamb", "mmpc")

@@ -57,7 +57,7 @@ class Dataset:
         if not names:
             raise DataError("dataset has no columns")
         cols = {}
-        kinds = set()
+        kinds = {}  # "categorical"/"numeric" -> the first column of that kind
         length = None
         for name in names:
             try:
@@ -65,7 +65,7 @@ class Dataset:
             except KeyError:
                 raise DataError(f"no data for column {name!r}") from None
             if isinstance(col, CategoricalColumn):
-                kinds.add("categorical")
+                kinds.setdefault("categorical", name)
                 m = len(col.levels)
                 if m < 2:
                     raise DataError(f"column {name!r} has fewer than 2 levels")
@@ -79,7 +79,7 @@ class Dataset:
                     raise DataError(f"column {name!r} has out-of-range codes")
                 col = CategoricalColumn(tuple(col.levels), codes.astype(np.int64, copy=False))
             elif isinstance(col, NumericColumn):
-                kinds.add("numeric")
+                kinds.setdefault("numeric", name)
                 col = NumericColumn(np.asarray(col.values, dtype=np.float64))
                 bad = np.flatnonzero(~np.isfinite(col.values))
                 if bad.size:
@@ -97,11 +97,12 @@ class Dataset:
                 raise DataError("columns have differing lengths")
             cols[name] = col
         if len(kinds) > 1:
-            raise DataError("mixed data unsupported")
+            raise DataError(f"mixed data unsupported: column {kinds['categorical']!r} "
+                            f"is categorical and column {kinds['numeric']!r} is numeric")
         self.names = names
         self.columns = cols
         self.n = int(length)
-        self.discrete = kinds == {"categorical"}
+        self.discrete = "categorical" in kinds
         self._memo = {}
 
     def levels(self, name: str) -> tuple[str, ...]:
@@ -163,7 +164,8 @@ def _check_delimiter(delimiter) -> None:
 
 def _read_text(path) -> str:
     try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports lead with
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
@@ -218,6 +220,10 @@ def load_table(path, type_hint: str | None = None, delimiter: str | None = None)
     header, raw, lines = _read_columns(_read_text(path), path, "data", delimiter)
     if not lines:
         raise DataError(f"data file {path} has no data rows")
+    for j, name in enumerate(header):
+        if name in header[:j]:
+            raise DataError(f"duplicate column name {name!r} in header fields "
+                            f"{header.index(name) + 1} and {j + 1}, in data file {path}")
 
     def numeric(colvals):
         try:

@@ -28,6 +28,11 @@ class CycleError(GraphError):
     """An operation would make the directed part of a graph cyclic."""
 
 
+def _pair(a: str, b: str) -> tuple[str, str]:
+    """The key of the undirected pair {a, b}: its two labels in sorted order."""
+    return (a, b) if a < b else (b, a)
+
+
 @dataclass(frozen=True)
 class Provenance:
     """Display-only metadata describing how a structure was obtained."""
@@ -72,12 +77,11 @@ class Graph:
                 raise GraphError(f"self-loop on {a!r}")
             if a not in node_set or b not in node_set:
                 raise GraphError(f"arc endpoint not in node set: {a!r} - {b!r}")
-            undirected.add((a, b) if a < b else (b, a))
+            undirected.add(_pair(a, b))
         for u, v in directed:
             if (v, u) in directed:
                 raise GraphError(f"both orientations of {u!r}/{v!r} are directed")
-            key = (u, v) if u < v else (v, u)
-            if key in undirected:
+            if _pair(u, v) in undirected:
                 raise GraphError(f"{u!r}/{v!r} is both directed and undirected")
 
         self.nodes = nodes
@@ -304,11 +308,8 @@ def format_modelstring(g: Graph) -> str:
     """
     if g.undirected_arcs:
         raise GraphError("model strings require a completely directed graph")
-    order = topological_order(g)
-    if order is None:
-        raise CycleError(CYCLE_MESSAGE)
     depth: dict[str, int] = {}
-    for n in order:
+    for n in topological_order(g):
         ps = g.parents(n)
         depth[n] = 1 + max((depth[p] for p in ps), default=-1)
     blocks = []
@@ -329,7 +330,7 @@ def mutate_arc(g: Graph, frm: str, to: str, op: str) -> Graph:
     g._check_node(to)
     if frm == to:
         raise GraphError("arc endpoints must differ")
-    key = (frm, to) if frm < to else (to, frm)
+    key = _pair(frm, to)
     directed = set(g.directed_arcs)
     undirected = set(g.undirected_arcs)
     if op == "set":
@@ -372,7 +373,7 @@ def set_undirected(g: Graph, a: str, b: str) -> Graph:
     undirected = set(g.undirected_arcs)
     directed.discard((a, b))
     directed.discard((b, a))
-    undirected.add((a, b) if a < b else (b, a))
+    undirected.add(_pair(a, b))
     return Graph(g.nodes, directed, undirected, g.provenance)
 
 

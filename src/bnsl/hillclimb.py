@@ -23,7 +23,8 @@ import numpy as np
 from .data import Dataset, _check_integer
 from .graph import CycleError, Graph, GraphError, Provenance, empty_graph
 from .priors import Constraints, PriorKnowledge, PriorError, normalize_priors
-from .scores import ScoreCache, ScoreError, ScoreSpec, _cached_local, network_score
+from .scores import ScoreCache, ScoreError, ScoreSpec, _cached_local, default_score, \
+    network_score
 from .trace import LearnTrace, TraceEvent
 
 # The benchmark's traced run (perfbench/tracing.py) wraps these names on this
@@ -39,9 +40,9 @@ _ADD, _DELETE, _REVERSE = range(3)
 
 @dataclass
 class HillClimbConfig:
-    """Options for the hill-climbing search."""
+    """Options for the hill-climbing search; score None means the data's default."""
 
-    score: ScoreSpec | str = "bic"
+    score: ScoreSpec | str | None = None
     priors: PriorKnowledge | None = None
     start: Graph | None = None
     restarts: int = 0
@@ -53,7 +54,7 @@ class HillClimbConfig:
     def __post_init__(self):
         if isinstance(self.score, str):
             self.score = ScoreSpec(kind=self.score)
-        if self.score.kind == "lik":
+        if self.score is not None and self.score.kind == "lik":
             raise ScoreError("hill-climbing maximizes loglik, not its exponential")
         _check_integer("restarts", self.restarts, 0, ScoreError)
         _check_integer("perturb", self.perturb, 0, ScoreError)
@@ -293,7 +294,7 @@ def _starting_graph(d: Dataset, cfg: HillClimbConfig, cons: Constraints) -> Grap
 
 def hill_climb(d: Dataset, cfg: HillClimbConfig) -> tuple[Graph, LearnTrace]:
     """Greedy search for a high-scoring DAG; deterministic given the seed."""
-    spec = cfg.score
+    spec = cfg.score if cfg.score is not None else ScoreSpec(kind=default_score(d))
     cons = normalize_priors(cfg.priors, d.names)
     trace = LearnTrace(cfg.debug)
     cache = ScoreCache()

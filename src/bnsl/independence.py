@@ -117,20 +117,19 @@ def aic_test(t: ContingencyTable, n: int) -> bool:
 def table_test(t: ContingencyTable, kind: str) -> TestResult:
     """Asymptotic TestResult for one of the discrete labels."""
     df = table_df(t)
-    if kind == "mi":
-        stat = 2.0 * t.n * mi_discrete(t)
-        return TestResult("mi", stat, chi2_sf(stat, df), df=df)
     if kind == "x2":
         stat = x2_discrete(t)
         return TestResult("x2", stat, chi2_sf(stat, df), df=df)
+    if kind not in ("mi", "fmi", "aict"):
+        raise TestError(f"unknown discrete test {kind!r}")
+    # the table's mutual information, computed once (fmi zeroes it on few data)
+    mi = fmi_statistic(t, t.n) if kind == "fmi" else mi_discrete(t)
+    stat = 2.0 * t.n * mi
+    if kind == "mi":
+        return TestResult("mi", stat, chi2_sf(stat, df), df=df)
     if kind == "fmi":
-        stat = 2.0 * t.n * fmi_statistic(t, t.n)
         return TestResult("fmi", stat, chi2_sf(stat, df) if stat > 0 else 1.0, df=df)
-    if kind == "aict":
-        dependent = aic_test(t, t.n)
-        return TestResult("aict", 2.0 * t.n * mi_discrete(t),
-                          0.0 if dependent else 1.0, df=df)
-    raise TestError(f"unknown discrete test {kind!r}")
+    return TestResult("aict", stat, 0.0 if mi >= df / t.n else 1.0, df=df)
 
 
 # -- Gaussian statistics ------------------------------------------------------------

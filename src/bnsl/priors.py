@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import CycleError, Graph
+from .graph import CycleError, Graph, _pair
 
 
 class PriorError(ValueError):
@@ -30,7 +30,8 @@ class ArcList:
     def __post_init__(self):
         rows = tuple((str(u), str(v)) for u, v in self.rows)
         if len(set(rows)) != len(rows):
-            raise PriorError("duplicate rows in arc list")
+            u, v = next(row for i, row in enumerate(rows) if row in rows[:i])
+            raise PriorError(f"duplicate rows in arc list: {u!r} -> {v!r}")
         object.__setattr__(self, "rows", rows)
 
     def __iter__(self):
@@ -50,10 +51,6 @@ class PriorKnowledge:
             object.__setattr__(self, "whitelist", ArcList(tuple(self.whitelist)))
         if not isinstance(self.blacklist, ArcList):
             object.__setattr__(self, "blacklist", ArcList(tuple(self.blacklist)))
-
-
-def _pair(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a < b else (b, a)
 
 
 @dataclass(frozen=True)

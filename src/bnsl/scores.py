@@ -97,6 +97,10 @@ class ScoreCache:
         return len(self._store)
 
 
+def default_score(d: Dataset) -> str:
+    return "bic" if d.discrete else "bge"
+
+
 def _check_spec(d: Dataset, spec: ScoreSpec) -> None:
     if d.discrete and spec.kind not in DISCRETE_SCORES:
         raise ScoreError(f"score {spec.kind!r} requires continuous data")

@@ -176,6 +176,15 @@ class TestLearn:
         assert code == 3
         assert "mixed data unsupported" in err
 
+    @pytest.mark.parametrize("flag", ["--whitelist", "--blacklist"])
+    def test_duplicate_arc_row_exit_code(self, capsys, data_path, tmp_path, flag):
+        arcs = tmp_path / "arcs.csv"
+        arcs.write_text("from,to\nA,B\nC,D\nA,B\n")
+        code, out, err = run_cli(capsys, "learn", data_path, flag, str(arcs))
+        assert code == 4
+        assert "duplicate rows in arc list: 'A' -> 'B'" in err
+        assert out == ""
+
     def test_empty_cell_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "holes.csv"
         bad.write_text("A,B\na,b\nb,\na,a\nb,b\n")
@@ -576,6 +585,46 @@ class TestExportAndModelstring:
         code, _, err = run_cli(capsys, "modelstring", "[A|C][B|A][C|B]")
         assert code == 1
         assert "the resulting graph contains cycles" in err
+
+
+class TestByteOrderMark:
+    """Files saved with a UTF-8 byte-order mark, as spreadsheets export them."""
+
+    @staticmethod
+    def _bom_file(tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8-sig")
+        return str(path)
+
+    def test_data_file(self, capsys, data_path, tmp_path):
+        with open(data_path, encoding="utf-8") as fh:
+            bom = self._bom_file(tmp_path, "bom.csv", fh.read())
+        code, out, err = run_cli(capsys, "learn", bom)
+        assert code == 0, err
+        assert out == run_cli(capsys, "learn", data_path)[1]
+        code, out, err = run_cli(capsys, "citest", bom, "A", "B")
+        assert code == 0, err
+        assert out == run_cli(capsys, "citest", data_path, "A", "B")[1]
+
+    def test_arc_file(self, capsys, data_path, tmp_path):
+        arcs = self._bom_file(tmp_path, "arcs.csv", "from,to\nA,B\nA,D\nC,D\nB,E\nF,E\n")
+        code, out, err = run_cli(capsys, "modelstring", arcs)
+        assert code == 0, err
+        assert out.strip() == SIXNODE_MODEL
+        code, out, err = run_cli(capsys, "learn", data_path, "--whitelist", arcs)
+        assert code == 0, err
+
+    def test_model_string_file(self, capsys, tmp_path):
+        model = self._bom_file(tmp_path, "model.txt", SIXNODE_MODEL + "\n")
+        code, out, err = run_cli(capsys, "modelstring", model)
+        assert code == 0, err
+        assert out.strip() == SIXNODE_MODEL
+
+    def test_params_file(self, capsys, tmp_path):
+        params = self._bom_file(tmp_path, "net.json", sixnode().to_json())
+        code, out, err = run_cli(capsys, "sample", "--params", params, "--n", "20")
+        assert code == 0, err
+        assert out.splitlines()[0] == "A,C,F,B,D,E"
 
 
 class TestConsoleEntry:

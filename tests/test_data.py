@@ -43,8 +43,10 @@ class TestLoadTable:
         assert d.values("X")[1] == -3.0
 
     def test_mixed_rejected(self, tmp_path):
-        path = _write(tmp_path, "d.csv", "A,X\na,1\nb,2\na,3\n")
-        with pytest.raises(DataError, match="mixed data unsupported"):
+        # the message names the first column of each kind
+        path = _write(tmp_path, "d.csv", "X,A,Y,B\n1,a,2,c\n2,b,3,d\n")
+        with pytest.raises(DataError, match="mixed data unsupported: column 'A' is "
+                                            "categorical and column 'X' is numeric$"):
             load_table(path)
 
     def test_ragged_rejected(self, tmp_path):
@@ -91,8 +93,9 @@ class TestLoadTable:
 
     def test_duplicate_column_named(self, tmp_path):
         path = _write(tmp_path, "d.csv", "A,B,A\na,b,a\nb,a,b\n")
-        with pytest.raises(DataError, match="duplicate column name 'A'"):
+        with pytest.raises(DataError, match="duplicate column name 'A'") as err:
             load_table(path)
+        assert str(err.value).endswith(f"in header fields 1 and 3, in data file {path}")
 
     def test_empty_rejected(self, tmp_path):
         path = _write(tmp_path, "d.csv", "")

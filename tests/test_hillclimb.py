@@ -457,3 +457,17 @@ class TestHillClimb:
                                       "Z": NumericColumn(z)})
         g, _ = hill_climb(d, HillClimbConfig(score="bge"))
         assert _skeleton(g) == {("X", "Y"), ("Y", "Z")}
+
+    @pytest.mark.parametrize("discrete, score", [(True, "bic"), (False, "bge")])
+    def test_default_score_follows_the_data(self, discrete, score):
+        # HillClimbConfig() runs the data's default score, as the CLI does
+        rng = np.random.default_rng(73)
+        d = _dependent_data(rng, random_dag(rng, 6, p_edge=0.4), 500, discrete)
+        g, trace = hill_climb(d, HillClimbConfig(restarts=1, seed=2))
+        ref, ref_trace = hill_climb(d, HillClimbConfig(score=score, restarts=1, seed=2))
+        assert [e.kind for e in trace.events].count("move") > 0
+        assert g == ref
+        assert g.provenance == ref.provenance and g.provenance.score == score
+        assert network_score(g, d, ScoreSpec(kind=score)) == \
+            network_score(ref, d, ScoreSpec(kind=score))
+        assert trace.lines() == ref_trace.lines()

@@ -15,7 +15,7 @@ from bnsl import (TEST_LABELS, ContingencyTable, DataError, Dataset, TestError,
                   mi_discrete, permutation_pvalue, x2_discrete)
 from bnsl.data import CategoricalColumn, NumericColumn
 from bnsl.constraint import LearnConfig
-from bnsl.independence import _null_tables, table_test
+from bnsl.independence import _null_tables, table_df, table_test
 
 from helpers import perfbench_module, random_gaussian_dataset, random_table
 
@@ -680,3 +680,34 @@ class TestTableTest:
         ind = table_test(_table([[25, 25], [25, 25]]), "aict")
         assert dep.p_value == 0.0
         assert ind.p_value == 1.0
+
+    def test_mutual_information_computed_once(self, monkeypatch):
+        calls = []
+        kernel = bnsl.independence._mi_from_counts
+
+        def counted(counts, n):
+            calls.append(n)
+            return kernel(counts, n)
+
+        monkeypatch.setattr(bnsl.independence, "_mi_from_counts", counted)
+        rng = np.random.default_rng(25)
+        for _ in range(100):
+            t = random_table(rng)
+            assert t.n >= 5 * table_df(t)  # so fmi does not zero its MI unread
+            for kind in ("mi", "fmi", "aict"):
+                calls.clear()
+                table_test(t, kind)
+                assert len(calls) == 1, kind
+
+    def test_equals_the_statistic_functions(self):
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            t = random_table(rng)
+            mi = table_test(t, "mi")
+            assert mi.statistic == 2.0 * t.n * mi_discrete(t)
+            fmi = table_test(t, "fmi")
+            assert fmi.statistic == 2.0 * t.n * fmi_statistic(t, t.n)
+            aict = table_test(t, "aict")
+            assert aict.statistic == mi.statistic
+            assert aict.p_value == (0.0 if aic_test(t, t.n) else 1.0)
+            assert table_test(t, "x2").statistic == x2_discrete(t)

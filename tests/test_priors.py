@@ -81,8 +81,8 @@ class TestNormalization:
 
 class TestArcList:
     def test_duplicate_rows_rejected(self):
-        with pytest.raises(PriorError):
-            ArcList((("A", "B"), ("A", "B")))
+        with pytest.raises(PriorError, match="duplicate rows in arc list: 'C' -> 'A'$"):
+            ArcList((("A", "B"), ("C", "A"), ("B", "C"), ("C", "A")))
 
     def test_iteration_and_len(self):
         rows = ArcList((("A", "B"), ("B", "C")))
