@@ -64,14 +64,12 @@ class LearnConfig:
             raise TestError("parallelism must be 1: the thread pool was removed")
 
 
-def _data_pvalue(d: Dataset, cfg: LearnConfig):
-    """The default pvalue(x, y, z): the configured test on the data.
+def _data_pvalue(d: Dataset, cfg: LearnConfig, label: str, order: dict[str, int]):
+    """The default pvalue(x, y, z): the test `label` on the data.
 
-    Monte Carlo seeds are a pure function of the tested variables, so any
-    recorded test replays to the identical p-value regardless of scheduling.
+    Monte Carlo seeds are a pure function of the tested variables' places in
+    `order`, so a recorded test replays to the identical p-value.
     """
-    label = _resolve_test(d, cfg.test)
-    order = {name: i for i, name in enumerate(d.names)}
 
     def pvalue(x: str, y: str, z: tuple[str, ...]) -> float:
         seed = 0  # read by the mc-* labels only
@@ -86,6 +84,7 @@ def _data_pvalue(d: Dataset, cfg: LearnConfig):
 class _CITester:
     """The learners' one way to a test: sorts z, answers repeats, records events.
 
+    It carries the run's state: its trace, alpha, test label and column order.
     pvalue(x, y, z) is called with z sorted in data-column order, at most
     once per ordered (x, y, z) in a run; the default runs the configured
     test on the data. Every call is recorded as a test event, repeats too.
@@ -93,9 +92,10 @@ class _CITester:
 
     def __init__(self, d: Dataset, cfg: LearnConfig, trace: LearnTrace, pvalue=None):
         self.trace = trace
+        self.alpha = cfg.alpha
         self.label = _resolve_test(d, cfg.test)
         self.order = {name: i for i, name in enumerate(d.names)}
-        self.pvalue = pvalue if pvalue is not None else _data_pvalue(d, cfg)
+        self.pvalue = pvalue or _data_pvalue(d, cfg, self.label, self.order)
         # the key keeps x and y in order: an mc-* seed depends on it
         self.memo: dict[tuple, float] = {}
         self.computed = 0
@@ -114,15 +114,6 @@ class _CITester:
         return p
 
 
-def _trace_and_tester(d: Dataset, cfg: LearnConfig, trace, tester):
-    """The given trace and tester, or defaults built from the configuration."""
-    if trace is None:
-        trace = LearnTrace(cfg.debug)
-    if tester is None:
-        tester = _CITester(d, cfg, trace)
-    return trace, tester
-
-
 def _subsets(pool):
     """Every subset of pool as a tuple, in increasing size."""
     for size in range(len(pool) + 1):
@@ -135,19 +126,20 @@ def _fmt(names) -> str:
     return f"' {' '.join(names)} '"
 
 
-def _shrink(target, blanket, skip_once, known_good, tester, trace, alpha, order):
+def _shrink(target, blanket, skip_once, known_good, tester):
     """Remove blanket members independent of the target given the rest."""
+    trace = tester.trace
     skip = set(skip_once)
     changed = True
     while changed:
         changed = False
-        for v in sorted(blanket, key=order.__getitem__):
+        for v in sorted(blanket, key=tester.order.__getitem__):
             if v in known_good or v in skip:
                 continue
             rest = tuple(w for w in blanket if w != v)
             trace.say(f"  * checking node {v} for exclusion (shrinking phase).")
             p = tester(target, v, rest, note="shrink")
-            if p > alpha:
+            if p > tester.alpha:
                 blanket.discard(v)
                 changed = True
                 skip.clear()  # conditioning sets changed, retest everything
@@ -159,8 +151,9 @@ def _shrink(target, blanket, skip_once, known_good, tester, trace, alpha, order)
     return blanket
 
 
-def _grow_gs(target, candidates, blanket, tester, trace, alpha):
+def _grow_gs(target, candidates, blanket, tester):
     """Cyclic sweeps, adding any candidate dependent given the current blanket."""
+    trace = tester.trace
     queue = list(candidates)
     fails = 0
     last_added = None
@@ -168,7 +161,7 @@ def _grow_gs(target, candidates, blanket, tester, trace, alpha):
         v = queue.pop(0)
         trace.say(f"  * checking node {v} for inclusion.")
         p = tester(target, v, tuple(blanket), note="grow")
-        if p <= alpha:
+        if p <= tester.alpha:
             blanket.append(v)
             last_added = v
             fails = 0
@@ -193,8 +186,7 @@ def _speculative_ok(d: Dataset, target: str, cand: str, blanket) -> bool:
     return d.n >= 5 * (len(blanket) + 2)
 
 
-def _grow_ranked(target, candidates, blanket, tester, trace, alpha, order, d,
-                 algorithm, known_good):
+def _grow_ranked(target, candidates, blanket, tester, d, algorithm, known_good):
     """IAMB-family forward selection: rank every candidate, add the most dependent.
 
     fast-iamb adds a speculative batch from each ranking instead of one
@@ -202,13 +194,14 @@ def _grow_ranked(target, candidates, blanket, tester, trace, alpha, order, d,
     Candidates found independent in one ranking stay eligible for the next,
     which conditions on the grown blanket.
     """
+    trace = tester.trace
     batch = algorithm == "fast-iamb"
     remaining = list(candidates)
     last_added = None
     while remaining:
-        scored = [(tester(target, v, tuple(blanket), note="grow"), order[v], v)
+        scored = [(tester(target, v, tuple(blanket), note="grow"), tester.order[v], v)
                   for v in remaining]
-        dependent = sorted(s for s in scored if s[0] <= alpha)
+        dependent = sorted(s for s in scored if s[0] <= tester.alpha)
         if not dependent:
             if not batch:
                 trace.say(f"    > no candidate is dependent on {target} given "
@@ -228,7 +221,7 @@ def _grow_ranked(target, candidates, blanket, tester, trace, alpha, order, d,
             trace.say(f"    > markov blanket now is {_fmt(blanket)}.")
         if algorithm == "inter-iamb":
             kept = set(blanket)
-            _shrink(target, kept, {v}, known_good, tester, trace, alpha, order)
+            _shrink(target, kept, {v}, known_good, tester)
             removed = [w for w in blanket if w not in kept]
             if removed:
                 blanket[:] = [w for w in blanket if w in kept]
@@ -239,16 +232,14 @@ def _grow_ranked(target, candidates, blanket, tester, trace, alpha, order, d,
 
 def learn_markov_blanket(target: str, d: Dataset, cfg: LearnConfig,
                          known_good=frozenset(), known_bad=frozenset(),
-                         tester: _CITester | None = None,
-                         trace: LearnTrace | None = None) -> set[str]:
+                         tester: _CITester | None = None) -> set[str]:
     """Markov blanket of the target via the configured gs/iamb-family algorithm."""
     if target not in d.names:
         raise DataError(f"unknown column {target!r}")
     known_good = set(known_good)
     known_bad = set(known_bad) - known_good
-    trace, tester = _trace_and_tester(d, cfg, trace, tester)
-    order = tester.order
-    alpha = cfg.alpha
+    tester = tester or _CITester(d, cfg, LearnTrace(cfg.debug))
+    trace, order = tester.trace, tester.order
     blanket = [v for v in d.names if v in known_good]
     candidates = [v for v in d.names
                   if v != target and v not in known_good and v not in known_bad]
@@ -259,24 +250,22 @@ def learn_markov_blanket(target: str, d: Dataset, cfg: LearnConfig,
         trace.say(f"    * nodes still to be tested for inclusion: {_fmt(candidates)}.")
 
     if cfg.algorithm == "gs":
-        blanket, last = _grow_gs(target, candidates, blanket, tester, trace, alpha)
+        blanket, last = _grow_gs(target, candidates, blanket, tester)
     elif cfg.algorithm in ("iamb", "fast-iamb", "inter-iamb"):
-        blanket, last = _grow_ranked(target, candidates, blanket, tester, trace,
-                                     alpha, order, d, cfg.algorithm, known_good)
+        blanket, last = _grow_ranked(target, candidates, blanket, tester, d,
+                                     cfg.algorithm, known_good)
     else:
         raise TestError(f"{cfg.algorithm!r} does not learn Markov blankets")
     result = set(blanket)
     skip_once = {last} if last is not None else set()
-    _shrink(target, result, skip_once, known_good, tester, trace, alpha, order)
+    _shrink(target, result, skip_once, known_good, tester)
     return result
 
 
-def _max_min_pc(target: str, d: Dataset, cfg: LearnConfig, known_good, known_bad,
-                tester: _CITester, trace: LearnTrace,
+def _max_min_pc(target: str, d: Dataset, known_good, known_bad, tester: _CITester,
                 cons: Constraints | None = None) -> set[str]:
     """Parent-children set of the target by max-min association."""
-    order = tester.order
-    alpha = cfg.alpha
+    trace, order, alpha = tester.trace, tester.order, tester.alpha
     known_good = set(known_good)
     cpc = [v for v in d.names if v in known_good]
     candidates = [v for v in d.names
@@ -339,7 +328,6 @@ def _backtrack_seeds(target, earlier, results, forced, positive=True):
 
 def neighbourhood_from_mb(x: str, blankets: dict[str, set[str]], d: Dataset,
                           cfg: LearnConfig, tester: _CITester | None = None,
-                          trace: LearnTrace | None = None,
                           known_good=frozenset(), known_bad=frozenset(),
                           excluded=frozenset()):
     """Split mb(x) into true neighbours and separated nodes with their d-separating sets.
@@ -348,8 +336,8 @@ def neighbourhood_from_mb(x: str, blankets: dict[str, set[str]], d: Dataset,
     mb(x) - y and mb(y) - x, in increasing size; the first separating subset
     found is recorded.
     """
-    trace, tester = _trace_and_tester(d, cfg, trace, tester)
-    order = tester.order
+    tester = tester or _CITester(d, cfg, LearnTrace(cfg.debug))
+    trace, order = tester.trace, tester.order
     for v in (x, *sorted(blankets.get(x, ()))):
         if v not in blankets or v not in order:
             raise DataError(f"node {v!r} has no Markov blanket over the data's columns")
@@ -373,7 +361,7 @@ def neighbourhood_from_mb(x: str, blankets: dict[str, set[str]], d: Dataset,
         for sub in _subsets(pool):
             trace.say(f"    > trying conditioning subset {_fmt(sub)}.")
             p = tester(x, y, sub, note="neighbourhood")
-            if p > cfg.alpha:
+            if p > tester.alpha:
                 dseps[y] = sub
                 trace.say(f"    > node {y} is not a neighbour of {x} . "
                           f"( p-value: {p:g} )")
@@ -387,7 +375,8 @@ def neighbourhood_from_mb(x: str, blankets: dict[str, set[str]], d: Dataset,
 
 # -- v-structures ------------------------------------------------------------------------
 
-def _detect_vstructures(names, adjacency, dseps, tester, trace, alpha):
+def _detect_vstructures(names, adjacency, dseps, tester):
+    trace = tester.trace
     detected = []
     for center in names:
         trace.say(_RULE)
@@ -405,7 +394,7 @@ def _detect_vstructures(names, adjacency, dseps, tester, trace, alpha):
             trace.say(f"    > chosen d-separating set: {_fmt(sep)}")
             p = tester(x, y, tuple(sep) + (center,), note="vstructure")
             trace.say(f"    > testing {x} vs {y} given {' '.join(tuple(sep) + (center,))} ( {p:g} )")
-            if p <= alpha:
+            if p <= tester.alpha:
                 detected.append((p, x, center, y))
                 trace.add("vstructure", x, y, (center,), p, note="detected")
                 trace.say(f"    @ detected v-structure {x} -> {center} <- {y}")
@@ -428,7 +417,6 @@ def _vstructure_conflict(nodes, directed, x, center, y, cons) -> str | None:
 
 def orient_vstructures(skeleton: Graph, dsep_sets: dict, d: Dataset,
                        cfg: LearnConfig, tester: _CITester | None = None,
-                       trace: LearnTrace | None = None,
                        cons: Constraints | None = None) -> Graph:
     """Detect and apply v-structures on an undirected skeleton.
 
@@ -436,11 +424,11 @@ def orient_vstructures(skeleton: Graph, dsep_sets: dict, d: Dataset,
     candidate that would overwrite an existing orientation, close a directed
     cycle or violate the priors is skipped.
     """
-    trace, tester = _trace_and_tester(d, cfg, trace, tester)
+    tester = tester or _CITester(d, cfg, LearnTrace(cfg.debug))
+    trace = tester.trace
     adjacency = {n: set(skeleton.nbr(n)) for n in skeleton.nodes}
     dseps = {_pair(a, b): tuple(s) for (a, b), s in dsep_sets.items()}
-    detected = _detect_vstructures(skeleton.nodes, adjacency, dseps, tester,
-                                   trace, cfg.alpha)
+    detected = _detect_vstructures(skeleton.nodes, adjacency, dseps, tester)
     directed = set(skeleton.directed_arcs)
     undirected = set(skeleton.undirected_arcs)
     for p, x, center, y in detected:
@@ -495,9 +483,9 @@ def constraint_learn(d: Dataset, cfg: LearnConfig,
             trace.add("backtrack", target,
                       note=f"good={','.join(sorted(kg))} bad={','.join(sorted(kb))}")
         if is_mmpc:
-            blankets[target] = _max_min_pc(target, d, cfg, kg, kb, tester, trace, cons)
+            blankets[target] = _max_min_pc(target, d, kg, kb, tester, cons)
         else:
-            blankets[target] = learn_markov_blanket(target, d, cfg, kg, kb, tester, trace)
+            blankets[target] = learn_markov_blanket(target, d, cfg, kg, kb, tester)
     blankets = _consistent(blankets, forced_adj, trace, "markov blankets")
 
     dseps: dict[tuple[str, str], tuple[str, ...]] = {}
@@ -516,7 +504,7 @@ def constraint_learn(d: Dataset, cfg: LearnConfig,
                     trace.say(f"  * known bad (backtracking): {_fmt(sorted(kb, key=order.__getitem__))}.")
             excluded = {y for y in blankets[x] if not cons.edge_allowed(x, y)}
             found, newseps = neighbourhood_from_mb(x, blankets, d, cfg, tester,
-                                                   trace, kg, kb, excluded)
+                                                   kg, kb, excluded)
             nbrs[x] = found
             for y, sep in newseps.items():
                 dseps.setdefault(_pair(x, y), sep)
@@ -532,7 +520,7 @@ def constraint_learn(d: Dataset, cfg: LearnConfig,
     undirected = {_pair(x, y) for x in names for y in nbrs[x]} - covered
     if not is_mmpc:
         pdag = orient_vstructures(Graph(names, directed, undirected), dseps, d, cfg,
-                                  tester, trace, cons)
+                                  tester, cons)
         directed = set(pdag.directed_arcs)
         undirected = set(pdag.undirected_arcs)
 

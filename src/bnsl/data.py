@@ -15,7 +15,7 @@ import io
 import json
 import math
 import numbers
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,11 +164,17 @@ def _check_delimiter(delimiter) -> None:
 
 def _read_text(path) -> str:
     try:
-        # utf-8-sig drops the byte-order mark that spreadsheet exports lead with
-        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    try:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports lead with
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        at = exc.start + len(raw) - len(exc.object)  # the codec saw raw minus its mark
+        raise DataError(f"cannot read {path}: not UTF-8 text "
+                        f"(byte 0x{raw[at]:02x} at offset {at})") from None
 
 
 def _read_columns(text: str, path, what: str, delimiter: str | None = None):
@@ -290,9 +296,6 @@ class ContingencyTable:
     def margin_y(self) -> np.ndarray:
         return self.counts.sum(axis=0)  # n_{+jk}, shape (C, L)
 
-    def margin_z(self) -> np.ndarray:
-        return self.counts.sum(axis=(0, 1))  # n_{++k}, shape (L,)
-
 
 def _name_list(names) -> list[str]:
     """Column names as a list; a single string names one column."""
@@ -384,33 +387,25 @@ def contingency_counts(d: Dataset, x: str, y: str, z=()) -> ContingencyTable:
 
 
 def _gaussian_moments(d: Dataset):
-    """Column index, means, sds and scatter (centered.T @ centered), once per Dataset."""
+    """(index, means, sds, scatter, correlations) of all columns, once per Dataset.
+
+    scatter is centered.T @ centered. Correlations of a zero-variance column
+    are non-finite; callers reject such columns before reading them.
+    """
     moments = d._memo.get("gaussian-moments")
     if moments is None:
         mat = np.column_stack([d.values(c) for c in d.names])
         means = mat.mean(axis=0)
         centered = mat - means
         index = {c: i for i, c in enumerate(d.names)}
-        moments = (index, means, centered.std(axis=0), centered.T @ centered)
-        d._memo["gaussian-moments"] = moments
-    return moments
-
-
-def _correlations(d: Dataset) -> np.ndarray:
-    """All p x p Pearson correlations, once per Dataset.
-
-    Rows and columns of zero-variance columns hold non-finite values; callers
-    reject those columns before reading them.
-    """
-    corr = d._memo.get("correlations")
-    if corr is None:
-        _, _, sds, scatter = _gaussian_moments(d)
+        sds = centered.std(axis=0)
+        scatter = centered.T @ centered
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = scatter / (d.n * np.outer(sds, sds))
         np.fill_diagonal(corr, 1.0)
-        corr = np.clip(corr, -1.0, 1.0)
-        d._memo["correlations"] = corr
-    return corr
+        moments = (index, means, sds, scatter, np.clip(corr, -1.0, 1.0))
+        d._memo["gaussian-moments"] = moments
+    return moments
 
 
 def correlation_matrix(d: Dataset, names) -> np.ndarray:
@@ -420,7 +415,7 @@ def correlation_matrix(d: Dataset, names) -> np.ndarray:
     names = _name_list(names)
     if d.n < 2:
         raise DataError("need at least 2 rows")
-    index, _, sds, _ = _gaussian_moments(d)
+    index, _, sds, _, corr = _gaussian_moments(d)
     try:
         idx = np.array([index[c] for c in names], dtype=np.intp)
     except KeyError as exc:
@@ -428,7 +423,7 @@ def correlation_matrix(d: Dataset, names) -> np.ndarray:
     sd = sds[idx]
     if not sd.all():  # sds are never negative: the first minimum is the first zero
         raise DataError(f"zero-variance column {names[int(np.argmin(sd))]!r}")
-    return _correlations(d)[idx[:, None], idx]
+    return corr[idx[:, None], idx]
 
 
 def partial_correlation(d: Dataset, x: str, y: str, z=()) -> float:
@@ -610,8 +605,11 @@ class FittedNetwork:
             kind = payload["type"]
             entries = payload["nodes"]
             names = [e["name"] for e in entries]
+            repeated = next((n for n, k in Counter(names).items() if k > 1), None)
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise DataError(f"malformed fitted-network file: {exc}") from None
+        if repeated is not None:
+            raise DataError(f"node {repeated!r} is listed twice in the fitted-network file")
         if kind not in ("discrete", "continuous"):
             raise DataError(f"unknown fitted-network type {kind!r}: "
                             f"expected 'discrete' or 'continuous'")

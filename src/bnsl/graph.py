@@ -134,9 +134,6 @@ class Graph:
     def children(self, node: str) -> frozenset[str]:
         return self._children[self._check_node(node)]
 
-    def undirected_neighbours(self, node: str) -> frozenset[str]:
-        return self._und_nbr[self._check_node(node)]
-
     def nbr(self, node: str) -> frozenset[str]:
         """Adjacent nodes: parents, children and undirected neighbours."""
         self._check_node(node)
@@ -193,7 +190,8 @@ class Graph:
 
     @property
     def acyclic(self) -> bool:
-        return topological_order(self) is not None
+        """Always True: the constructor refuses a cyclic directed part."""
+        return True
 
     @property
     def directed(self) -> bool:
@@ -261,7 +259,6 @@ def parse_modelstring(s: str, nodes=None) -> Graph:
     """
     seen: dict[str, list[str]] = {}
     order: list[str] = []
-    pos = 0
     for m in _BLOCK_PATTERN.finditer(s):
         if m.group(2) is not None:
             if not m.group(2).isspace():
@@ -283,7 +280,6 @@ def parse_modelstring(s: str, nodes=None) -> Graph:
             raise GraphError(f"empty parent list in block {body!r}")
         seen[name] = parents
         order.append(name)
-        pos = m.end()
     if not seen:
         raise GraphError("empty model string")
     for name, parents in seen.items():

@@ -23,8 +23,8 @@ import numpy as np
 from .data import Dataset, _check_integer
 from .graph import CycleError, Graph, GraphError, Provenance, empty_graph
 from .priors import Constraints, PriorKnowledge, PriorError, normalize_priors
-from .scores import ScoreCache, ScoreError, ScoreSpec, _cached_local, default_score, \
-    network_score
+from .scores import ScoreCache, ScoreError, ScoreSpec, _cached_local, _check_move, \
+    default_score, network_score
 from .trace import LearnTrace, TraceEvent
 
 # The benchmark's traced run (perfbench/tracing.py) wraps these names on this
@@ -162,17 +162,11 @@ def enumerate_moves(g: Graph, cons: Constraints | None = None) -> list[tuple[str
 
 
 def apply_move(g: Graph, move: tuple[str, str, str]) -> Graph:
-    kind, u, v = move
-    directed = set(g.directed_arcs)
-    if kind == "add":
-        directed.add((u, v))
-    elif kind == "delete":
-        directed.discard((u, v))
-    elif kind == "reverse":
-        directed.discard((u, v))
+    """The graph after a (kind, from, to) move; ScoreError if g does not admit it."""
+    kind, u, v = _check_move(g, move)
+    directed = set(g.directed_arcs) ^ {(u, v)}  # add it, or take it away
+    if kind == "reverse":
         directed.add((v, u))
-    else:
-        raise ScoreError(f"unknown move kind {kind!r}")
     return Graph(g.nodes, directed, (), g.provenance)
 
 

@@ -76,9 +76,6 @@ class Constraints:
     def edge_allowed(self, a: str, b: str) -> bool:
         return self.arc_allowed(a, b) or self.arc_allowed(b, a)
 
-    def is_empty(self) -> bool:
-        return not (self.forced_arcs or self.required_edges or self.forbidden_arcs)
-
     def forced_adjacency(self) -> dict[str, set[str]]:
         adj: dict[str, set[str]] = {n: set() for n in self.nodes}
         for u, v in self.forced_arcs:

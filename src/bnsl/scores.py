@@ -155,7 +155,7 @@ class _BgeContext:
     """Posterior matrix and hyperparameters shared by all bge local scores."""
 
     def __init__(self, d: Dataset, spec: ScoreSpec):
-        index, xbar, _, scatter = _gaussian_moments(d)
+        index, xbar, _, scatter, _ = _gaussian_moments(d)
         nvar = len(index)
         n = d.n
         alpha_mu = spec.iss
@@ -237,9 +237,7 @@ def local_score(node: str, parents, d: Dataset, spec: ScoreSpec) -> float:
         if spec.kind == "loglik":
             return ll
         if spec.kind == "lik":
-            if ll > 700.0:
-                raise ScoreError("likelihood overflows; use loglik")
-            return math.exp(ll)
+            return _likelihood(ll)
         dim = (counts.shape[0] - 1) * q
         return ll - spec.effective_penalty(d.n) * dim
     R = counts.shape[0]
@@ -256,14 +254,18 @@ def network_score(g: Graph, d: Dataset, spec: ScoreSpec,
     if set(g.nodes) != set(d.names):
         raise ScoreError("graph nodes and dataset columns do not match")
     if spec.kind == "lik":
-        total = network_score(g, d, replace(spec, kind="loglik"), cache)
-        if total > 700.0:
-            raise ScoreError("likelihood overflows; use loglik")
-        return math.exp(total)
+        return _likelihood(network_score(g, d, replace(spec, kind="loglik"), cache))
     total = 0.0
     for node in g.nodes:
         total += _cached_local(node, g.parents(node), d, spec, cache)
     return total
+
+
+def _likelihood(loglik: float) -> float:
+    """The lik score exp(loglik), refused where it would overflow a float."""
+    if loglik > 700.0:
+        raise ScoreError("likelihood overflows; use loglik")
+    return math.exp(loglik)
 
 
 def _cached_local(node: str, parents, d: Dataset, spec: ScoreSpec,
@@ -277,19 +279,25 @@ def _cached_local(node: str, parents, d: Dataset, spec: ScoreSpec,
     return value
 
 
+def _check_move(g: Graph, move) -> tuple[str, str, str]:
+    """(kind, from, to) of a move g admits: an add joins two unjoined nodes."""
+    kind, u, v = move
+    if kind not in ("add", "delete", "reverse"):
+        raise ScoreError(f"unknown move kind {kind!r}")
+    if u == v or ((u, v) in g.directed_arcs) == (kind == "add") or (v, u) in g.directed_arcs:
+        raise ScoreError(f"illegal {kind} {u} -> {v}")
+    return kind, u, v
+
+
 def score_delta(g: Graph, move, d: Dataset, spec: ScoreSpec,
                 cache: ScoreCache | None = None) -> float:
     """Score change of a single-arc move, from at most two local recomputations.
 
     move is (kind, from, to) with kind one of add, delete, reverse.
     """
-    kind, u, v = move
     if spec.kind == "lik":
         raise ScoreError("delta scoring works on the log scale; use loglik")
-    if kind not in ("add", "delete", "reverse"):
-        raise ScoreError(f"unknown move kind {kind!r}")
-    if u == v or ((u, v) in g.directed_arcs) == (kind == "add"):
-        raise ScoreError(f"illegal {kind} {u} -> {v}")
+    kind, u, v = _check_move(g, move)
 
     def toggle(node, other):  # the gain of toggling other in node's parents
         pa = g.parents(node)

@@ -16,21 +16,8 @@ _MAX_ITER = 1000
 _FPMIN = 1e-300
 
 
-def regularized_gamma_p(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(a, x) = gamma(a, x) / Gamma(a)."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_contfrac(a, x)
-
-
 def regularized_gamma_q(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(a, x) = 1 - P(a, x)."""
+    """Upper regularized incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a)."""
     if a <= 0:
         raise ValueError("a must be positive")
     if x < 0:

@@ -68,6 +68,28 @@ def test_constraint_learn_parameters_unchanged():
     ]
 
 
+_POS = inspect.Parameter.POSITIONAL_OR_KEYWORD
+_NONE = inspect.Parameter.empty
+
+
+@pytest.mark.parametrize("fn, want", [
+    (bnsl.learn_markov_blanket, [("target", _NONE), ("d", _NONE), ("cfg", _NONE),
+                                 ("known_good", frozenset()), ("known_bad", frozenset()),
+                                 ("tester", None)]),
+    (bnsl.neighbourhood_from_mb, [("x", _NONE), ("blankets", _NONE), ("d", _NONE),
+                                  ("cfg", _NONE), ("tester", None),
+                                  ("known_good", frozenset()), ("known_bad", frozenset()),
+                                  ("excluded", frozenset())]),
+    (bnsl.orient_vstructures, [("skeleton", _NONE), ("dsep_sets", _NONE), ("d", _NONE),
+                               ("cfg", _NONE), ("tester", None), ("cons", None)]),
+])
+def test_constraint_phase_parameters_unchanged(fn, want):
+    # each phase reaches its trace, alpha and column order through the tester
+    params = inspect.signature(fn).parameters
+    assert [(p.name, p.kind, p.default) for p in params.values()] == [
+        (name, _POS, default) for name, default in want]
+
+
 def test_cli_flags_unchanged():
     parser = build_parser()
     (subparsers,) = [a for a in parser._actions if a.dest == "command"]

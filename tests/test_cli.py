@@ -627,6 +627,37 @@ class TestByteOrderMark:
         assert out.splitlines()[0] == "A,C,F,B,D,E"
 
 
+class TestNotUtf8:
+    """Text files in another encoding are data errors that name the file."""
+
+    def test_utf16_data_file(self, capsys, data_path, tmp_path):
+        path = tmp_path / "utf16.csv"
+        with open(data_path, encoding="utf-8") as fh:
+            path.write_text(fh.read(), encoding="utf-16")
+        code, out, err = run_cli(capsys, "learn", str(path))
+        assert code == 3
+        assert f"cannot read {path}: not UTF-8 text (byte 0xff at offset 0)" in err
+        assert out == ""
+
+    def test_latin1_arc_file(self, capsys, data_path, tmp_path):
+        path = tmp_path / "arcs.csv"
+        path.write_text("from,to\nA,B\nA,\u00e9\n", encoding="latin-1")
+        code, out, err = run_cli(capsys, "learn", data_path, "--blacklist", str(path))
+        assert code == 3
+        assert f"cannot read {path}: not UTF-8 text (byte 0xe9 at offset 14)" in err
+        assert out == ""
+
+    def test_duplicate_node_in_params_file(self, capsys, tmp_path):
+        payload = json.loads(sixnode().to_json())
+        payload["nodes"].append(payload["nodes"][0])
+        params = tmp_path / "dup.json"
+        params.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "sample", "--params", str(params), "--n", "5")
+        assert code == 3
+        assert "node 'A' is listed twice in the fitted-network file" in err
+        assert out == ""
+
+
 class TestConsoleEntry:
     def test_subprocess_invocation(self, tmp_path):
         proc = subprocess.run(

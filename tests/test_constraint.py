@@ -156,6 +156,7 @@ class TestOrientVstructures:
         assert not pdag.directed_arcs
 
     def test_candidate_closing_a_cycle_skipped(self, sample):
+        from bnsl.constraint import _CITester
         from bnsl.trace import LearnTrace
         cfg = LearnConfig(algorithm="gs")
         # B -> D -> A is already directed, so A -> B <- E would close a cycle;
@@ -166,7 +167,7 @@ class TestOrientVstructures:
         trace = LearnTrace(debug=True, stream=stream)
         pdag = orient_vstructures(skeleton, {("A", "E"): (), ("C", "E"): ()},
                                   sample, cfg,
-                                  tester=lambda x, y, z, note="": 0.0, trace=trace)
+                                  tester=_CITester(sample, cfg, trace, lambda x, y, z: 0.0))
         assert pdag.directed_arcs == {("B", "D"), ("D", "A"), ("C", "F"), ("E", "F")}
         assert pdag.undirected_arcs == {("A", "B"), ("B", "E")}
         assert "A -> B <- E (the resulting graph contains cycles)" in stream.getvalue()
@@ -342,17 +343,22 @@ class TestTrace:
         assert p1 == p2
 
     def test_debug_stream_mirrors_learning(self, sample):
+        # a standalone phase writes its prose and its events to the tester's trace
         from bnsl.constraint import _CITester
         from bnsl.trace import LearnTrace
         stream = io.StringIO()
         cfg = LearnConfig(algorithm="gs", debug=True)
         tr = LearnTrace(debug=True, stream=stream)
         tester = _CITester(sample, cfg, tr)
-        learn_markov_blanket("A", sample, cfg, tester=tester, trace=tr)
+        learn_markov_blanket("A", sample, cfg, known_bad={"F"}, tester=tester)
         text = stream.getvalue()
         assert "checking node B for inclusion" in text
         assert "markov blanket now is" in text
         assert "shrinking phase" in text
+        assert "known bad (backtracking)" in text
+        tests = [e for e in tr.events if e.kind == "test"]
+        assert tests and len(tests) == tr.test_counter == tester.computed + tester.hits
+        assert {e.note for e in tests} == {"grow", "shrink"}
 
     def test_structured_export(self, sample):
         _, trace = constraint_learn(sample, LearnConfig(algorithm="gs"))
@@ -372,10 +378,11 @@ def tester_data():
 @pytest.mark.parametrize("data", ["sixnode", "alarm"])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_injected_pvalue_runs_once_per_distinct_test(tester_data, data, algorithm):
-    from bnsl.constraint import _data_pvalue
+    from bnsl.constraint import _CITester
+    from bnsl.trace import LearnTrace
     d = tester_data[data]
     cfg = LearnConfig(algorithm=algorithm)
-    default = _data_pvalue(d, cfg)
+    default = _CITester(d, cfg, LearnTrace()).pvalue
     calls = []
 
     def counted(x, y, z):

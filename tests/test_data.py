@@ -265,7 +265,7 @@ class TestContingency:
         assert t.L == 3  # (a,a), (a,b), (b,a) observed; (b,b) absent
         assert t.counts.sum() == 10
         # margins reconcile
-        assert np.array_equal(t.margin_z(), t.counts.sum(axis=(0, 1)))
+        assert np.array_equal(t.margin_x().sum(axis=0), t.margin_y().sum(axis=0))
         assert t.margin_x().sum() == 10
 
     def test_errors(self):
@@ -446,7 +446,7 @@ class TestCorrelation:
         mat = rng.standard_normal((70, 9)) @ rng.standard_normal((9, 9))
         d = Dataset(tuple(names), {c: NumericColumn(mat[:, i] * (i + 1) + 3.0 * i)
                                    for i, c in enumerate(names)})
-        index, _, sds, scatter = _gaussian_moments(d)
+        index, _, sds, scatter, _ = _gaussian_moments(d)
         for _ in range(200):
             subset = [names[i] for i in rng.choice(9, int(rng.integers(1, 10)),
                                                    replace=False)]
@@ -457,7 +457,17 @@ class TestCorrelation:
             want = np.clip(want, -1.0, 1.0)
             got = correlation_matrix(d, subset)
             assert got.shape == want.shape and np.all(got == want)
-        assert "correlations" in d._memo
+        assert list(d._memo) == ["gaussian-moments"]
+
+    def test_correlations_and_bge_share_one_gaussian_entry(self):
+        rng = np.random.default_rng(43)
+        d = Dataset(("X", "Y", "Z"), {c: NumericColumn(rng.standard_normal(40))
+                                      for c in ("X", "Y", "Z")})
+        correlation_matrix(d, ["X", "Z"])
+        local_score("Y", ["X"], d, ScoreSpec(kind="bge"))
+        # one entry of moments and correlations, beside the bge posterior
+        assert sorted(map(str, d._memo)) == ["('bge-context', 1.0, None)",
+                                             "gaussian-moments"]
 
     def test_constant_column_does_not_warn(self):
         rng = np.random.default_rng(42)

@@ -151,8 +151,14 @@ class TestQueries:
         assert self.g.children("A") == {"B", "D"}
         assert structure_query(self.g, "nbr", "A") == {"B", "D"}
 
-    def test_acyclic_and_directed(self):
-        assert structure_query(self.g, "acyclic") is True
+    def test_acyclic_and_directed(self, monkeypatch):
+        # the constructor refused any cycle, so reading the property orders nothing
+        def no_order(g):
+            raise AssertionError("acyclic ran topological_order")
+        with monkeypatch.context() as m:
+            m.setattr(bnsl.graph, "topological_order", no_order)
+            assert self.g.acyclic is True
+            assert structure_query(self.g, "acyclic") is True
         assert structure_query(self.g, "directed") is True
         und = set_undirected(self.g, "A", "B")
         assert structure_query(und, "directed") is False

@@ -211,6 +211,27 @@ class TestEnumerateMoves:
             enumerate_moves(g)
 
 
+class TestApplyMove:
+    # [A][B][C|A]: the one arc is A -> C
+    G = parse_modelstring("[A][B][C|A]")
+
+    @pytest.mark.parametrize("move", [("add", "A", "C"), ("add", "C", "A"),
+                                      ("delete", "B", "C"), ("reverse", "A", "B"),
+                                      ("add", "A", "A")])
+    def test_illegal_moves_rejected(self, move):
+        with pytest.raises(ScoreError, match=f"illegal {move[0]} {move[1]} -> {move[2]}"):
+            apply_move(self.G, move)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ScoreError, match="unknown move kind 'flip'"):
+            apply_move(self.G, ("flip", "A", "C"))
+
+    def test_legal_moves(self):
+        assert apply_move(self.G, ("add", "B", "C")).directed_arcs == {("A", "C"), ("B", "C")}
+        assert apply_move(self.G, ("delete", "A", "C")).directed_arcs == set()
+        assert apply_move(self.G, ("reverse", "A", "C")).directed_arcs == {("C", "A")}
+
+
 class TestPerturb:
     def test_single_move_on_empty_two_node_graph(self):
         g = empty_graph(("A", "B"))

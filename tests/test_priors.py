@@ -69,7 +69,7 @@ class TestNormalization:
 
     def test_empty_priors(self):
         c = normalize_priors(None, NODES)
-        assert c.is_empty()
+        assert not (c.forced_arcs or c.required_edges or c.forbidden_arcs)
         assert c.arc_allowed("A", "B")
 
     def test_forced_adjacency(self):

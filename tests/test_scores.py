@@ -316,6 +316,8 @@ class TestScoreDelta:
             score_delta(g, ("delete", "B", "A"), d, spec)  # absent
         with pytest.raises(ScoreError):
             score_delta(g, ("reverse", "C", "A"), d, spec)
+        with pytest.raises(ScoreError, match="illegal add B -> A"):
+            score_delta(g, ("add", "B", "A"), d, spec)  # the reverse is present
 
 
 class TestBdeBicSanity:

@@ -6,8 +6,8 @@ from scipy import special as sps
 from scipy import stats
 
 from bnsl.special import (chi2_sf, lgamma_array, normal_two_sided,
-                          regularized_beta, regularized_gamma_p,
-                          regularized_gamma_q, student_t_two_sided)
+                          regularized_beta, regularized_gamma_q,
+                          student_t_two_sided)
 
 
 def test_regularized_gamma_against_scipy():
@@ -15,7 +15,6 @@ def test_regularized_gamma_against_scipy():
     for _ in range(500):
         a = float(rng.uniform(0.05, 60.0))
         x = float(rng.uniform(0.0, 120.0))
-        assert regularized_gamma_p(a, x) == pytest.approx(sps.gammainc(a, x), abs=1e-12)
         assert regularized_gamma_q(a, x) == pytest.approx(sps.gammaincc(a, x), abs=1e-12)
 
 
@@ -94,6 +93,6 @@ def test_edge_cases():
     assert regularized_beta(2.0, 3.0, 0.0) == 0.0
     assert regularized_beta(2.0, 3.0, 1.0) == 1.0
     with pytest.raises(ValueError):
-        regularized_gamma_p(-1.0, 2.0)
+        regularized_gamma_q(-1.0, 2.0)
     with pytest.raises(ValueError):
         lgamma_array(np.array([0.0]))
