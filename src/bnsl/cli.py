@@ -205,7 +205,11 @@ def _cmd_sample(args) -> int:
     delimiter = "," if args.delimiter is None else args.delimiter
     _check_delimiter(delimiter)  # before any sampling, as load_table checks it
     if args.params:
-        fitted = FittedNetwork.from_json(_read_text(args.params))
+        text = _read_text(args.params)
+        try:
+            fitted = FittedNetwork.from_json(text)
+        except DataError as exc:
+            raise DataError(f"{exc}, in fitted-network file {args.params}") from None
     else:
         if not (args.model and args.data):
             raise DataError("sample needs either --params or --model with --data")

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import numbers
+from bisect import bisect_left
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 
@@ -508,6 +509,54 @@ def family_counts(d: Dataset, node: str, parents) -> tuple[np.ndarray, int]:
     return np.bincount(idx, minlength=R * q).reshape(R, q), q
 
 
+def _toggle_family_counts(d: Dataset, node: str, parents: list[str],
+                          others) -> list[tuple[np.ndarray, int]]:
+    """family_counts(d, node, sorted(parents ^ {u})) for each u in others.
+
+    parents is sorted. The index of the node and its parents is built once:
+    an added u is one more (least significant) digit of it, and its axis then
+    moves to u's sorted place; a deleted parent sums the base table over its
+    axis, with no pass over the data. A row with an unknown column or a
+    family past the configuration cap is counted one family at a time, so
+    each family raises where family_counts raises.
+    """
+    place = {p: j for j, p in enumerate(parents)}
+    try:
+        column = d._col(node, CategoricalColumn)
+        columns = [d._col(p, CategoricalColumn) for p in parents]
+        widest = max((len(d._col(u, CategoricalColumn).levels)
+                      for u in others if u not in place), default=1)
+    except DataError:
+        widest = None
+    if widest is not None:
+        radix = [len(c.levels) for c in columns]
+        q = math.prod(radix)
+    if widest is None or q * widest > _MAX_PARENT_CONFIGS:
+        return [family_counts(d, node, sorted(place.keys() ^ {u})) for u in others]
+    R = len(column.levels)
+    shape = (R, *radix)
+    idx = _parent_config_index(shape, [column.codes] + [c.codes for c in columns], d.n)
+    table = None
+    scaled = {}  # idx * r, shared by the added parents of r levels
+    out = []
+    for u in others:
+        j = place.get(u)
+        if j is None:
+            col = d.columns[u]
+            r = len(col.levels)
+            if r not in scaled:
+                scaled[r] = idx * r
+            counts = np.bincount(scaled[r] + col.codes, minlength=R * q * r)
+            at = bisect_left(parents, u) + 1
+            axes = (*range(at), len(shape), *range(at, len(shape)))
+            out.append((counts.reshape(*shape, r).transpose(axes).reshape(R, q * r), q * r))
+        else:
+            if table is None:
+                table = np.bincount(idx, minlength=R * q).reshape(shape)
+            out.append((table.sum(axis=j + 1).reshape(R, q // radix[j]), q // radix[j]))
+    return out
+
+
 # -- fitted networks ------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -607,9 +656,9 @@ class FittedNetwork:
             names = [e["name"] for e in entries]
             repeated = next((n for n, k in Counter(names).items() if k > 1), None)
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DataError(f"malformed fitted-network file: {exc}") from None
+            raise DataError(f"malformed fitted network: {exc}") from None
         if repeated is not None:
-            raise DataError(f"node {repeated!r} is listed twice in the fitted-network file")
+            raise DataError(f"node {repeated!r} is listed twice")
         if kind not in ("discrete", "continuous"):
             raise DataError(f"unknown fitted-network type {kind!r}: "
                             f"expected 'discrete' or 'continuous'")

@@ -9,9 +9,12 @@ with random legal moves and climb again, keeping the best graph seen.
 A move changes the parent sets of one node (add, delete) or two (reverse),
 so the search keeps an n×n array of the gains of toggling each u in or out
 of each v's parent set, and clears only the rows of the nodes a move
-touched. Legal moves are boolean masks built from the adjacency, the
-reachability (recomputed once per applied move) and the priors; one rule
-serves enumerate_moves, the perturbations and the climb.
+touched. A stale row is refilled by one call to the score layer, which
+shares one count pass (and, for bge, one stacked determinant per set size)
+among the row's families; bde and k2 are still scored per family. Legal
+moves are boolean masks built from the adjacency, the reachability
+(recomputed once per applied move) and the priors; one rule serves
+enumerate_moves, the perturbations and the climb.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .data import Dataset, _check_integer
 from .graph import CycleError, Graph, GraphError, Provenance, empty_graph
 from .priors import Constraints, PriorKnowledge, PriorError, normalize_priors
 from .scores import ScoreCache, ScoreError, ScoreSpec, _cached_local, _check_move, \
-    default_score, network_score
+    _toggle_scores, default_score, network_score
 from .trace import LearnTrace, TraceEvent
 
 # The benchmark's traced run (perfbench/tracing.py) wraps these names on this
@@ -208,23 +211,27 @@ def _climb(g: Graph, d: Dataset, spec: ScoreSpec, cons: Constraints,
     # margin over the best delta so far keeps the canonical (first) move
     opening = _IMPROVEMENT_EPS + _TIE_EPS * max(1.0, _IMPROVEMENT_EPS)
 
-    def fill(v: int, u: int) -> None:
-        if gain[v, u] != gain[v, u]:  # NaN
-            if base[v] is None:
-                base[v] = _cached_local(names[v], parents[v], d, spec, cache)
-            gain[v, u] = (_cached_local(names[v], parents[v] ^ {names[u]},
-                                        d, spec, cache) - base[v])
+    def refill(v: int, us: list[int]) -> None:
+        if base[v] is None:
+            base[v] = _cached_local(names[v], parents[v], d, spec, cache)
+        keys = [parents[v] ^ {names[u]} for u in us]
+        values = [cache.get(names[v], key) for key in keys]
+        todo = [i for i, value in enumerate(values) if value is None]
+        if todo:
+            scored = _toggle_scores(names[v], parents[v], [names[us[i]] for i in todo],
+                                    d, spec)
+            for i, value in zip(todo, scored):
+                cache.put(names[v], keys[i], value)
+                values[i] = value
+        gain[v, us] = np.array(values) - base[v]
 
     for _ in range(max_iterations):
         legal = dag.legal()
-        # fill the entries the legal moves read, in the canonical move order:
-        # gain[v, u] for every move u -> v, and gain[u, v] too for a reverse
-        missing = np.isnan(gain)
-        stale = np.stack([missing.T, missing.T, missing.T | missing])
-        for kind, u, v in np.argwhere(legal & stale).tolist():
-            fill(v, u)
-            if kind == _REVERSE:
-                fill(u, v)
+        # refill, row by row, the entries the legal moves read that are still
+        # NaN: gain[v, u] for every move u -> v, and gain[u, v] too for a reverse
+        stale = (legal.any(axis=0).T | legal[_REVERSE]) & np.isnan(gain)
+        for v in np.flatnonzero(stale.any(axis=1)).tolist():
+            refill(v, np.flatnonzero(stale[v]).tolist())
         new = legal & ~made
         for kind, u, v in np.argwhere(new).tolist():
             events[kind, u, v] = TraceEvent("test", names[u], names[v],

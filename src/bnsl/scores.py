@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, _gaussian_moments, family_counts
+from .data import Dataset, _gaussian_moments, _toggle_family_counts, family_counts
 from .graph import Graph, GraphError
 from .special import lgamma_array
 
@@ -108,12 +108,17 @@ def _check_spec(d: Dataset, spec: ScoreSpec) -> None:
         raise ScoreError(f"score {spec.kind!r} requires discrete data")
 
 
-def _loglik_local(counts: np.ndarray) -> float:
-    totals = counts.sum(axis=0, keepdims=True).astype(float)
+def _loglik_local(counts: np.ndarray) -> np.ndarray:
+    """Log-likelihoods of a stack of same-shape (R, q) family tables, one per item.
+
+    Each item's sum runs over the item alone, so it equals the sum over that
+    table on its own bit for bit.
+    """
+    totals = counts.sum(axis=1, keepdims=True).astype(float)
     # ratio is 1 where a count is 0, so those cells add exactly +0.0
     ratio = np.divide(counts, totals, out=np.ones_like(counts, dtype=float),
                       where=counts > 0)
-    return float((counts * np.log(ratio)).sum())
+    return (counts * np.log(ratio)).reshape(len(counts), -1).sum(axis=1)
 
 
 # Log-gamma tables longer than this (512 KB of float64) are not built; larger
@@ -193,21 +198,27 @@ class _BgeContext:
         return value
 
     def log_set_marginal(self, subset) -> float:
-        key = frozenset(subset)
-        cached = self._set_cache.get(key)
-        if cached is not None:
-            return cached
-        l = len(key)
-        if l == 0:
-            return 0.0
-        idx = np.array(sorted(self.index[c] for c in key), dtype=np.intp)
-        sign, logdet = np.linalg.slogdet(self.posterior[idx[:, None], idx])
-        if sign <= 0:
-            raise ScoreError("bge posterior submatrix is not positive definite")
-        a = self.alpha_w - self.nvar + l
-        value = self._size_term(l) - ((a + self.n) / 2.0) * logdet
-        self._set_cache[key] = value
-        return value
+        return self.log_set_marginals([subset])[0]
+
+    def log_set_marginals(self, subsets) -> list[float]:
+        """log_set_marginal of each subset; the uncached sets of one size share
+        one stacked slogdet, which gives each set its own slogdet bit for bit."""
+        keys = [frozenset(s) for s in subsets]
+        todo: dict[int, dict[frozenset, None]] = {}
+        for key in keys:
+            if key and key not in self._set_cache:
+                todo.setdefault(len(key), {})[key] = None
+        for l, group in todo.items():
+            idx = np.array([sorted(self.index[c] for c in key) for key in group],
+                           dtype=np.intp)
+            sign, logdet = np.linalg.slogdet(self.posterior[idx[:, :, None], idx[:, None, :]])
+            if (sign <= 0).any():
+                raise ScoreError("bge posterior submatrix is not positive definite")
+            a = self.alpha_w - self.nvar + l
+            term, half = self._size_term(l), (a + self.n) / 2.0
+            for key, value in zip(group, logdet.tolist()):
+                self._set_cache[key] = term - half * value
+        return [self._set_cache[key] if key else 0.0 for key in keys]
 
 
 def _bge_context(d: Dataset, spec: ScoreSpec) -> _BgeContext:
@@ -221,29 +232,83 @@ def _bge_context(d: Dataset, spec: ScoreSpec) -> _BgeContext:
 
 # -- public operations ------------------------------------------------------------------
 
-def local_score(node: str, parents, d: Dataset, spec: ScoreSpec) -> float:
-    """Per-node score contribution of node given the parent set."""
+def _parent_list(node: str, parents) -> list[str]:
+    """parents in label order; ScoreError if node is one of them or one repeats."""
     parents = sorted(parents)
     if node in parents:
         raise ScoreError("a node cannot be its own parent")
+    if len(set(parents)) < len(parents):
+        repeated = next(a for a, b in zip(parents, parents[1:]) if a == b)
+        raise ScoreError(f"parent {repeated!r} of {node!r} is listed twice")
+    return parents
+
+
+def local_score(node: str, parents, d: Dataset, spec: ScoreSpec) -> float:
+    """Per-node score contribution of node given the parent set."""
+    parents = _parent_list(node, parents)
     _check_spec(d, spec)
     if spec.kind == "bge":
-        ctx = _bge_context(d, spec)
-        return (ctx.log_set_marginal(list(parents) + [node])
-                - ctx.log_set_marginal(parents))
-    counts, q = family_counts(d, node, parents)
-    if spec.kind in ("lik", "loglik", "aic", "bic"):
-        ll = _loglik_local(counts)
-        if spec.kind == "loglik":
-            return ll
-        if spec.kind == "lik":
-            return _likelihood(ll)
-        dim = (counts.shape[0] - 1) * q
-        return ll - spec.effective_penalty(d.n) * dim
-    R = counts.shape[0]
+        return _bge_scores(node, [parents], d, spec)[0]
+    return _discrete_scores([family_counts(d, node, parents)], d, spec)[0]
+
+
+def _toggle_scores(node: str, parents, others, d: Dataset, spec: ScoreSpec) -> list[float]:
+    """local_score(node, parents ^ {u}) for each u in others, bit for bit.
+
+    The row's discrete families share one count pass, and its bge sets one
+    stacked determinant per set size.
+    """
+    parents = _parent_list(node, parents)
+    if node in others:
+        raise ScoreError("a node cannot be its own parent")
+    _check_spec(d, spec)
+    if spec.kind == "bge":
+        return _bge_scores(node, [sorted(set(parents) ^ {u}) for u in others], d, spec)
+    return _discrete_scores(_toggle_family_counts(d, node, parents, others), d, spec)
+
+
+def _discrete_scores(tables: list[tuple[np.ndarray, int]], d: Dataset,
+                     spec: ScoreSpec) -> list[float]:
+    """Local scores of one node's (counts, q) family tables.
+
+    Same-shape lik/loglik/aic/bic tables are scored in one stacked call. bde
+    and k2 stay per family: _dirichlet_local drops each family's unseen parent
+    configurations with its own mask, and a stack would regroup its pairwise
+    sums.
+    """
+    if not tables:
+        return []
+    R = tables[0][0].shape[0]
     if spec.kind == "k2":
-        return _dirichlet_local(d, counts, 1.0, float(R))
-    return _dirichlet_local(d, counts, spec.iss / (R * q), spec.iss / q)
+        return [_dirichlet_local(d, counts, 1.0, float(R)) for counts, _ in tables]
+    if spec.kind == "bde":
+        return [_dirichlet_local(d, counts, spec.iss / (R * q), spec.iss / q)
+                for counts, q in tables]
+    same_shape: dict[int, list[int]] = {}
+    for i, (_, q) in enumerate(tables):
+        same_shape.setdefault(q, []).append(i)
+    lls = [0.0] * len(tables)
+    for members in same_shape.values():
+        stacked = _loglik_local(np.stack([tables[i][0] for i in members]))
+        for i, ll in zip(members, stacked.tolist()):
+            lls[i] = ll
+    if spec.kind == "loglik":
+        return lls
+    if spec.kind == "lik":
+        return [_likelihood(ll) for ll in lls]
+    penalty = spec.effective_penalty(d.n)
+    return [ll - penalty * ((R - 1) * q) for ll, (_, q) in zip(lls, tables)]
+
+
+def _bge_scores(node: str, families: list[list[str]], d: Dataset,
+                spec: ScoreSpec) -> list[float]:
+    """bge local scores of node given each sorted parent list in families."""
+    for pa in families:
+        for name in (node, *pa):
+            d._col(name)  # DataError for an unknown column, as the discrete scores
+    marginals = _bge_context(d, spec).log_set_marginals(
+        s for pa in families for s in (pa + [node], pa))
+    return [marginals[i] - marginals[i + 1] for i in range(0, len(marginals), 2)]
 
 
 def network_score(g: Graph, d: Dataset, spec: ScoreSpec,

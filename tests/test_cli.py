@@ -310,6 +310,18 @@ class TestScore:
         _, out2, _ = run_cli(capsys, "score", ba, data_path, "--score", "bde")
         assert float(out1.strip()) == pytest.approx(float(out2.strip()), rel=1e-9)
 
+    def test_bge_score_prints_a_plain_float(self, capsys, tmp_path):
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal(100)
+        data = bnsl.Dataset.from_values(["A", "B"], {"A": a, "B": a + rng.standard_normal(100)})
+        path = tmp_path / "gauss.csv"
+        write_table(data, str(path))
+        code, out, _ = run_cli(capsys, "score", "[A][B|A]", str(path))
+        expected = network_score(bnsl.parse_modelstring("[A][B|A]"), load_table(str(path)),
+                                 ScoreSpec(kind="bge"))
+        assert code == 0
+        assert out == f"{float(expected)!r}\n"
+
 
 class TestCitest:
     def test_block_layout(self, capsys, data_path):
@@ -654,7 +666,16 @@ class TestNotUtf8:
         params.write_text(json.dumps(payload))
         code, out, err = run_cli(capsys, "sample", "--params", str(params), "--n", "5")
         assert code == 3
-        assert "node 'A' is listed twice in the fitted-network file" in err
+        assert err == f"error: node 'A' is listed twice, in fitted-network file {params}\n"
+        assert out == ""
+
+    def test_truncated_params_file(self, capsys, tmp_path):
+        params = tmp_path / "cut.json"
+        params.write_text(sixnode().to_json()[:40])
+        code, out, err = run_cli(capsys, "sample", "--params", str(params), "--n", "5")
+        assert code == 3
+        assert err.startswith("error: malformed fitted network: ")
+        assert err.endswith(f", in fitted-network file {params}\n")
         assert out == ""
 
 

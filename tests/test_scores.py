@@ -10,12 +10,14 @@ from bnsl import (Dataset, Graph, HillClimbConfig, ScoreCache, ScoreError,
                   ScoreSpec, empty_graph, find_vstructures, forward_sample,
                   hill_climb, local_score, network_score, parse_modelstring,
                   score_delta)
+import bnsl.data
 import bnsl.scores
-from bnsl.data import CategoricalColumn, NumericColumn, family_counts
+from bnsl.data import CategoricalColumn, DataError, NumericColumn, family_counts
 from bnsl.networks import alarm_fitted
+from bnsl.scores import _toggle_scores
 from bnsl.special import lgamma_array
 
-from helpers import random_discrete_dataset, random_gaussian_dataset
+from helpers import perfbench_module, random_discrete_dataset, random_gaussian_dataset
 
 
 def _binary_5050(n=100):
@@ -96,6 +98,31 @@ class TestLocalScoreHandValues:
         d = _binary_5050()
         with pytest.raises(ScoreError):
             local_score("A", ["A"], d, ScoreSpec(kind="loglik"))
+
+    @pytest.mark.parametrize("kind", bnsl.scores.SCORE_LABELS)
+    def test_repeated_parent_rejected(self, kind):
+        # a repeated parent used to add one more digit to the discrete counts
+        if kind == "bge":
+            d = random_gaussian_dataset(np.random.default_rng(42), ["CVP", "HIST", "HR"], 80)
+        else:
+            d = forward_sample(alarm_fitted(1), 500, seed=3)
+        spec = ScoreSpec(kind=kind)
+        message = "parent 'CVP' of 'HIST' is listed twice"
+        with pytest.raises(ScoreError, match=message):
+            local_score("HIST", ["CVP", "CVP"], d, spec)
+        with pytest.raises(ScoreError, match=message):
+            _toggle_scores("HIST", ["CVP", "CVP"], ["HR"], d, spec)
+
+    def test_bge_unknown_column(self):
+        d = random_gaussian_dataset(np.random.default_rng(43), ["A", "B", "C"], 50)
+        spec = ScoreSpec(kind="bge")
+        for node, parents in (("Q", ["A"]), ("A", ["Q"]), ("A", ["B", "Q"])):
+            with pytest.raises(DataError, match="unknown column 'Q'"):
+                local_score(node, parents, d, spec)
+        for node, parents, others in (("Q", [], ["A"]), ("A", ["B"], ["C", "Q"]),
+                                      ("A", ["Q"], ["B"])):
+            with pytest.raises(DataError, match="unknown column 'Q'"):
+                _toggle_scores(node, parents, others, d, spec)
 
     def test_kind_data_mismatch(self):
         d = _binary_5050()
@@ -499,3 +526,121 @@ class TestBgeSetMarginal:
             for _ in range(12):
                 subset = [str(c) for c in rng.choice(names, size, replace=False)]
                 assert ctx.log_set_marginal(subset) == _bge_set_reference(ctx, subset)
+
+
+    @pytest.mark.parametrize("spec", [ScoreSpec("bge"),
+                                      ScoreSpec("bge", iss=4.0, bge_dof=15.0)],
+                             ids=["default", "iss4-dof15"])
+    def test_stacked_equal_to_uncached_formula(self, spec):
+        # the uncached sets of one size share one stacked slogdet
+        rng = np.random.default_rng(32)
+        names = [f"V{i}" for i in range(8)]
+        d = random_gaussian_dataset(rng, names, 90)
+        ctx = bnsl.scores._bge_context(d, spec)
+        subsets = [[str(c) for c in rng.choice(names, int(rng.integers(0, 7)), replace=False)]
+                   for _ in range(80)]
+        got = ctx.log_set_marginals(subsets)
+        assert got == [_bge_set_reference(ctx, s) if s else 0.0 for s in subsets]
+
+
+def _outcome(score):
+    """score()'s value, or the type and message of the error it raises."""
+    try:
+        return score()
+    except (DataError, ScoreError) as exc:
+        return type(exc), str(exc)
+
+
+def _toggle_cases(rng, names, count, max_base=4):
+    """(node, parents, others) rows: 0..max_base parents, others mixing adds and deletes."""
+    for _ in range(count):
+        node = str(rng.choice(names))
+        rest = [c for c in names if c != node]
+        parents = [str(c) for c in rng.choice(rest, int(rng.integers(0, max_base + 1)),
+                                               replace=False)]
+        others = [str(c) for c in rng.choice(rest, int(rng.integers(1, len(rest) + 1)),
+                                             replace=False)]
+        yield node, parents, others
+
+
+class TestToggleScores:
+    """A row of _toggle_scores equals local_score family by family, with ==.
+
+    A row that fails raises what the first failing family raises alone.
+    """
+
+    DISCRETE = [ScoreSpec("loglik"), ScoreSpec("aic"), ScoreSpec("bic"),
+                ScoreSpec("bic", penalty=3.5), ScoreSpec("bde", iss=1.0),
+                ScoreSpec("bde", iss=7.5), ScoreSpec("k2"), ScoreSpec("lik")]
+
+    @staticmethod
+    def _check(d, spec, cases):
+        adds = deletes = 0
+        for node, parents, others in cases:
+            row = _outcome(lambda: _toggle_scores(node, frozenset(parents), others, d, spec))
+            single = [_outcome(lambda u=u: local_score(node, set(parents) ^ {u}, d, spec))
+                      for u in others]
+            first_error = next((s for s in single if isinstance(s, tuple)), None)
+            assert row == (single if first_error is None else first_error)
+            deletes += len(set(others) & set(parents))
+            adds += len(set(others) - set(parents))
+        return adds, deletes
+
+    @pytest.mark.parametrize("spec", DISCRETE, ids=lambda s: f"{s.kind}-{s.iss}-{s.penalty}")
+    def test_discrete_rows_equal_local_score(self, spec):
+        rng = np.random.default_rng(61)
+        d = forward_sample(alarm_fitted(1), 2000, seed=61)
+        adds, deletes = self._check(d, spec, _toggle_cases(rng, list(d.names), 30))
+        assert adds > 100 and deletes > 20
+
+    @pytest.mark.parametrize("spec", [ScoreSpec("bge"),
+                                      ScoreSpec("bge", iss=4.0, bge_dof=50.0)],
+                             ids=["default", "iss4-dof50"])
+    def test_bge_rows_equal_local_score_on_gauss40(self, spec):
+        workloads = perfbench_module("workloads")
+        rng = np.random.default_rng(62)
+        d = forward_sample(workloads.gauss40_network(), 500, seed=62)
+        adds, deletes = self._check(d, spec, _toggle_cases(rng, list(d.names), 30))
+        assert adds > 100 and deletes > 20
+
+    @pytest.mark.parametrize("spec", [ScoreSpec("k2"), ScoreSpec("bde", iss=2.0)],
+                             ids=["k2", "bde"])
+    def test_above_lgamma_table_cap(self, spec, monkeypatch):
+        rng = np.random.default_rng(63)
+        d = forward_sample(alarm_fitted(1), 700, seed=63)
+        monkeypatch.setattr(bnsl.scores, "_LGAMMA_TABLE_CAP", d.n)
+        self._check(d, spec, _toggle_cases(rng, list(d.names), 15))
+        assert not any(key[0] == "lgamma" for key in d._memo)
+
+    @pytest.mark.parametrize("spec", [ScoreSpec("bic"), ScoreSpec("bde")], ids=["bic", "bde"])
+    def test_configuration_cap(self, spec, monkeypatch):
+        rng = np.random.default_rng(64)
+        d = forward_sample(alarm_fitted(1), 300, seed=64)
+        monkeypatch.setattr(bnsl.data, "_MAX_PARENT_CONFIGS", 40)
+        cases = list(_toggle_cases(rng, list(d.names), 40))
+        self._check(d, spec, cases)
+        failing = [_outcome(lambda c=c: _toggle_scores(*c, d, spec)) for c in cases]
+        assert sum(isinstance(f, tuple) and "too large" in f[1] for f in failing) > 5
+        assert sum(isinstance(f, list) for f in failing) > 5
+
+    @pytest.mark.parametrize("kind", ["bic", "k2"])
+    def test_unknown_column(self, kind):
+        d = forward_sample(alarm_fitted(1), 300, seed=65)
+        spec = ScoreSpec(kind)
+        self._check(d, spec, [("HIST", ["CVP"], ["HR", "Q", "CVP"]),
+                              ("HIST", ["CVP"], ["Q"]),
+                              ("Q", ["CVP"], ["HR"]),
+                              ("HIST", [], ["HR", "CVP"])])
+        with pytest.raises(DataError, match="unknown column 'Q'"):
+            _toggle_scores("HIST", ["CVP"], ["HR", "Q"], d, spec)
+
+    @pytest.mark.parametrize("kind", ["bic", "bde", "bge"])
+    def test_node_among_the_toggled(self, kind):
+        if kind == "bge":
+            d = random_gaussian_dataset(np.random.default_rng(66), ["CVP", "HIST", "HR"], 80)
+        else:
+            d = forward_sample(alarm_fitted(1), 300, seed=66)
+        spec = ScoreSpec(kind)
+        self._check(d, spec, [("HIST", ["CVP"], ["HR", "HIST"]), ("HIST", [], ["HIST"])])
+        with pytest.raises(ScoreError, match="a node cannot be its own parent"):
+            _toggle_scores("HIST", ["CVP"], ["HR", "HIST"], d, spec)
