@@ -4,8 +4,8 @@ Datasets are homogeneous: either every column is categorical (discrete
 networks) or every column is numeric (Gaussian networks). A Dataset's
 columns never change after construction; derived statistics that several
 callers reuse (Gaussian moments, the correlation matrix, log-gamma tables,
-recent configuration codes) are filled in lazily, on first use, in its
-private memo.
+recent configuration codes, the family tables of column pairs) are filled
+in lazily, on first use, in its private memo.
 """
 
 from __future__ import annotations
@@ -516,7 +516,10 @@ def _toggle_family_counts(d: Dataset, node: str, parents: list[str],
     parents is sorted. The index of the node and its parents is built once:
     an added u is one more (least significant) digit of it, and its axis then
     moves to u's sorted place; a deleted parent sums the base table over its
-    axis, with no pass over the data. A row with an unknown column or a
+    axis, with no pass over the data. A row with no parents reads each
+    family from the dataset's read-only table of that column pair, counted
+    the first time either orientation is asked for (the other orientation is
+    its transpose), and returns a copy. A row with an unknown column or a
     family past the configuration cap is counted one family at a time, so
     each family raises where family_counts raises.
     """
@@ -538,23 +541,57 @@ def _toggle_family_counts(d: Dataset, node: str, parents: list[str],
     idx = _parent_config_index(shape, [column.codes] + [c.codes for c in columns], d.n)
     table = None
     scaled = {}  # idx * r, shared by the added parents of r levels
+    pairs = None if parents else d._memo.setdefault("pair-counts", {})
     out = []
     for u in others:
         j = place.get(u)
         if j is None:
             col = d.columns[u]
             r = len(col.levels)
+            kept = None if pairs is None else _kept_pair(pairs, node, u)
+            if kept is not None:
+                out.append((kept, r))
+                continue
             if r not in scaled:
                 scaled[r] = idx * r
             counts = np.bincount(scaled[r] + col.codes, minlength=R * q * r)
             at = bisect_left(parents, u) + 1
             axes = (*range(at), len(shape), *range(at, len(shape)))
-            out.append((counts.reshape(*shape, r).transpose(axes).reshape(R, q * r), q * r))
+            counts = counts.reshape(*shape, r).transpose(axes).reshape(R, q * r)
+            if pairs is not None:
+                _keep_pair(d, pairs, node, u, counts)
+            out.append((counts, q * r))
         else:
             if table is None:
                 table = np.bincount(idx, minlength=R * q).reshape(shape)
             out.append((table.sum(axis=j + 1).reshape(R, q // radix[j]), q // radix[j]))
     return out
+
+
+# Each dataset keeps the family tables of its column pairs in at most this
+# many bytes: ALARM's 666 pairs take about 48 KB.
+_PAIR_TABLE_BYTES = 2 << 20
+
+
+def _kept_pair(pairs: dict, node: str, u: str) -> np.ndarray | None:
+    """A fresh copy of family_counts(d, node, [u])[0] from the kept pair tables, or None."""
+    counts = pairs.get((node, u))
+    if counts is None:
+        counts = pairs.get((u, node))
+        if counts is None:
+            return None
+        counts = counts.T
+    return counts.copy()
+
+
+def _keep_pair(d: Dataset, pairs: dict, node: str, u: str, counts: np.ndarray) -> None:
+    """Keep a read-only copy of the (node, u) family table while the budget allows."""
+    used = d._memo.get("pair-bytes", 0) + counts.nbytes
+    if used <= _PAIR_TABLE_BYTES:
+        kept = counts.copy()
+        kept.flags.writeable = False
+        pairs[node, u] = kept
+        d._memo["pair-bytes"] = used
 
 
 # -- fitted networks ------------------------------------------------------------------

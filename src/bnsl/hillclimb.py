@@ -11,10 +11,10 @@ so the search keeps an n×n array of the gains of toggling each u in or out
 of each v's parent set, and clears only the rows of the nodes a move
 touched. A stale row is refilled by one call to the score layer, which
 shares one count pass (and, for bge, one stacked determinant per set size)
-among the row's families; bde and k2 are still scored per family. Legal
-moves are boolean masks built from the adjacency, the reachability
-(recomputed once per applied move) and the priors; one rule serves
-enumerate_moves, the perturbations and the climb.
+among the row's families and scores the discrete families of one shape as
+one stack. Legal moves are boolean masks built from the adjacency, the
+reachability (recomputed once per applied move) and the priors; one rule
+serves enumerate_moves, the perturbations and the climb.
 """
 
 from __future__ import annotations

@@ -142,16 +142,34 @@ def _lgamma_shifted(d: Dataset, counts: np.ndarray, a: float) -> np.ndarray:
     return table[counts]
 
 
-def _dirichlet_local(d: Dataset, counts: np.ndarray, a_cell: float, a_col: float) -> float:
-    """Log marginal likelihood of a family under a Dirichlet prior of a_cell per
-    cell and a_col per parent configuration: bde, and k2 with a_cell = 1, a_col = R."""
-    totals = counts.sum(axis=0)
-    seen = totals > 0  # unseen parent configurations contribute 0
-    value = float(_lgamma_shifted(d, counts[:, seen], a_cell).sum())
-    value -= counts[:, seen].size * math.lgamma(a_cell)
-    value += int(seen.sum()) * math.lgamma(a_col)
-    value -= float(_lgamma_shifted(d, totals[seen], a_col).sum())
-    return value
+def _dirichlet_scores(d: Dataset, counts: np.ndarray, a_cell: float,
+                      a_col: float) -> np.ndarray:
+    """Log marginal likelihoods of a stack of same-shape (R, q) family tables
+    under a Dirichlet prior of a_cell per cell and a_col per parent
+    configuration: bde, and k2 with a_cell = 1, a_col = R.
+
+    Unseen parent configurations contribute 0. Each item's seen cells are
+    summed column by column, the order in which numpy sums a lone table's
+    F-ordered counts[:, seen], with one sum per group of items with the same
+    number of seen configurations; so an item's score does not depend on
+    the stack it is in.
+    """
+    totals = counts.sum(axis=1)
+    seen = totals > 0
+    nseen = seen.sum(axis=1)
+    # row s holds the R cells of the s-th seen configuration, item by item
+    cells = _lgamma_shifted(d, counts.transpose(0, 2, 1)[seen], a_cell)
+    margins = _lgamma_shifted(d, totals[seen], a_col)
+    starts = np.cumsum(nseen) - nseen
+    R = counts.shape[1]
+    out = np.empty(len(counts))
+    for k in set(nseen.tolist()):
+        members = np.flatnonzero(nseen == k)
+        rows = starts[members][:, None] + np.arange(k)
+        out[members] = (cells[rows].reshape(len(members), k * R).sum(axis=1)
+                        - (R * k) * math.lgamma(a_cell) + k * math.lgamma(a_col)
+                        - margins[rows].sum(axis=1))
+    return out
 
 
 # -- bge ---------------------------------------------------------------------------
@@ -249,7 +267,7 @@ def local_score(node: str, parents, d: Dataset, spec: ScoreSpec) -> float:
     _check_spec(d, spec)
     if spec.kind == "bge":
         return _bge_scores(node, [parents], d, spec)[0]
-    return _discrete_scores([family_counts(d, node, parents)], d, spec)[0]
+    return _discrete_scores(node, [family_counts(d, node, parents)], d, spec)[0]
 
 
 def _toggle_scores(node: str, parents, others, d: Dataset, spec: ScoreSpec) -> list[float]:
@@ -264,40 +282,44 @@ def _toggle_scores(node: str, parents, others, d: Dataset, spec: ScoreSpec) -> l
     _check_spec(d, spec)
     if spec.kind == "bge":
         return _bge_scores(node, [sorted(set(parents) ^ {u}) for u in others], d, spec)
-    return _discrete_scores(_toggle_family_counts(d, node, parents, others), d, spec)
+    return _discrete_scores(node, _toggle_family_counts(d, node, parents, others),
+                            d, spec)
 
 
-def _discrete_scores(tables: list[tuple[np.ndarray, int]], d: Dataset,
+def _discrete_scores(node: str, tables: list[tuple[np.ndarray, int]], d: Dataset,
                      spec: ScoreSpec) -> list[float]:
     """Local scores of one node's (counts, q) family tables.
 
-    Same-shape lik/loglik/aic/bic tables are scored in one stacked call. bde
-    and k2 stay per family: _dirichlet_local drops each family's unseen parent
-    configurations with its own mask, and a stack would regroup its pairwise
-    sums.
+    The tables that share q are scored as one stack, each item as it would
+    be alone, bit for bit.
     """
     if not tables:
         return []
     R = tables[0][0].shape[0]
-    if spec.kind == "k2":
-        return [_dirichlet_local(d, counts, 1.0, float(R)) for counts, _ in tables]
-    if spec.kind == "bde":
-        return [_dirichlet_local(d, counts, spec.iss / (R * q), spec.iss / q)
-                for counts, q in tables]
-    same_shape: dict[int, list[int]] = {}
+    same_q: dict[int, list[int]] = {}
     for i, (_, q) in enumerate(tables):
-        same_shape.setdefault(q, []).append(i)
-    lls = [0.0] * len(tables)
-    for members in same_shape.values():
-        stacked = _loglik_local(np.stack([tables[i][0] for i in members]))
-        for i, ll in zip(members, stacked.tolist()):
-            lls[i] = ll
-    if spec.kind == "loglik":
-        return lls
+        same_q.setdefault(q, []).append(i)
+    values = [0.0] * len(tables)
+    for q, members in same_q.items():
+        stack = np.stack([tables[i][0] for i in members])
+        if spec.kind == "k2":
+            scored = _dirichlet_scores(d, stack, 1.0, float(R))
+        elif spec.kind == "bde":
+            a_cell = spec.iss / (R * q)
+            if a_cell == 0.0:
+                raise ScoreError(f"iss {spec.iss!r} is too small for node {node!r}: "
+                                 f"its bde prior count per cell, iss / {R * q}, is 0")
+            scored = _dirichlet_scores(d, stack, a_cell, spec.iss / q)
+        else:
+            scored = _loglik_local(stack)
+        for i, value in zip(members, scored.tolist()):
+            values[i] = value
+    if spec.kind in ("loglik", "bde", "k2"):
+        return values
     if spec.kind == "lik":
-        return [_likelihood(ll) for ll in lls]
+        return [_likelihood(ll) for ll in values]
     penalty = spec.effective_penalty(d.n)
-    return [ll - penalty * ((R - 1) * q) for ll, (_, q) in zip(lls, tables)]
+    return [ll - penalty * ((R - 1) * q) for ll, (_, q) in zip(values, tables)]
 
 
 def _bge_scores(node: str, families: list[list[str]], d: Dataset,

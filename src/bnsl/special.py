@@ -185,7 +185,12 @@ def lgamma_array(x) -> np.ndarray:
     # reflection: lgamma(x) = log(pi / sin(pi x)) - lgamma(1 - x)
     if np.any(small):
         xs = x[small]
-        out[small] = np.log(np.pi / np.sin(np.pi * xs)) - _lanczos(1.0 - xs)
+        with np.errstate(over="ignore"):
+            quotient = np.pi / np.sin(np.pi * xs)
+        # below about 1e-308 the quotient overflows; there sin(pi x) is pi x,
+        # so the log of the quotient is -log(x)
+        reflected = np.where(np.isinf(quotient), -np.log(xs), np.log(quotient))
+        out[small] = reflected - _lanczos(1.0 - xs)
     infinite = x == np.inf
     out[infinite] = np.inf
     rest = ~(small | infinite)

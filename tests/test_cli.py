@@ -310,6 +310,20 @@ class TestScore:
         _, out2, _ = run_cli(capsys, "score", ba, data_path, "--score", "bde")
         assert float(out1.strip()) == pytest.approx(float(out2.strip()), rel=1e-9)
 
+    def test_bde_with_a_subnormal_iss(self, capsys, tmp_path):
+        path = tmp_path / "tiny.csv"
+        path.write_text("A,B\na,x\nb,y\na,x\nb,x\n")
+        code, out, err = run_cli(capsys, "score", "[A][B|A]", str(path),
+                                 "--score", "bde", "--iss", "1e-320")
+        want = network_score(bnsl.parse_modelstring("[A][B|A]"), load_table(str(path)),
+                             ScoreSpec(kind="bde", iss=1e-320))
+        assert (code, err) == (0, "")
+        assert out == f"{want!r}\n" and np.isfinite(want)
+        code, out, err = run_cli(capsys, "score", "[A][B|A]", str(path),
+                                 "--score", "bde", "--iss", "5e-324")
+        assert (code, out) == (1, "")
+        assert "iss 5e-324 is too small for node 'A'" in err
+
     def test_bge_score_prints_a_plain_float(self, capsys, tmp_path):
         rng = np.random.default_rng(8)
         a = rng.standard_normal(100)

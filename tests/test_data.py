@@ -15,7 +15,8 @@ from bnsl import (DataError, Dataset, FittedNetwork, ScoreSpec, ci_test,
                   load_table, local_score, parse_modelstring, partial_correlation,
                   write_table)
 from bnsl.data import CategoricalColumn, DiscreteCPT, LinearGaussian, \
-    NumericColumn, _gaussian_moments, _regress, joint_config_codes
+    NumericColumn, _gaussian_moments, _regress, _toggle_family_counts, family_counts, \
+    joint_config_codes
 from bnsl.independence import gaussian_statistic
 from bnsl.networks import alarm_fitted
 
@@ -357,6 +358,73 @@ class TestConfigCodes:
             assert cache[z][0] is codes  # the latest set is always kept
             seen.add(z)
         assert len(seen) > capacity and len(cache) == capacity
+
+
+class TestPairTables:
+    """Rows with no parents read their families from the dataset's pair tables."""
+
+    @staticmethod
+    def _fill(d, nodes):
+        """The rows of an empty graph over nodes: every node with every other added."""
+        families = {}
+        for v in nodes:
+            others = [u for u in nodes if u != v]
+            families.update(((v, u), table) for u, table
+                            in zip(others, _toggle_family_counts(d, v, [], others)))
+        return families
+
+    @staticmethod
+    def _assert_fresh(d, families):
+        for (v, u), (counts, q) in families.items():
+            want, want_q = family_counts(d, v, [u])
+            assert q == want_q == len(d.levels(u))
+            assert counts.dtype == np.int64 and counts.flags.c_contiguous
+            assert counts.flags.writeable and np.array_equal(counts, want)
+
+    def test_families_equal_fresh_counts_in_both_orientations(self):
+        d = forward_sample(alarm_fitted(1), 500, seed=31)
+        nodes = list(d.names[:12])
+        first, second = self._fill(d, nodes), self._fill(d, nodes)
+        self._assert_fresh(d, first)
+        self._assert_fresh(d, second)
+        pairs = d._memo["pair-counts"]
+        assert len(pairs) == 66 and all(not t.flags.writeable for t in pairs.values())
+        assert d._memo["pair-bytes"] == sum(t.nbytes for t in pairs.values())
+
+    def test_writing_into_a_family_changes_no_later_family(self):
+        d = forward_sample(alarm_fitted(1), 500, seed=32)
+        nodes = ["HR", "CVP", "HIST"]
+        for counts, _ in self._fill(d, nodes).values():
+            counts += 1000
+        for counts, _ in self._fill(d, nodes).values():
+            counts[...] = -1
+        self._assert_fresh(d, self._fill(d, nodes))
+
+    def test_each_pair_is_counted_once(self, monkeypatch):
+        d = forward_sample(alarm_fitted(1), 5000, seed=33)
+        passes = []
+        bincount = np.bincount
+
+        def counting(x, *args, **kwargs):
+            passes.append(len(x))
+            return bincount(x, *args, **kwargs)
+
+        monkeypatch.setattr(bnsl.data.np, "bincount", counting)
+        self._fill(d, list(d.names))
+        assert len(d.names) == 37 and passes == [d.n] * 666
+        passes.clear()
+        self._fill(d, list(d.names))
+        assert passes == []
+
+    def test_pairs_past_the_byte_budget_are_counted_each_time(self, monkeypatch):
+        d = forward_sample(alarm_fitted(1), 500, seed=34)
+        monkeypatch.setattr(bnsl.data, "_PAIR_TABLE_BYTES", 1000)
+        nodes = list(d.names[:10])
+        self._assert_fresh(d, self._fill(d, nodes))
+        self._assert_fresh(d, self._fill(d, nodes))
+        kept = d._memo["pair-counts"]
+        assert 0 < len(kept) < 45
+        assert d._memo["pair-bytes"] == sum(t.nbytes for t in kept.values()) <= 1000
 
 
 class TestCorrelation:

@@ -644,3 +644,117 @@ class TestToggleScores:
         self._check(d, spec, [("HIST", ["CVP"], ["HR", "HIST"]), ("HIST", [], ["HIST"])])
         with pytest.raises(ScoreError, match="a node cannot be its own parent"):
             _toggle_scores("HIST", ["CVP"], ["HR", "HIST"], d, spec)
+
+
+def _dirichlet_local(d, counts, a_cell, a_col):
+    """The per-family bde/k2 scorer that stacked rows replaced, kept as the reference.
+
+    counts[:, seen] is F-ordered, so its sums run column by column.
+    """
+    totals = counts.sum(axis=0)
+    seen = totals > 0
+    value = float(bnsl.scores._lgamma_shifted(d, counts[:, seen], a_cell).sum())
+    value -= counts[:, seen].size * math.lgamma(a_cell)
+    value += int(seen.sum()) * math.lgamma(a_col)
+    value -= float(bnsl.scores._lgamma_shifted(d, totals[seen], a_col).sum())
+    return value
+
+
+def _mixed_levels_dataset(rng, levels, n):
+    """Uniform columns C0, C1, ... with the given numbers of levels."""
+    names = [f"C{i}" for i in range(len(levels))]
+    return Dataset.from_codes(names, {c: [f"l{j}" for j in range(m)]
+                                      for c, m in zip(names, levels)},
+                              {c: rng.integers(0, m, size=n) for c, m in zip(names, levels)})
+
+
+class TestStackedDirichletRows:
+    """bde/k2 rows, scored as stacks of same-q tables, equal the per-family
+    reference with ==, whatever the seen configurations of the stacked items."""
+
+    SPECS = [ScoreSpec("bde", iss=1.0), ScoreSpec("bde", iss=7.5), ScoreSpec("k2")]
+
+    @staticmethod
+    def _check(d, spec, cases):
+        """Checks each row; returns (R, q, seen configurations) per row and family."""
+        shapes = []
+        for node, parents, others in cases:
+            row = _toggle_scores(node, parents, others, d, spec)
+            shapes.append([])
+            for u, value in zip(others, row):
+                counts, q = family_counts(d, node, sorted(set(parents) ^ {u}))
+                R = counts.shape[0]
+                if spec.kind == "k2":
+                    want = _dirichlet_local(d, counts, 1.0, float(R))
+                else:
+                    want = _dirichlet_local(d, counts, spec.iss / (R * q), spec.iss / q)
+                assert value == want
+                shapes[-1].append((R, q, int((counts.sum(axis=0) > 0).sum())))
+        return shapes
+
+    def _random_rows(self, d, spec, seed):
+        rng = np.random.default_rng(seed)
+        shapes = self._check(d, spec, _toggle_cases(rng, list(d.names), 80))
+        families = [f for row in shapes for f in row]
+        assert sum(seen < q / 2 for _, q, seen in families) > len(families) / 4
+        # stacks whose items differ in their number of seen configurations
+        mixed = [q for row in shapes for q in {q for _, q, _ in row}
+                 if len({seen for _, q2, seen in row if q2 == q}) > 1]
+        assert len(mixed) > 15
+
+    def _wide_rows(self, d, spec):
+        shapes = self._check(d, spec, [("C0", ["C1", "C2"], ["C3", "C4", "C5", "C1"]),
+                                       ("C0", ["C1", "C2", "C3"], ["C5", "C4", "C3"])])
+        assert max(R * seen for row in shapes for R, _, seen in row) > 2 * 8192
+        assert sum(R * seen > 8192 for row in shapes for R, _, seen in row) >= 4
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.iss}")
+    def test_random_rows_with_many_unseen_configurations(self, spec):
+        rng = np.random.default_rng(71)
+        d = _mixed_levels_dataset(rng, [3, 4, 5, 6, 4, 3, 5, 4], 60)
+        self._random_rows(d, spec, 72)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.iss}")
+    def test_more_than_8192_seen_cells(self, spec):
+        d = _mixed_levels_dataset(np.random.default_rng(73), [4, 16, 16, 16, 16, 2], 6000)
+        self._wide_rows(d, spec)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.iss}")
+    def test_above_lgamma_table_cap(self, spec, monkeypatch):
+        small = _mixed_levels_dataset(np.random.default_rng(74), [3, 4, 5, 6, 4, 3, 5, 4], 60)
+        wide = _mixed_levels_dataset(np.random.default_rng(75), [4, 16, 16, 16, 16, 2], 6000)
+        monkeypatch.setattr(bnsl.scores, "_LGAMMA_TABLE_CAP", small.n)
+        self._random_rows(small, spec, 76)
+        monkeypatch.setattr(bnsl.scores, "_LGAMMA_TABLE_CAP", wide.n)
+        self._wide_rows(wide, spec)
+        assert not any(key[0] == "lgamma" for d in (small, wide) for key in d._memo)
+
+
+class TestTinyIss:
+    """bde with an iss near the bottom of the float range."""
+
+    @staticmethod
+    def _data():
+        return Dataset.from_codes(["A", "B"], {"A": ["a", "b"], "B": ["x", "y"]},
+                                  {"A": [0, 1, 0, 1], "B": [0, 1, 0, 0]})
+
+    def test_subnormal_prior_counts_score_finitely(self):
+        d = self._data()
+        a_cell, a_col = 1e-320 / 4, 1e-320 / 2  # R = q = 2
+        cells = [2, 0, 1, 1]  # B|A: a -> (x, x), b -> (y, x)
+        want = (sum(math.lgamma(c + a_cell) for c in cells) - 4 * math.lgamma(a_cell)
+                + 2 * math.lgamma(a_col) - 2 * math.lgamma(2 + a_col))
+        got = local_score("B", ["A"], d, ScoreSpec("bde", iss=1e-320))
+        assert got == pytest.approx(want, rel=1e-14)
+        assert got == pytest.approx(-739.5998, abs=1e-4)
+        assert _toggle_scores("B", [], ["A"], d, ScoreSpec("bde", iss=1e-320)) == [got]
+
+    def test_prior_count_rounding_to_zero_is_a_score_error(self):
+        d = self._data()
+        spec = ScoreSpec("bde", iss=5e-324)
+        message = r"iss 5e-324 is too small for node 'B': its bde prior count per cell"
+        with pytest.raises(ScoreError, match=message):
+            local_score("B", ["A"], d, spec)
+        with pytest.raises(ScoreError, match=message):
+            _toggle_scores("B", [], ["A"], d, spec)
+        assert local_score("B", ["A"], d, ScoreSpec("k2")) < 0  # k2 has no iss

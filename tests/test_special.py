@@ -1,11 +1,14 @@
 """In-house tail probabilities against scipy, the independent oracle."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special as sps
 from scipy import stats
 
-from bnsl.special import (chi2_sf, lgamma_array, normal_two_sided,
+from bnsl.special import (_lanczos, chi2_sf, lgamma_array, normal_two_sided,
                           regularized_beta, regularized_gamma_q,
                           student_t_two_sided)
 
@@ -96,3 +99,29 @@ def test_edge_cases():
         regularized_gamma_q(-1.0, 2.0)
     with pytest.raises(ValueError):
         lgamma_array(np.array([0.0]))
+
+
+def test_lgamma_tiny_arguments_do_not_overflow():
+    # below about 1e-308 the reflection's pi / sin(pi x) overflows a float
+    x = np.array([5e-324, 2.5e-321, 1e-320, 1e-310, 5e-309, 2.2e-308, 1e-300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lgamma_array(x)
+    assert got.tolist() == pytest.approx([math.lgamma(v) for v in x], rel=1e-15)
+
+
+def test_lgamma_finite_reflections_unchanged():
+    """Only the arguments whose reflection overflowed get a new value."""
+    rng = np.random.default_rng(9)
+    x = np.concatenate([10.0 ** rng.uniform(-323.5, -0.31, 4000),
+                        rng.uniform(0.0, 0.5, 1000)])
+    x = x[x > 0]
+    with np.errstate(over="ignore"):
+        before = np.log(np.pi / np.sin(np.pi * x)) - _lanczos(1.0 - x)
+    overflowed = np.isinf(before)
+    assert 100 < overflowed.sum() < len(x) - 100
+    got = lgamma_array(x)
+    assert got[~overflowed].tobytes() == before[~overflowed].tobytes()
+    assert np.all(np.isfinite(got))
+    assert got[overflowed].tolist() == \
+        pytest.approx([math.lgamma(v) for v in x[overflowed]], rel=1e-15)
