@@ -176,12 +176,13 @@ def _grow_gs(target, candidates, blanket, tester):
     return blanket, last_added
 
 
-def _speculative_ok(d: Dataset, target: str, cand: str, blanket) -> bool:
+def _speculative_ok(d: Dataset, target: str, cand: str, blanket, order) -> bool:
     # the fast-iamb reliability heuristic: five data points per parameter
     if d.discrete:
         r = len(d.levels(target))
         c = len(d.levels(cand))
-        _, L = joint_config_codes(d, list(blanket))
+        # sorted as the tester sorts z, so both read one cached set of codes
+        _, L = joint_config_codes(d, sorted(blanket, key=order.__getitem__))
         return d.n >= 5 * (r - 1) * (c - 1) * L
     return d.n >= 5 * (len(blanket) + 2)
 
@@ -208,7 +209,7 @@ def _grow_ranked(target, candidates, blanket, tester, d, algorithm, known_good):
                           f"{_fmt(blanket)}.")
             break
         for i, (p, _, v) in enumerate(dependent if batch else dependent[:1]):
-            if i > 0 and not _speculative_ok(d, target, v, blanket):
+            if i > 0 and not _speculative_ok(d, target, v, blanket, tester.order):
                 trace.say(f"    > stopping the speculative batch before {v} "
                           "(not enough data per parameter).")
                 break

@@ -2,10 +2,11 @@
 
 Datasets are homogeneous: either every column is categorical (discrete
 networks) or every column is numeric (Gaussian networks). A Dataset's
-columns never change after construction; derived statistics that several
-callers reuse (Gaussian moments, the correlation matrix, log-gamma tables,
-recent configuration codes, the family tables of column pairs) are filled
-in lazily, on first use, in its private memo.
+columns never change after construction: their arrays are read-only.
+Derived statistics that several callers reuse (Gaussian moments, the
+correlation matrix, log-gamma tables, recent configuration codes, the joint
+tables of every column pair) are filled in lazily, on first use, in its
+private memo.
 """
 
 from __future__ import annotations
@@ -45,6 +46,19 @@ class NumericColumn:
     values: np.ndarray  # float64
 
 
+def _read_only(array: np.ndarray, given) -> np.ndarray:
+    """array made read-only, or a read-only copy when the caller could still write it.
+
+    given is the object the caller passed in. array is kept when it owns its
+    memory and is either new (not given) or already read-only, so a Dataset
+    built from another one's columns shares their arrays.
+    """
+    if array.base is not None or array is given and array.flags.writeable:
+        array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
 class Dataset:
     """Column-typed table, all categorical or all numeric."""
 
@@ -78,10 +92,12 @@ class Dataset:
                     raise DataError(f"column {name!r} has non-integer codes")
                 if codes.size and (codes.min() < 0 or codes.max() >= m):
                     raise DataError(f"column {name!r} has out-of-range codes")
-                col = CategoricalColumn(tuple(col.levels), codes.astype(np.int64, copy=False))
+                col = CategoricalColumn(tuple(col.levels), _read_only(
+                    codes.astype(np.int64, copy=False), col.codes))
             elif isinstance(col, NumericColumn):
                 kinds.setdefault("numeric", name)
-                col = NumericColumn(np.asarray(col.values, dtype=np.float64))
+                col = NumericColumn(_read_only(np.asarray(col.values, dtype=np.float64),
+                                               col.values))
                 bad = np.flatnonzero(~np.isfinite(col.values))
                 if bad.size:
                     raise DataError(f"column {name!r} has a non-finite value "
@@ -246,6 +262,7 @@ def load_table(path, type_hint: str | None = None, delimiter: str | None = None)
             if bad.size:
                 raise DataError(f"non-finite value {colvals[bad[0]]!r} in row "
                                 f"{lines[bad[0]]}, column {name!r}")
+            vals.flags.writeable = False  # the Dataset keeps it without a copy
             columns[name] = NumericColumn(vals)
         else:
             if type_hint == "continuous":
@@ -256,6 +273,7 @@ def load_table(path, type_hint: str | None = None, delimiter: str | None = None)
             index = {lv: i for i, lv in enumerate(levels)}
             codes = np.fromiter((index[v] for v in colvals), dtype=np.int64,
                                 count=len(colvals))
+            codes.flags.writeable = False
             columns[name] = CategoricalColumn(levels, codes)
     return Dataset(tuple(header), columns)  # rejects mixed data
 
@@ -372,19 +390,82 @@ def _config_codes(d: Dataset, names) -> tuple[np.ndarray, int]:
 
 
 def contingency_counts(d: Dataset, x: str, y: str, z=()) -> ContingencyTable:
-    """Exact n_ijk counts of x versus y within each observed z configuration."""
+    """Exact n_ijk counts of x versus y within each observed z configuration.
+
+    With z empty the table is a fresh copy of its block of the dataset's pair
+    tables (_pair_tables), where the dataset has them. A table of more than
+    2^24 cells, the cap on a family's parent configurations, is a DataError.
+    """
     if not d.discrete:
         raise DataError("contingency tables require a discrete dataset")
     z = _name_list(z)
     _check_variables(d, x, y, z)
-    xc = d.codes(x)
-    yc = d.codes(y)
     R = len(d.levels(x))
     C = len(d.levels(y))
-    zidx, L = joint_config_codes(d, z)
-    flat = (xc * C + yc) * L + zidx
-    counts = np.bincount(flat, minlength=R * C * L).reshape(R, C, L)
-    return ContingencyTable(counts, R, C, L, d.n)
+    zidx, L = joint_config_codes(d, z) if z else (0, 1)
+    cells = R * C * L
+    if cells > _MAX_PARENT_CONFIGS:
+        raise DataError(f"the contingency table of {x!r} and {y!r} has {cells} cells, "
+                        f"more than {_MAX_PARENT_CONFIGS}")
+    counts = None if z else _pair_counts(d, x, y)
+    if counts is None:
+        counts = np.bincount((d.codes(x) * C + d.codes(y)) * L + zidx, minlength=cells)
+    return ContingencyTable(counts.reshape(R, C, L), R, C, L, d.n)
+
+
+# The pair tables are one product while the columns' level counts sum to at
+# most this (a kept table of at most 32 MiB); wider datasets count each pair
+# with a bincount.
+_PAIR_LEVELS = 2048
+# Rows coded at a time, so the one-hot block stays small whatever n is.
+_PAIR_CHUNK_ROWS = 1024
+# float32 holds every count exactly below this many rows; float64 beyond it.
+_FLOAT32_ROWS = 1 << 24
+
+
+def _pair_tables(d: Dataset):
+    """Each column's span of levels and the joint table of every column pair, or None.
+
+    The tables are X^T X for the one-hot coding X of the data: n rows and one
+    column per level of every column, so block (x, y) of the product counts
+    the rows with each pair of levels of x and y. It is computed once per
+    dataset, in blocks of rows, in float32 (float64 from 2^24 rows, where
+    float32 stops holding every count exactly) and kept read-only as int64.
+    A dataset whose level counts sum to more than _PAIR_LEVELS keeps None,
+    and its callers count each pair with a bincount.
+    """
+    if "pair-tables" in d._memo:
+        return d._memo["pair-tables"]
+    columns = [d._col(name, CategoricalColumn) for name in d.names]
+    radix = np.array([len(c.levels) for c in columns])
+    starts = np.cumsum(radix) - radix
+    width = int(radix.sum())
+    tables = None
+    if width <= _PAIR_LEVELS:
+        dtype = np.float32 if d.n < _FLOAT32_ROWS else np.float64
+        gram = np.zeros((width, width), dtype)
+        # the flat place of each row's level of each column in a block
+        places = np.arange(0, _PAIR_CHUNK_ROWS * width, width)[:, None] + starts
+        for lo in range(0, d.n, _PAIR_CHUNK_ROWS):
+            hot = np.stack([c.codes[lo:lo + _PAIR_CHUNK_ROWS] for c in columns], axis=1)
+            hot += places[:len(hot)]
+            onehot = np.zeros((len(hot), width), dtype)
+            onehot.reshape(-1)[hot] = 1
+            gram += onehot.T @ onehot
+        gram = gram.astype(np.int64)
+        gram.flags.writeable = False
+        tables = {name: slice(a, a + r) for name, a, r in zip(d.names, starts, radix)}, gram
+    d._memo["pair-tables"] = tables
+    return tables
+
+
+def _pair_counts(d: Dataset, x: str, y: str) -> np.ndarray | None:
+    """A fresh C-contiguous (R, C) int64 joint table of x and y, or None past the bound."""
+    tables = _pair_tables(d)
+    if tables is None:
+        return None
+    span, gram = tables
+    return gram[span[x], span[y]].copy()
 
 
 def _gaussian_moments(d: Dataset):
@@ -516,12 +597,13 @@ def _toggle_family_counts(d: Dataset, node: str, parents: list[str],
     parents is sorted. The index of the node and its parents is built once:
     an added u is one more (least significant) digit of it, and its axis then
     moves to u's sorted place; a deleted parent sums the base table over its
-    axis, with no pass over the data. A row with no parents reads each
-    family from the dataset's read-only table of that column pair, counted
-    the first time either orientation is asked for (the other orientation is
-    its transpose), and returns a copy. A row with an unknown column or a
-    family past the configuration cap is counted one family at a time, so
-    each family raises where family_counts raises.
+    axis, with no pass over the data. A row with no parents makes no pass
+    either: each family is a fresh copy of the joint table of the node and u
+    from the dataset's pair tables (_pair_tables), or, on a dataset past
+    their bound, one more digit of the node's codes like any added parent.
+    A row with an unknown column or a family past the configuration cap is
+    counted one family at a time, so each family raises where family_counts
+    raises.
     """
     place = {p: j for j, p in enumerate(parents)}
     try:
@@ -536,62 +618,31 @@ def _toggle_family_counts(d: Dataset, node: str, parents: list[str],
         q = math.prod(radix)
     if widest is None or q * widest > _MAX_PARENT_CONFIGS:
         return [family_counts(d, node, sorted(place.keys() ^ {u})) for u in others]
+    if not parents and _pair_tables(d) is not None:
+        return [(_pair_counts(d, node, u), len(d.columns[u].levels)) for u in others]
     R = len(column.levels)
     shape = (R, *radix)
     idx = _parent_config_index(shape, [column.codes] + [c.codes for c in columns], d.n)
     table = None
     scaled = {}  # idx * r, shared by the added parents of r levels
-    pairs = None if parents else d._memo.setdefault("pair-counts", {})
     out = []
     for u in others:
         j = place.get(u)
         if j is None:
             col = d.columns[u]
             r = len(col.levels)
-            kept = None if pairs is None else _kept_pair(pairs, node, u)
-            if kept is not None:
-                out.append((kept, r))
-                continue
             if r not in scaled:
                 scaled[r] = idx * r
             counts = np.bincount(scaled[r] + col.codes, minlength=R * q * r)
             at = bisect_left(parents, u) + 1
             axes = (*range(at), len(shape), *range(at, len(shape)))
             counts = counts.reshape(*shape, r).transpose(axes).reshape(R, q * r)
-            if pairs is not None:
-                _keep_pair(d, pairs, node, u, counts)
             out.append((counts, q * r))
         else:
             if table is None:
                 table = np.bincount(idx, minlength=R * q).reshape(shape)
             out.append((table.sum(axis=j + 1).reshape(R, q // radix[j]), q // radix[j]))
     return out
-
-
-# Each dataset keeps the family tables of its column pairs in at most this
-# many bytes: ALARM's 666 pairs take about 48 KB.
-_PAIR_TABLE_BYTES = 2 << 20
-
-
-def _kept_pair(pairs: dict, node: str, u: str) -> np.ndarray | None:
-    """A fresh copy of family_counts(d, node, [u])[0] from the kept pair tables, or None."""
-    counts = pairs.get((node, u))
-    if counts is None:
-        counts = pairs.get((u, node))
-        if counts is None:
-            return None
-        counts = counts.T
-    return counts.copy()
-
-
-def _keep_pair(d: Dataset, pairs: dict, node: str, u: str, counts: np.ndarray) -> None:
-    """Keep a read-only copy of the (node, u) family table while the budget allows."""
-    used = d._memo.get("pair-bytes", 0) + counts.nbytes
-    if used <= _PAIR_TABLE_BYTES:
-        kept = counts.copy()
-        kept.flags.writeable = False
-        pairs[node, u] = kept
-        d._memo["pair-bytes"] = used
 
 
 # -- fitted networks ------------------------------------------------------------------
@@ -768,6 +819,7 @@ def forward_sample(f: FittedNetwork, n: int, seed: int) -> Dataset:
             u = rng.random(n)
             codes = np.minimum((u[:, None] > cum).sum(axis=1),
                                len(loc.levels) - 1).astype(np.int64)
+            codes.flags.writeable = False  # the Dataset keeps it without a copy
             sampled[node] = codes
             columns[node] = CategoricalColumn(loc.levels, codes)
     else:
@@ -778,5 +830,6 @@ def forward_sample(f: FittedNetwork, n: int, seed: int) -> Dataset:
             for p, c in zip(loc.parents, loc.coefficients):
                 mean += c * values[p]
             values[node] = mean + loc.sd * rng.standard_normal(n)
+            values[node].flags.writeable = False
             columns[node] = NumericColumn(values[node])
     return Dataset(f.graph.nodes, columns)

@@ -365,6 +365,13 @@ class TestCitest:
         assert f"delimiter must be a single character, got {delimiter!r}" in err
         assert out == ""
 
+    def test_huge_table_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "ids.csv"
+        path.write_text("X,Y,Z\n" + "".join(f"x{i},y{i},z{i % 2}\n" for i in range(3000)))
+        code, out, err = run_cli(capsys, "citest", str(path), "X", "Y", "Z")
+        assert code == 3 and out == ""
+        assert "the contingency table of 'X' and 'Y' has 18000000 cells" in err
+
     @pytest.mark.parametrize("variables", [("A", "A"), ("A", "B", "A"), ("A", "Q")])
     def test_repeated_or_unknown_variable_exit_code(self, capsys, tmp_path, variables):
         rows = np.random.default_rng(81).standard_normal((30, 3))

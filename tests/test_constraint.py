@@ -418,6 +418,21 @@ def test_tester_answers_repeats_from_its_memo():
     assert tr.lines()[1] == "test\tA\tB\tC F\t0.25\tagain"
 
 
+def test_fast_iamb_reads_the_blanket_codes_in_column_order(monkeypatch):
+    d = forward_sample(alarm_fitted(1), 5000, seed=2)
+    order = {name: i for i, name in enumerate(d.names)}
+    counted = []
+    config_codes = bnsl.data._config_codes
+
+    def counting(d, names):
+        counted.append(tuple(names))
+        return config_codes(d, names)
+
+    monkeypatch.setattr(bnsl.data, "_config_codes", counting)
+    constraint_learn(d, LearnConfig(algorithm="fast-iamb", test="mi"))
+    assert counted and all(list(z) == sorted(z, key=order.__getitem__) for z in counted)
+
+
 # -- priors on learned graphs ------------------------------------------------------------
 
 @pytest.fixture(scope="module")

@@ -14,10 +14,10 @@ from bnsl import (DataError, Dataset, FittedNetwork, ScoreSpec, ci_test,
                   contingency_counts, correlation_matrix, fit_mle, forward_sample,
                   load_table, local_score, parse_modelstring, partial_correlation,
                   write_table)
-from bnsl.data import CategoricalColumn, DiscreteCPT, LinearGaussian, \
+from bnsl.data import CategoricalColumn, ContingencyTable, DiscreteCPT, LinearGaussian, \
     NumericColumn, _gaussian_moments, _regress, _toggle_family_counts, family_counts, \
     joint_config_codes
-from bnsl.independence import gaussian_statistic
+from bnsl.independence import gaussian_statistic, table_test
 from bnsl.networks import alarm_fitted
 
 
@@ -218,6 +218,39 @@ class TestDatasetInvariants:
         with pytest.raises(DataError, match="column 'A' is not one-dimensional"):
             Dataset.from_values(["A", "B"], {"A": bad, "B": [3.0]})
 
+    def test_columns_are_read_only(self):
+        d = forward_sample(alarm_fitted(1), 300, seed=40)
+        L = contingency_counts(d, "HR", "CVP", ["HIST"]).L
+        with pytest.raises(ValueError, match="read-only"):
+            d.codes("HIST")[:] = 0
+        assert contingency_counts(d, "HR", "CVP", ["HIST"]).L == L > 1
+        g = Dataset.from_values(["X", "Y"], {"X": [1.0, 2.0, 4.0], "Y": [0.0, 1.0, 0.0]})
+        with pytest.raises(ValueError, match="read-only"):
+            g.values("X")[0] = 3.0
+
+    @pytest.mark.parametrize("discrete", [True, False])
+    def test_only_arrays_the_caller_can_write_are_copied(self, discrete):
+        dtype = np.int64 if discrete else np.float64
+        made = [np.array([0, 1, 1, 0], dtype), np.array([1, 0, 1, 1], dtype)]
+        frozen = made[1].copy()
+        frozen.flags.writeable = False
+        view = made[0].view()  # read-only, but its base stays writeable
+        view.flags.writeable = False
+        given = {"A": made[0], "B": frozen, "C": view, "D": [0, 0, 1, 1]}
+        if discrete:
+            d = Dataset.from_codes(list(given), dict.fromkeys(given, ("a", "b")), given)
+        else:
+            d = Dataset.from_values(list(given), given)
+        read = Dataset.codes if discrete else Dataset.values
+        made[0][:] = 1
+        assert read(d, "A").tolist() == read(d, "C").tolist() == [0, 1, 1, 0]
+        assert not np.shares_memory(read(d, "A"), made[0])
+        assert not np.shares_memory(read(d, "C"), made[0])
+        assert read(d, "B") is frozen
+        assert all(not read(d, v).flags.writeable for v in given)
+        again = Dataset(d.names, d.columns)
+        assert all(read(again, v) is read(d, v) for v in given)
+
     def test_reorder(self):
         d = Dataset(("A", "B"), {
             "A": CategoricalColumn(("a", "b"), np.zeros(3, dtype=np.int64)),
@@ -360,8 +393,24 @@ class TestConfigCodes:
         assert len(seen) > capacity and len(cache) == capacity
 
 
+def _mixed_levels(n, seed):
+    """Random data whose columns have 2 to 6 levels, some of them never observed."""
+    rng = np.random.default_rng(seed)
+    names = [f"V{i}" for i in range(9)]
+    levels = {v: tuple(f"l{j}" for j in range(int(rng.integers(2, 7)))) for v in names}
+    # each column draws from a random subset of its levels
+    codes = {v: rng.choice(rng.permutation(len(levels[v]))[:int(rng.integers(1, 4))], n)
+             for v in names}
+    return Dataset.from_codes(names, levels, codes)
+
+
+_PAIR_DATASETS = {"alarm": lambda: forward_sample(alarm_fitted(1), 5000, seed=35),
+                  "mixed": lambda: _mixed_levels(700, 36),
+                  "one-row": lambda: _mixed_levels(1, 37)}
+
+
 class TestPairTables:
-    """Rows with no parents read their families from the dataset's pair tables."""
+    """Every joint table of a column pair comes from the dataset's one-hot product."""
 
     @staticmethod
     def _fill(d, nodes):
@@ -381,15 +430,32 @@ class TestPairTables:
             assert counts.dtype == np.int64 and counts.flags.c_contiguous
             assert counts.flags.writeable and np.array_equal(counts, want)
 
-    def test_families_equal_fresh_counts_in_both_orientations(self):
-        d = forward_sample(alarm_fitted(1), 500, seed=31)
-        nodes = list(d.names[:12])
+    @staticmethod
+    def _assert_tables_fresh(d):
+        for x in d.names:
+            for y in d.names:
+                if x != y:
+                    t = contingency_counts(d, x, y)
+                    R, C = len(d.levels(x)), len(d.levels(y))
+                    want = np.bincount(d.codes(x) * C + d.codes(y), minlength=R * C)
+                    assert t.counts.dtype == np.int64 and t.counts.flags.c_contiguous
+                    assert t.counts.flags.writeable and t.L == 1 and t.n == d.n
+                    assert np.array_equal(t.counts, want.reshape(R, C, 1))
+
+    @pytest.mark.parametrize("data", _PAIR_DATASETS)
+    def test_families_and_tables_equal_fresh_counts(self, data):
+        d = _PAIR_DATASETS[data]()
+        nodes = list(d.names)
         first, second = self._fill(d, nodes), self._fill(d, nodes)
         self._assert_fresh(d, first)
         self._assert_fresh(d, second)
-        pairs = d._memo["pair-counts"]
-        assert len(pairs) == 66 and all(not t.flags.writeable for t in pairs.values())
-        assert d._memo["pair-bytes"] == sum(t.nbytes for t in pairs.values())
+        self._assert_tables_fresh(d)
+        span, product = d._memo["pair-tables"]
+        width = sum(len(d.levels(v)) for v in d.names)
+        assert product.shape == (width, width) and product.dtype == np.int64
+        assert not product.flags.writeable
+        assert [span[v].stop - span[v].start for v in nodes] == [len(d.levels(v))
+                                                                 for v in nodes]
 
     def test_writing_into_a_family_changes_no_later_family(self):
         d = forward_sample(alarm_fitted(1), 500, seed=32)
@@ -398,10 +464,41 @@ class TestPairTables:
             counts += 1000
         for counts, _ in self._fill(d, nodes).values():
             counts[...] = -1
+        for x in nodes:
+            for y in nodes:
+                if x != y:
+                    contingency_counts(d, x, y).counts[...] = -1
         self._assert_fresh(d, self._fill(d, nodes))
+        self._assert_tables_fresh(d)
 
-    def test_each_pair_is_counted_once(self, monkeypatch):
+    def test_one_product_per_dataset(self, monkeypatch):
         d = forward_sample(alarm_fitted(1), 5000, seed=33)
+        passes, blocks = [], []
+        bincount, stack = np.bincount, np.stack
+
+        def counting(x, *args, **kwargs):
+            passes.append(len(x))
+            return bincount(x, *args, **kwargs)
+
+        def stacking(arrays, *args, **kwargs):
+            blocks.append(len(arrays[0]))
+            return stack(arrays, *args, **kwargs)
+
+        monkeypatch.setattr(bnsl.data.np, "bincount", counting)
+        monkeypatch.setattr(bnsl.data.np, "stack", stacking)
+        self._fill(d, list(d.names))
+        assert len(d.names) == 37 and passes == [] and blocks == [1024] * 4 + [904]
+        product = d._memo["pair-tables"]
+        blocks.clear()
+        self._fill(d, list(d.names))
+        for x in d.names:
+            contingency_counts(d, x, "HR" if x != "HR" else "CVP")
+        assert passes == [] and blocks == [] and d._memo["pair-tables"] is product
+
+    def test_past_the_level_bound_pairs_are_counted_each_time(self, monkeypatch):
+        d = _mixed_levels(400, 34)
+        width = sum(len(d.levels(v)) for v in d.names)
+        monkeypatch.setattr(bnsl.data, "_PAIR_LEVELS", width - 1)
         passes = []
         bincount = np.bincount
 
@@ -410,21 +507,80 @@ class TestPairTables:
             return bincount(x, *args, **kwargs)
 
         monkeypatch.setattr(bnsl.data.np, "bincount", counting)
-        self._fill(d, list(d.names))
-        assert len(d.names) == 37 and passes == [d.n] * 666
+        nodes = list(d.names)
+        families = self._fill(d, nodes)
+        assert passes == [d.n] * 72 and d._memo["pair-tables"] is None
         passes.clear()
-        self._fill(d, list(d.names))
-        assert passes == []
+        contingency_counts(d, "V0", "V1")
+        assert passes == [d.n]
+        monkeypatch.setattr(bnsl.data.np, "bincount", bincount)
+        self._assert_fresh(d, families)
+        self._assert_tables_fresh(d)
 
-    def test_pairs_past_the_byte_budget_are_counted_each_time(self, monkeypatch):
-        d = forward_sample(alarm_fitted(1), 500, seed=34)
-        monkeypatch.setattr(bnsl.data, "_PAIR_TABLE_BYTES", 1000)
-        nodes = list(d.names[:10])
-        self._assert_fresh(d, self._fill(d, nodes))
-        self._assert_fresh(d, self._fill(d, nodes))
-        kept = d._memo["pair-counts"]
-        assert 0 < len(kept) < 45
-        assert d._memo["pair-bytes"] == sum(t.nbytes for t in kept.values()) <= 1000
+    @pytest.mark.parametrize("rows, dtype", [(700, np.float64), (701, np.float32)])
+    def test_float64_product_from_the_row_threshold(self, monkeypatch, rows, dtype):
+        d = _mixed_levels(700, 38)
+        dtypes = []
+        zeros = np.zeros
+
+        def recording(shape, dtype=float, *args, **kwargs):
+            dtypes.append(np.dtype(dtype))
+            return zeros(shape, dtype, *args, **kwargs)
+
+        monkeypatch.setattr(bnsl.data, "_FLOAT32_ROWS", rows)
+        monkeypatch.setattr(bnsl.data.np, "zeros", recording)
+        bnsl.data._pair_tables(d)
+        monkeypatch.setattr(bnsl.data.np, "zeros", zeros)
+        assert dtypes and set(dtypes) == {np.dtype(dtype)}
+        self._assert_fresh(d, self._fill(d, list(d.names)))
+        self._assert_tables_fresh(d)
+
+    @pytest.mark.parametrize("test", ["mi", "x2"])
+    def test_empty_z_pvalues_equal_those_of_bincount_tables(self, test):
+        d = forward_sample(alarm_fitted(1), 5000, seed=39)
+        for x in d.names:
+            for y in d.names:
+                if x != y:
+                    R, C = len(d.levels(x)), len(d.levels(y))
+                    flat = np.bincount(d.codes(x) * C + d.codes(y), minlength=R * C)
+                    want = table_test(ContingencyTable(flat.reshape(R, C, 1), R, C, 1,
+                                                       d.n), test)
+                    got = ci_test(d, x, y, test=test)
+                    assert got.p_value == want.p_value
+                    assert got.statistic == want.statistic
+
+
+class TestCountCap:
+    """A contingency table past 2^24 cells is refused before it is counted."""
+
+    @staticmethod
+    def _ids(n):
+        """Two ID-like columns (n levels each) and a two-level column."""
+        ids = np.arange(n)
+        levels = tuple(str(i) for i in range(n))
+        return Dataset.from_codes(["X", "Y", "Z"], {"X": levels, "Y": levels,
+                                                    "Z": ("a", "b")},
+                                  {"X": ids, "Y": ids[::-1].copy(), "Z": ids % 2})
+
+    @pytest.mark.parametrize("n, z, cells", [(3000, ["Z"], 18000000),
+                                             (4097, [], 16785409)])
+    def test_huge_tables_are_data_errors(self, n, z, cells):
+        d = self._ids(n)
+        with pytest.raises(DataError, match=re.escape(
+                f"the contingency table of 'X' and 'Y' has {cells} cells, "
+                f"more than {2 ** 24}")):
+            contingency_counts(d, "X", "Y", z)
+        with pytest.raises(DataError, match="contingency table of 'X' and 'Y'"):
+            ci_test(d, "X", "Y", z, test="mc-mi", B=10)
+
+    def test_the_cap_is_the_family_cap(self, monkeypatch):
+        d = self._ids(30)
+        monkeypatch.setattr(bnsl.data, "_MAX_PARENT_CONFIGS", 30 * 30 * 2 - 1)
+        with pytest.raises(DataError, match="has 1800 cells"):
+            contingency_counts(d, "X", "Y", ["Z"])
+        assert contingency_counts(d, "X", "Y").counts.sum() == 30
+        monkeypatch.setattr(bnsl.data, "_MAX_PARENT_CONFIGS", 30 * 30 * 2)
+        assert contingency_counts(d, "X", "Y", ["Z"]).L == 2
 
 
 class TestCorrelation:
