@@ -10,8 +10,9 @@ import argparse
 import sys
 
 from .constraint import ALGORITHMS, LearnConfig, constraint_learn
-from .data import (DataError, FittedNetwork, _check_delimiter, _read_columns,
-                   _read_text, fit_mle, forward_sample, load_table, write_table)
+from .data import (DataError, FittedNetwork, _check_delimiter, _code_cells,
+                   _read_columns, _read_text, fit_mle, forward_sample, load_table,
+                   write_table)
 from .graph import (Graph, GraphError, average_branching, average_mb_size,
                     average_nbr_size, compare, format_modelstring,
                     parse_modelstring, to_dot)
@@ -46,10 +47,13 @@ def load_graph(source: str, nodes=None) -> Graph:
 
 
 def _read_arc_rows(text: str, path: str) -> list[tuple[str, str]]:
-    header, columns, _ = _read_columns(text, path, "arc")
+    header, columns, lines = _read_columns(text, path, "arc")
+    coded = [_code_cells(cells, name, lines, "arc", path)
+             for name, cells in zip(header, columns)]
     if len(header) < 2:
         raise DataError(f"arc file {path} needs two columns (from, to) and a header")
-    return list(zip(columns[0], columns[1]))
+    (tails, tail_codes), (heads, head_codes) = coded[:2]
+    return [(tails[i], heads[j]) for i, j in zip(tail_codes.tolist(), head_codes.tolist())]
 
 
 def _read_priors(args) -> PriorKnowledge | None:

@@ -4,15 +4,22 @@ Datasets are homogeneous: either every column is categorical (discrete
 networks) or every column is numeric (Gaussian networks). A Dataset's
 columns never change after construction: their arrays are read-only.
 Derived statistics that several callers reuse (Gaussian moments, the
-correlation matrix, log-gamma tables, recent configuration codes, the joint
-tables of every column pair) are filled in lazily, on first use, in its
-private memo.
+correlation matrix, log-gamma tables, recent configuration codes) are filled
+in lazily, on first use, in its private memo; the joint tables of every
+column pair are filled in once a second pair table is asked for.
+
+Reading a file parses the stripped cells of a numeric column with float()
+and codes each other column by its distinct cell texts, each stripped and
+checked once.
+A discrete test builds its cell index in one buffer and counts it with one
+bincount.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import numbers
@@ -195,11 +202,12 @@ def _read_text(path) -> str:
 
 
 def _read_columns(text: str, path, what: str, delimiter: str | None = None):
-    """Header, stripped columns and each row's file line of delimited text.
+    """Header, columns (each a tuple of its raw cells) and each row's file line.
 
-    Blank rows are skipped. Text with no other row, an empty header field, a
-    ragged row and an empty cell are rejected; the message names the file as
-    a `what` ("data", "arc") file.
+    Blank rows are skipped. Text with no other row, an empty header field and
+    a ragged row are rejected; the message names the file as a `what`
+    ("data", "arc") file. Cells keep their surrounding spaces: _code_cells
+    strips each distinct one, and load_table each cell it parses as a number.
     """
     if delimiter is None:
         delimiter = _detect_delimiter(next((line for line in text.splitlines()
@@ -208,9 +216,10 @@ def _read_columns(text: str, path, what: str, delimiter: str | None = None):
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     rows, lines = [], []  # non-blank rows and the file line each ends on
     for row in reader:
-        if any(field.strip() for field in row):
+        if any(map(str.strip, row)):
             rows.append(row)
             lines.append(reader.line_num)
+    del reader  # its copy of the text goes before the columns are built
     if not rows:
         raise DataError(f"{what} file {path} is empty")
     header = [h.strip() for h in rows[0]]
@@ -219,16 +228,32 @@ def _read_columns(text: str, path, what: str, delimiter: str | None = None):
                         f"in {what} file {path}")
     ncol = len(header)
     body, lines = rows[1:], lines[1:]
-    for row, line in zip(body, lines):
-        if len(row) != ncol:
-            raise DataError(f"ragged row {line}: expected {ncol} fields, got {len(row)}, "
-                            f"in {what} file {path}")
-    columns = [[row[j].strip() for row in body] for j in range(ncol)]
-    for name, colvals in zip(header, columns):
-        if "" in colvals:
-            raise DataError(f"empty cell in row {lines[colvals.index('')]}, "
-                            f"column {name!r}, in {what} file {path}")
-    return header, columns, lines
+    widths = list(map(len, body))
+    if widths.count(ncol) != len(widths):
+        i = next(i for i, w in enumerate(widths) if w != ncol)
+        raise DataError(f"ragged row {lines[i]}: expected {ncol} fields, got {widths[i]}, "
+                        f"in {what} file {path}")
+    return header, list(zip(*body)) if body else [()] * ncol, lines
+
+
+def _code_cells(cells, name: str, lines, what: str,
+                path) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct stripped texts of cells and each row's int64 code into them.
+
+    Each distinct cell is stripped once, in the order of its first row, so
+    no result depends on set order. An empty cell is rejected with the file
+    line of its first row.
+    """
+    index = dict(zip(dict.fromkeys(cells), itertools.count()))
+    texts = [cell.strip() for cell in index]
+    ids = np.fromiter(map(index.__getitem__, cells), dtype=np.int64, count=len(cells))
+    if "" in texts:  # the first empty text in the list is the first one in the rows
+        row = int(np.argmax(ids == texts.index("")))
+        raise DataError(f"empty cell in row {lines[row]}, "
+                        f"column {name!r}, in {what} file {path}")
+    levels = tuple(sorted(set(texts)))
+    rank = {level: i for i, level in enumerate(levels)}
+    return levels, np.array([rank[t] for t in texts], dtype=np.int64)[ids]
 
 
 def load_table(path, type_hint: str | None = None, delimiter: str | None = None) -> Dataset:
@@ -241,38 +266,39 @@ def load_table(path, type_hint: str | None = None, delimiter: str | None = None)
     if type_hint not in (None, "discrete", "continuous"):
         raise DataError(f"unknown type hint {type_hint!r}")
     header, raw, lines = _read_columns(_read_text(path), path, "data", delimiter)
+    # every column's empty cells are reported before any other error in the file
+    parsed = []  # (values, None) of a numeric column, (None, (levels, codes)) of the others
+    for name, cells in zip(header, raw):
+        values = None
+        if type_hint != "discrete":
+            try:  # float() alone would keep the separators \x1c-\x1f that strip() drops
+                values = np.fromiter(map(float, map(str.strip, cells)), dtype=float,
+                                     count=len(cells))
+            except ValueError:
+                pass
+        parsed.append((values, None if values is not None
+                       else _code_cells(cells, name, lines, "data", path)))
     if not lines:
         raise DataError(f"data file {path} has no data rows")
     for j, name in enumerate(header):
         if name in header[:j]:
             raise DataError(f"duplicate column name {name!r} in header fields "
                             f"{header.index(name) + 1} and {j + 1}, in data file {path}")
-
-    def numeric(colvals):
-        try:
-            return np.array([float(v) for v in colvals], dtype=float)
-        except ValueError:
-            return None
-
     columns = {}
-    for name, colvals in zip(header, raw):
-        vals = None if type_hint == "discrete" else numeric(colvals)
-        if vals is not None:
-            bad = np.flatnonzero(~np.isfinite(vals))
+    for name, cells, (values, coded) in zip(header, raw, parsed):
+        if values is not None:
+            bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:
-                raise DataError(f"non-finite value {colvals[bad[0]]!r} in row "
+                raise DataError(f"non-finite value {cells[bad[0]].strip()!r} in row "
                                 f"{lines[bad[0]]}, column {name!r}")
-            vals.flags.writeable = False  # the Dataset keeps it without a copy
-            columns[name] = NumericColumn(vals)
+            values.flags.writeable = False  # the Dataset keeps it without a copy
+            columns[name] = NumericColumn(values)
         else:
             if type_hint == "continuous":
                 raise DataError(f"column {name!r} is not numeric")
-            levels = tuple(sorted(set(colvals)))
+            levels, codes = coded
             if len(levels) < 2:
                 raise DataError(f"column {name!r} has a single level")
-            index = {lv: i for i, lv in enumerate(levels)}
-            codes = np.fromiter((index[v] for v in colvals), dtype=np.int64,
-                                count=len(colvals))
             codes.flags.writeable = False
             columns[name] = CategoricalColumn(levels, codes)
     return Dataset(tuple(header), columns)  # rejects mixed data
@@ -324,10 +350,12 @@ def _name_list(names) -> list[str]:
 def _check_variables(d: Dataset, x: str, y: str, z) -> None:
     """Reject a test of x and y given z whose variables repeat or are unknown."""
     labels = [x, y, *z]
-    if len(set(labels)) != len(labels):
+    distinct = set(labels)
+    if len(distinct) != len(labels):
         raise DataError("x, y and z must be distinct")
-    for name in labels:
-        d._col(name)
+    if not d.columns.keys() >= distinct:
+        unknown = next(name for name in labels if name not in d.columns)
+        raise DataError(f"unknown column {unknown!r}")
 
 
 # Configuration spaces of at most this many codes per row, plus the base, are
@@ -392,24 +420,35 @@ def _config_codes(d: Dataset, names) -> tuple[np.ndarray, int]:
 def contingency_counts(d: Dataset, x: str, y: str, z=()) -> ContingencyTable:
     """Exact n_ijk counts of x versus y within each observed z configuration.
 
-    With z empty the table is a fresh copy of its block of the dataset's pair
-    tables (_pair_tables), where the dataset has them. A table of more than
-    2^24 cells, the cap on a family's parent configurations, is a DataError.
+    The cell index (x * C + y) * L + z of every row is built in one int64
+    buffer and counted with one bincount. With z empty, from the second pair
+    table a dataset is asked for, the table is a fresh copy of its block of
+    the dataset's pair tables (_pair_tables), where the dataset has them. A
+    table of more than 2^24 cells, the cap on a family's parent
+    configurations, is a DataError.
     """
     if not d.discrete:
         raise DataError("contingency tables require a discrete dataset")
     z = _name_list(z)
     _check_variables(d, x, y, z)
-    R = len(d.levels(x))
-    C = len(d.levels(y))
-    zidx, L = joint_config_codes(d, z) if z else (0, 1)
+    cx, cy = d.columns[x], d.columns[y]
+    R, C = len(cx.levels), len(cy.levels)
+    zidx, L = joint_config_codes(d, z) if z else (None, 1)
     cells = R * C * L
     if cells > _MAX_PARENT_CONFIGS:
         raise DataError(f"the contingency table of {x!r} and {y!r} has {cells} cells, "
                         f"more than {_MAX_PARENT_CONFIGS}")
-    counts = None if z else _pair_counts(d, x, y)
-    if counts is None:
-        counts = np.bincount((d.codes(x) * C + d.codes(y)) * L + zidx, minlength=cells)
+    tables = None if z else _asked_pair_tables(d, 1)
+    if tables is not None:
+        span, product = tables
+        counts = product[span[x], span[y]].copy()
+    else:
+        flat = cx.codes * C
+        flat += cy.codes
+        if z:
+            flat *= L
+            flat += zidx
+        counts = np.bincount(flat, minlength=cells)
     return ContingencyTable(counts.reshape(R, C, L), R, C, L, d.n)
 
 
@@ -459,13 +498,18 @@ def _pair_tables(d: Dataset):
     return tables
 
 
-def _pair_counts(d: Dataset, x: str, y: str) -> np.ndarray | None:
-    """A fresh C-contiguous (R, C) int64 joint table of x and y, or None past the bound."""
-    tables = _pair_tables(d)
-    if tables is None:
-        return None
-    span, gram = tables
-    return gram[span[x], span[y]].copy()
+def _asked_pair_tables(d: Dataset, pairs: int):
+    """_pair_tables(d) once d has been asked for two pair tables in all, else None.
+
+    pairs is the number of tables the caller needs now: a lone table costs
+    one bincount, and the product is built when a second table is asked for,
+    or at once for a hill-climbing row of several.
+    """
+    if "pair-tables" not in d._memo:
+        asked = d._memo["pair-asks"] = d._memo.get("pair-asks", 0) + pairs
+        if asked < 2:
+            return None
+    return _pair_tables(d)
 
 
 def _gaussian_moments(d: Dataset):
@@ -599,8 +643,9 @@ def _toggle_family_counts(d: Dataset, node: str, parents: list[str],
     moves to u's sorted place; a deleted parent sums the base table over its
     axis, with no pass over the data. A row with no parents makes no pass
     either: each family is a fresh copy of the joint table of the node and u
-    from the dataset's pair tables (_pair_tables), or, on a dataset past
-    their bound, one more digit of the node's codes like any added parent.
+    from the dataset's pair tables (_asked_pair_tables), or, on a dataset past
+    their bound or for a lone first pair, one more digit of the node's codes
+    like any added parent.
     A row with an unknown column or a family past the configuration cap is
     counted one family at a time, so each family raises where family_counts
     raises.
@@ -618,8 +663,11 @@ def _toggle_family_counts(d: Dataset, node: str, parents: list[str],
         q = math.prod(radix)
     if widest is None or q * widest > _MAX_PARENT_CONFIGS:
         return [family_counts(d, node, sorted(place.keys() ^ {u})) for u in others]
-    if not parents and _pair_tables(d) is not None:
-        return [(_pair_counts(d, node, u), len(d.columns[u].levels)) for u in others]
+    tables = None if parents else _asked_pair_tables(d, len(others))
+    if tables is not None:
+        span, product = tables
+        return [(product[span[node], span[u]].copy(), len(d.columns[u].levels))
+                for u in others]
     R = len(column.levels)
     shape = (R, *radix)
     idx = _parent_config_index(shape, [column.codes] + [c.codes for c in columns], d.n)

@@ -64,15 +64,25 @@ class TestResult:
 # table or a whole batch of Monte Carlo replicates.
 
 def _mi_from_counts(counts: np.ndarray, n: int) -> np.ndarray:
-    nik = counts.sum(axis=-2, keepdims=True)          # n_{i+k}
-    njk = counts.sum(axis=-3, keepdims=True)          # n_{+jk}
-    nk = counts.sum(axis=(-3, -2), keepdims=True)     # n_{++k}
-    num = counts.astype(float) * nk
-    den = nik.astype(float) * njk
-    # ratio is 1 where a count is 0, so those cells add exactly +0.0
-    ratio = np.divide(num, den, out=np.ones_like(num, dtype=float),
-                      where=counts > 0)
-    return (counts * np.log(ratio)).sum(axis=(-3, -2, -1)) / n
+    # the table turns float once; its margins are sums of integers below 2^53,
+    # so they are exact whatever the order of the additions
+    f = counts.astype(float)
+    nik = f.sum(axis=-2, keepdims=True)               # n_{i+k}
+    njk = f.sum(axis=-3, keepdims=True)               # n_{+jk}
+    nk = njk.sum(axis=-2, keepdims=True)              # n_{++k}
+    # where a count is 0 the numerator (0) and the denominator both become the
+    # denominator plus 1, so the ratio is exactly 1 and the cell adds +0.0;
+    # elsewhere both gain +0.0 and keep their values
+    unseen = counts == 0
+    den = nik * njk
+    den += unseen
+    terms = f * nk
+    terms += den * unseen
+    # one buffer takes the ratio, its log and the terms
+    terms /= den
+    np.log(terms, out=terms)
+    terms *= f
+    return terms.sum(axis=(-3, -2, -1)) / n
 
 
 def _x2_from_counts(counts: np.ndarray) -> np.ndarray:

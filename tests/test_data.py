@@ -164,6 +164,120 @@ class TestLoadTable:
         assert np.array_equal(d2.values("X"), d.values("X"))
 
 
+def _random_cells(rng, numeric):
+    """Header and rows of clean cell texts: 2-6 columns, 1-40 rows, all one kind."""
+    names = [f"C{j}" for j in range(int(rng.integers(2, 7)))]
+    nrows = int(rng.integers(1, 41))
+    pool = ["a", "b", "lvl 3", "x_y", "1a", "NORMAL", "é"]
+    columns = []
+    for _ in names:
+        if numeric:
+            columns.append([repr(float(v)) for v in rng.standard_normal(nrows)
+                            * 10.0 ** int(rng.integers(-3, 4))])
+        else:
+            # two levels at least, in random order, so one-row tables still have both
+            levels = list(rng.choice(pool, size=int(rng.integers(2, len(pool) + 1)),
+                                     replace=False))
+            cells = [levels[0], levels[1]] + [str(rng.choice(levels))
+                                              for _ in range(max(nrows, 2) - 2)]
+            columns.append([cells[i] for i in rng.permutation(len(cells))])
+    nrows = len(columns[0])
+    return names, [[col[i] for col in columns] for i in range(nrows)]
+
+
+def _noisy_text(rng, names, rows):
+    """The table as delimited text with spaces or tabs around cells, blank lines and
+    a random mix of \\n and \\r\\n line ends; also each data row's file line.
+
+    Cells may also sit between the separator \\x1f, which str.strip() drops
+    but float() alone does not.
+    """
+    blanks = ["", " ", "\t", " , ", ",\t,"]
+
+    def pad(cell, tabs=True):
+        space = [" ", "  ", "\t", "\x1f"] if tabs else [" ", "  "]
+        left, right = ("" if rng.random() < 0.5 else str(rng.choice(space)) for _ in "lr")
+        return left + cell + right
+
+    lines = [str(rng.choice(blanks)) for _ in range(int(rng.integers(0, 3)))]
+    # the header takes no tabs: the delimiter is read from its line
+    lines.append(",".join(pad(name, tabs=False) for name in names))
+    at = []
+    for row in rows:
+        lines.extend(str(rng.choice(blanks)) for _ in range(int(rng.integers(0, 3))))
+        lines.append(",".join(pad(cell) for cell in row))
+        at.append(len(lines))
+    lines.extend(str(rng.choice(blanks)) for _ in range(int(rng.integers(0, 3))))
+    ends = [str(rng.choice(["\n", "\r\n"])) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends)), at
+
+
+class TestLoadTableNoise:
+    """Spaces, tabs, blank lines and \\r\\n change neither a table nor an error's place."""
+
+    @staticmethod
+    def _write(tmp_path, name, text):
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        return str(path)
+
+    @pytest.mark.parametrize("numeric", [False, True], ids=["categorical", "numeric"])
+    def test_noisy_file_loads_as_the_clean_one(self, tmp_path, numeric):
+        rng = np.random.default_rng(60 + numeric)
+        for case in range(60):
+            names, rows = _random_cells(rng, numeric)
+            clean = "\n".join(",".join(r) for r in [names] + rows) + "\n"
+            noisy, _ = _noisy_text(rng, names, rows)
+            want = load_table(self._write(tmp_path, f"clean{case}.csv", clean))
+            got = load_table(self._write(tmp_path, f"noisy{case}.csv", noisy))
+            assert got.names == want.names == tuple(names)
+            assert got.discrete == want.discrete == (not numeric)
+            for name in names:
+                if numeric:
+                    assert got.values(name).tobytes() == want.values(name).tobytes()
+                    assert got.values(name).tolist() == [float(r[names.index(name)])
+                                                         for r in rows]
+                else:
+                    assert got.levels(name) == want.levels(name)
+                    assert got.codes(name).tobytes() == want.codes(name).tobytes()
+                    assert [got.levels(name)[c] for c in got.codes(name)] == \
+                        [r[names.index(name)] for r in rows]
+
+    @pytest.mark.parametrize("fault", ["empty", "ragged", "non-finite"])
+    def test_errors_name_the_file_line_and_column(self, tmp_path, fault):
+        rng = np.random.default_rng(["empty", "ragged", "non-finite"].index(fault) + 70)
+        for case in range(40):
+            names, rows = _random_cells(rng, numeric=fault == "non-finite")
+            # one or two faulty cells in distinct rows, so no row turns blank; the
+            # error names the first column with one (the first row for a ragged
+            # row), at its first row
+            faulty = rng.choice(len(rows), size=min(len(rows), int(rng.integers(1, 3))),
+                                replace=False)
+            column = int(rng.integers(len(names)))  # often the column of both faults
+            places = {(int(i), column if rng.random() < 0.5 else int(rng.integers(len(names))))
+                      for i in faulty}
+            for i, j in places:
+                if fault == "empty":
+                    rows[i][j] = "" if rng.random() < 0.5 else str(rng.choice([" ", "\t"]))
+                elif fault == "non-finite":
+                    rows[i][j] = str(rng.choice(["nan", "inf", "-Infinity", "NaN"]))
+            if fault == "ragged":
+                for i in {i for i, _ in places}:
+                    rows[i] = rows[i][:-1] if rng.random() < 0.5 else rows[i] + ["extra"]
+            noisy, at = _noisy_text(rng, names, rows)
+            if fault == "ragged":
+                i = min(i for i, _ in places)
+                message = f"ragged row {at[i]}: expected {len(names)} fields, " \
+                          f"got {len(rows[i])}, "
+            else:
+                j, i = min((j, i) for i, j in places)
+                message = f"empty cell in row {at[i]}, column {names[j]!r}, " \
+                    if fault == "empty" else \
+                    f"non-finite value {rows[i][j]!r} in row {at[i]}, column {names[j]!r}"
+            with pytest.raises(DataError, match=re.escape(message)):
+                load_table(self._write(tmp_path, f"bad{case}.csv", noisy))
+
+
 class TestDatasetInvariants:
     def test_homogeneity(self):
         with pytest.raises(DataError, match="mixed"):
@@ -495,6 +609,37 @@ class TestPairTables:
             contingency_counts(d, x, "HR" if x != "HR" else "CVP")
         assert passes == [] and blocks == [] and d._memo["pair-tables"] is product
 
+    def test_a_lone_table_is_one_bincount_and_the_second_builds_the_product(
+            self, monkeypatch):
+        rng = np.random.default_rng(40)
+        names = [f"V{i}" for i in range(500)]
+        d = Dataset.from_codes(names, {v: ("a", "b", "c", "d") for v in names},
+                               {v: rng.integers(0, 4, 5000) for v in names})
+        passes, blocks = [], []
+        bincount, stack = np.bincount, np.stack
+
+        def counting(x, *args, **kwargs):
+            passes.append(len(x))
+            return bincount(x, *args, **kwargs)
+
+        def stacking(arrays, *args, **kwargs):
+            blocks.append(len(arrays[0]))
+            return stack(arrays, *args, **kwargs)
+
+        monkeypatch.setattr(bnsl.data.np, "bincount", counting)
+        monkeypatch.setattr(bnsl.data.np, "stack", stacking)
+        first = ci_test(d, "V0", "V1")
+        assert passes == [5000] and blocks == [] and "pair-tables" not in d._memo
+        passes.clear()
+        second = ci_test(d, "V2", "V3")
+        assert passes == [] and len(blocks) == 5 and d._memo["pair-tables"] is not None
+        monkeypatch.setattr(bnsl.data.np, "bincount", bincount)
+        for (x, y), got in ((("V0", "V1"), first), (("V2", "V3"), second)):
+            flat = np.bincount(d.codes(x) * 4 + d.codes(y), minlength=16)
+            want = table_test(ContingencyTable(flat.reshape(4, 4, 1), 4, 4, 1, d.n), "mi")
+            assert got == want
+            assert ci_test(d, x, y) == want  # now from the product
+
     def test_past_the_level_bound_pairs_are_counted_each_time(self, monkeypatch):
         d = _mixed_levels(400, 34)
         width = sum(len(d.levels(v)) for v in d.names)
@@ -581,6 +726,76 @@ class TestCountCap:
         assert contingency_counts(d, "X", "Y").counts.sum() == 30
         monkeypatch.setattr(bnsl.data, "_MAX_PARENT_CONFIGS", 30 * 30 * 2)
         assert contingency_counts(d, "X", "Y", ["Z"]).L == 2
+
+
+def _reference_mi(counts, n):
+    """The mutual-information kernel as it was before it shared one buffer."""
+    nik = counts.sum(axis=-2, keepdims=True)
+    njk = counts.sum(axis=-3, keepdims=True)
+    nk = counts.sum(axis=(-3, -2), keepdims=True)
+    num = counts.astype(float) * nk
+    den = nik.astype(float) * njk
+    ratio = np.divide(num, den, out=np.ones_like(num, dtype=float), where=counts > 0)
+    return (counts * np.log(ratio)).sum(axis=(-3, -2, -1)) / n
+
+
+def _sparse_counts(rng, shape):
+    """Counts up to 10^6 (of a random order of magnitude), a quarter of them 0."""
+    counts = rng.integers(0, int(10 ** rng.uniform(0, 6)) + 1, size=shape)
+    counts[rng.random(shape) < 0.25] = 0
+    return counts
+
+
+class TestCountKernels:
+    """The count layer and the mutual-information kernel give the reference bits."""
+
+    def test_lone_tables_equal_the_reference_kernel(self):
+        rng = np.random.default_rng(50)
+        for _ in range(400):
+            R, C = (int(v) for v in rng.integers(2, 6, size=2))
+            L = int(rng.integers(1, 601)) if rng.random() < 0.5 else int(rng.integers(1, 9))
+            counts = _sparse_counts(rng, (R, C, L))
+            n = max(int(counts.sum()), 1)
+            got = bnsl.independence._mi_from_counts(counts, n)
+            assert got == _reference_mi(counts, n)
+            t = ContingencyTable(counts, R, C, L, n)
+            want = 2.0 * n * float(_reference_mi(counts, n))
+            assert table_test(t, "mi").statistic == want
+
+    def test_monte_carlo_batches_equal_the_reference_kernel(self):
+        rng = np.random.default_rng(51)
+        for _ in range(60):
+            b = int(rng.integers(1, 200))
+            R, C, L = (int(v) for v in rng.integers([2, 2, 1], [6, 6, 30]))
+            batches = [_sparse_counts(rng, (b, R, C, L))]
+            # null draws of a random table's margins, as permutation_pvalue draws them
+            t = _sparse_counts(rng, (R, C, L)) % 50
+            batches.append(bnsl.independence._null_tables(rng, t.sum(axis=1), t.sum(axis=0),
+                                                          b))
+            for counts in batches:
+                n = max(int(counts[0].sum()), 1)
+                got = bnsl.independence._mi_from_counts(counts, n)
+                want = _reference_mi(counts, n)
+                assert got.shape == want.shape == (b,)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("zsize", range(5))
+    def test_tables_equal_one_bincount_of_the_cell_index(self, zsize):
+        d = forward_sample(alarm_fitted(1), 2000, seed=52)
+        before = {name: d.codes(name).copy() for name in d.names}
+        rng = np.random.default_rng(53 + zsize)
+        for _ in range(30):
+            x, y, *z = (str(v) for v in rng.choice(d.names, size=zsize + 2, replace=False))
+            zcodes, L = _unique_codes(d, z)
+            R, C = len(d.levels(x)), len(d.levels(y))
+            flat = (d.codes(x) * C + d.codes(y)) * L + zcodes
+            want = np.bincount(flat, minlength=R * C * L).reshape(R, C, L)
+            t = contingency_counts(d, x, y, z)
+            assert (t.R, t.C, t.L, t.n) == (R, C, L, d.n)
+            assert t.counts.dtype == want.dtype and t.counts.tobytes() == want.tobytes()
+        for name in d.names:
+            assert not d.codes(name).flags.writeable
+            assert np.array_equal(d.codes(name), before[name])
 
 
 class TestCorrelation:
