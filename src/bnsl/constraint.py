@@ -193,12 +193,17 @@ def _grow_ranked(target, candidates, blanket, tester, d, algorithm, known_good):
     fast-iamb adds a speculative batch from each ranking instead of one
     candidate, and inter-iamb shrinks the blanket after each addition.
     Candidates found independent in one ranking stay eligible for the next,
-    which conditions on the grown blanket.
+    which conditions on the grown blanket. The candidates left are the
+    candidates minus the blanket, and the tester answers a repeat from its
+    memo, so the next ranking depends on the blanket alone: inter-iamb stops
+    once a shrink leaves a blanket that an earlier shrink left, where it
+    would otherwise cycle for ever.
     """
     trace = tester.trace
     batch = algorithm == "fast-iamb"
     remaining = list(candidates)
     last_added = None
+    shrunk = set()  # the blankets inter-iamb's shrinks have left
     while remaining:
         scored = [(tester(target, v, tuple(blanket), note="grow"), tester.order[v], v)
                   for v in remaining]
@@ -228,6 +233,11 @@ def _grow_ranked(target, candidates, blanket, tester, d, algorithm, known_good):
                 blanket[:] = [w for w in blanket if w in kept]
                 remaining += removed
                 last_added = None
+            if frozenset(kept) in shrunk:
+                trace.say(f"    > markov blanket {_fmt(blanket)} seen before; "
+                          "stopping the growing phase.")
+                break
+            shrunk.add(frozenset(kept))
     return blanket, last_added
 
 

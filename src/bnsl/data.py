@@ -6,7 +6,8 @@ columns never change after construction: their arrays are read-only.
 Derived statistics that several callers reuse (Gaussian moments, the
 correlation matrix, log-gamma tables, recent configuration codes) are filled
 in lazily, on first use, in its private memo; the joint tables of every
-column pair are filled in once a second pair table is asked for.
+column pair, one exact int64 product, are filled in once a second pair
+table is asked for.
 
 Reading a file parses the stripped cells of a numeric column with float()
 and codes each other column by its distinct cell texts, each stripped and
@@ -421,9 +422,8 @@ def contingency_counts(d: Dataset, x: str, y: str, z=()) -> ContingencyTable:
     """Exact n_ijk counts of x versus y within each observed z configuration.
 
     The cell index (x * C + y) * L + z of every row is built in one int64
-    buffer and counted with one bincount. With z empty, from the second pair
-    table a dataset is asked for, the table is a fresh copy of its block of
-    the dataset's pair tables (_pair_tables), where the dataset has them. A
+    buffer and counted with one bincount. With z empty, the table is read
+    from the dataset's pair tables (_pair_blocks) where they serve it. A
     table of more than 2^24 cells, the cap on a family's parent
     configurations, is a DataError.
     """
@@ -438,10 +438,9 @@ def contingency_counts(d: Dataset, x: str, y: str, z=()) -> ContingencyTable:
     if cells > _MAX_PARENT_CONFIGS:
         raise DataError(f"the contingency table of {x!r} and {y!r} has {cells} cells, "
                         f"more than {_MAX_PARENT_CONFIGS}")
-    tables = None if z else _asked_pair_tables(d, 1)
-    if tables is not None:
-        span, product = tables
-        counts = product[span[x], span[y]].copy()
+    blocks = None if z else _pair_blocks(d, x, [y])
+    if blocks is not None:
+        counts = blocks[0]
     else:
         flat = cx.codes * C
         flat += cy.codes
@@ -458,8 +457,6 @@ def contingency_counts(d: Dataset, x: str, y: str, z=()) -> ContingencyTable:
 _PAIR_LEVELS = 2048
 # Rows coded at a time, so the one-hot block stays small whatever n is.
 _PAIR_CHUNK_ROWS = 1024
-# float32 holds every count exactly below this many rows; float64 beyond it.
-_FLOAT32_ROWS = 1 << 24
 
 
 def _pair_tables(d: Dataset):
@@ -468,8 +465,9 @@ def _pair_tables(d: Dataset):
     The tables are X^T X for the one-hot coding X of the data: n rows and one
     column per level of every column, so block (x, y) of the product counts
     the rows with each pair of levels of x and y. It is computed once per
-    dataset, in blocks of rows, in float32 (float64 from 2^24 rows, where
-    float32 stops holding every count exactly) and kept read-only as int64.
+    dataset, in blocks of at most _PAIR_CHUNK_ROWS rows whose float32
+    products hold counts of at most that many, so each is exact; each is
+    added in place into one int64 table, which is kept read-only.
     A dataset whose level counts sum to more than _PAIR_LEVELS keeps None,
     and its callers count each pair with a bincount.
     """
@@ -481,35 +479,38 @@ def _pair_tables(d: Dataset):
     width = int(radix.sum())
     tables = None
     if width <= _PAIR_LEVELS:
-        dtype = np.float32 if d.n < _FLOAT32_ROWS else np.float64
-        gram = np.zeros((width, width), dtype)
+        gram = np.zeros((width, width), np.int64)
         # the flat place of each row's level of each column in a block
         places = np.arange(0, _PAIR_CHUNK_ROWS * width, width)[:, None] + starts
         for lo in range(0, d.n, _PAIR_CHUNK_ROWS):
             hot = np.stack([c.codes[lo:lo + _PAIR_CHUNK_ROWS] for c in columns], axis=1)
             hot += places[:len(hot)]
-            onehot = np.zeros((len(hot), width), dtype)
+            onehot = np.zeros((len(hot), width), np.float32)
             onehot.reshape(-1)[hot] = 1
-            gram += onehot.T @ onehot
-        gram = gram.astype(np.int64)
+            np.add(gram, onehot.T @ onehot, out=gram, casting="unsafe")
         gram.flags.writeable = False
         tables = {name: slice(a, a + r) for name, a, r in zip(d.names, starts, radix)}, gram
     d._memo["pair-tables"] = tables
     return tables
 
 
-def _asked_pair_tables(d: Dataset, pairs: int):
-    """_pair_tables(d) once d has been asked for two pair tables in all, else None.
+def _pair_blocks(d: Dataset, node: str, others):
+    """Fresh copies of the joint tables of node with each column of others, or None.
 
-    pairs is the number of tables the caller needs now: a lone table costs
-    one bincount, and the product is built when a second table is asked for,
-    or at once for a hill-climbing row of several.
+    A lone table costs one bincount, so the blocks of the pair tables
+    (_pair_tables) are read once the dataset has been asked for two tables
+    in all: from the second lone table on, or at once for a hill-climbing
+    row of several. Before that, and past their bound, this is None.
     """
     if "pair-tables" not in d._memo:
-        asked = d._memo["pair-asks"] = d._memo.get("pair-asks", 0) + pairs
+        asked = d._memo["pair-asks"] = d._memo.get("pair-asks", 0) + len(others)
         if asked < 2:
             return None
-    return _pair_tables(d)
+    tables = _pair_tables(d)
+    if tables is None:
+        return None
+    span, product = tables
+    return [product[span[node], span[u]].copy() for u in others]
 
 
 def _gaussian_moments(d: Dataset):
@@ -642,10 +643,9 @@ def _toggle_family_counts(d: Dataset, node: str, parents: list[str],
     an added u is one more (least significant) digit of it, and its axis then
     moves to u's sorted place; a deleted parent sums the base table over its
     axis, with no pass over the data. A row with no parents makes no pass
-    either: each family is a fresh copy of the joint table of the node and u
-    from the dataset's pair tables (_asked_pair_tables), or, on a dataset past
-    their bound or for a lone first pair, one more digit of the node's codes
-    like any added parent.
+    either: each family is the joint table of the node and u from the
+    dataset's pair tables (_pair_blocks), or, where they do not serve it,
+    one more digit of the node's codes like any added parent.
     A row with an unknown column or a family past the configuration cap is
     counted one family at a time, so each family raises where family_counts
     raises.
@@ -663,11 +663,9 @@ def _toggle_family_counts(d: Dataset, node: str, parents: list[str],
         q = math.prod(radix)
     if widest is None or q * widest > _MAX_PARENT_CONFIGS:
         return [family_counts(d, node, sorted(place.keys() ^ {u})) for u in others]
-    tables = None if parents else _asked_pair_tables(d, len(others))
-    if tables is not None:
-        span, product = tables
-        return [(product[span[node], span[u]].copy(), len(d.columns[u].levels))
-                for u in others]
+    blocks = None if parents else _pair_blocks(d, node, others)
+    if blocks is not None:
+        return [(counts, counts.shape[1]) for counts in blocks]
     R = len(column.levels)
     shape = (R, *radix)
     idx = _parent_config_index(shape, [column.codes] + [c.codes for c in columns], d.n)

@@ -172,11 +172,7 @@ class Graph:
 
     def arcs(self) -> tuple[tuple[str, str], ...]:
         """All arcs as rows; an undirected arc appears in both orientations."""
-        rows = list(self.directed_arcs)
-        for a, b in self.undirected_arcs:
-            rows.append((a, b))
-            rows.append((b, a))
-        return tuple(sorted(rows))
+        return tuple(sorted((*self.directed_arcs, *self.undirected_arc_rows())))
 
     def directed_arc_rows(self) -> tuple[tuple[str, str], ...]:
         return tuple(sorted(self.directed_arcs))

@@ -82,7 +82,6 @@ class _Dag:
         self.names = names = sorted(g.nodes)
         index = {name: i for i, name in enumerate(names)}
         k = len(names)
-        self.parents = [g.parents(name) for name in names]  # labels, for scoring
 
         def mask(arcs) -> np.ndarray:
             m = np.zeros((k, k), dtype=bool)
@@ -131,19 +130,13 @@ class _Dag:
         return np.stack([add, delete, reverse])
 
     def apply(self, kind: int, u: int, v: int) -> None:
-        names, parents = self.names, self.parents
-        if kind == _ADD:
-            self.A[u, v] = True
-            parents[v] = parents[v] | {names[u]}
-        elif kind == _DELETE:
-            self.A[u, v] = False
-            parents[v] = parents[v] - {names[u]}
-        else:
-            self.A[u, v] = False
+        self.A[u, v] = kind == _ADD  # a delete or a reverse takes u -> v away
+        if kind == _REVERSE:
             self.A[v, u] = True
-            parents[v] = parents[v] - {names[u]}
-            parents[u] = parents[u] | {names[v]}
         self._reach()
+
+    def parent_labels(self, v: int) -> set[str]:
+        return {self.names[u] for u in np.flatnonzero(self.A[:, v]).tolist()}
 
     def graph(self, g: Graph) -> Graph:
         names = self.names
@@ -199,11 +192,10 @@ def _climb(g: Graph, d: Dataset, spec: ScoreSpec, cons: Constraints,
            cache: ScoreCache, trace: LearnTrace,
            max_iterations: int) -> tuple[Graph, float]:
     dag = _Dag(g, cons)
-    names, parents = dag.names, dag.parents
+    names = dag.names
     k = len(names)
     # gain[v, u] = local(v, pa(v) ^ {u}) - local(v, pa(v)), NaN until filled
     gain = np.full((k, k), np.nan)
-    base: list[float | None] = [None] * k
     # one immutable test event per move, made the first time the move is legal
     events = np.empty((3, k, k), dtype=object)
     made = np.zeros((3, k, k), dtype=bool)
@@ -212,18 +204,18 @@ def _climb(g: Graph, d: Dataset, spec: ScoreSpec, cons: Constraints,
     opening = _IMPROVEMENT_EPS + _TIE_EPS * max(1.0, _IMPROVEMENT_EPS)
 
     def refill(v: int, us: list[int]) -> None:
-        if base[v] is None:
-            base[v] = _cached_local(names[v], parents[v], d, spec, cache)
-        keys = [parents[v] ^ {names[u]} for u in us]
+        parents = dag.parent_labels(v)
+        base = _cached_local(names[v], parents, d, spec, cache)
+        keys = [parents ^ {names[u]} for u in us]
         values = [cache.get(names[v], key) for key in keys]
         todo = [i for i, value in enumerate(values) if value is None]
         if todo:
-            scored = _toggle_scores(names[v], parents[v], [names[us[i]] for i in todo],
+            scored = _toggle_scores(names[v], parents, [names[us[i]] for i in todo],
                                     d, spec)
             for i, value in zip(todo, scored):
                 cache.put(names[v], keys[i], value)
                 values[i] = value
-        gain[v, us] = np.array(values) - base[v]
+        gain[v, us] = np.array(values) - base
 
     for _ in range(max_iterations):
         legal = dag.legal()
@@ -255,10 +247,8 @@ def _climb(g: Graph, d: Dataset, spec: ScoreSpec, cons: Constraints,
         kind, u, v = int(kinds[best]), int(us[best]), int(vs[best])
         dag.apply(kind, u, v)
         gain[v] = np.nan
-        base[v] = None
         if kind == _REVERSE:
             gain[u] = np.nan
-            base[u] = None
         trace.add("move", names[u], names[v], p_value=best_delta, note=_KINDS[kind])
         trace.say(f"* applying {_KINDS[kind]} {names[u]} -> {names[v]} "
                   f"( delta: {best_delta:g} )")

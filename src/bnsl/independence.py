@@ -86,11 +86,19 @@ def _mi_from_counts(counts: np.ndarray, n: int) -> np.ndarray:
 
 
 def _x2_from_counts(counts: np.ndarray) -> np.ndarray:
-    nik = counts.sum(axis=-2, keepdims=True).astype(float)
-    njk = counts.sum(axis=-3, keepdims=True).astype(float)
-    nk = counts.sum(axis=(-3, -2), keepdims=True).astype(float)
-    m = np.divide(nik * njk, nk, out=np.zeros_like(nik * njk), where=nk > 0)
-    terms = np.divide((counts - m) ** 2, m, out=np.zeros_like(m), where=m > 0)
+    # the table turns float once and its margins are exact, as in _mi_from_counts
+    f = counts.astype(float)
+    nik = f.sum(axis=-2, keepdims=True)               # n_{i+k}
+    njk = f.sum(axis=-3, keepdims=True)               # n_{+jk}
+    nk = njk.sum(axis=-2, keepdims=True)              # n_{++k}
+    nk += nk == 0  # an empty stratum's products are 0, and 0 / 1 expects 0
+    expected = nik * njk
+    expected /= nk
+    terms = f - expected
+    terms *= terms
+    # a cell that expects 0 counts 0, so its term is 0 / 1 = +0.0
+    expected += expected == 0
+    terms /= expected
     return terms.sum(axis=(-3, -2, -1))
 
 

@@ -215,12 +215,10 @@ class _BgeContext:
             self._size_terms[l] = value
         return value
 
-    def log_set_marginal(self, subset) -> float:
-        return self.log_set_marginals([subset])[0]
-
     def log_set_marginals(self, subsets) -> list[float]:
-        """log_set_marginal of each subset; the uncached sets of one size share
-        one stacked slogdet, which gives each set its own slogdet bit for bit."""
+        """The log marginal likelihood of each subset's columns; the uncached
+        sets of one size share one stacked slogdet, which gives each set its
+        own slogdet bit for bit."""
         keys = [frozenset(s) for s in subsets]
         todo: dict[int, dict[frozenset, None]] = {}
         for key in keys:

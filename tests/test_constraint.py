@@ -433,6 +433,38 @@ def test_fast_iamb_reads_the_blanket_codes_in_column_order(monkeypatch):
     assert counted and all(list(z) == sorted(z, key=order.__getitem__) for z in counted)
 
 
+def test_inter_iamb_stops_when_a_shrink_repeats_a_blanket():
+    # T-H always dependent; P then Q join the blanket, and the shrink after Q
+    # drops both, so the blanket is {H} again and would cycle for ever
+    from bnsl.constraint import _CITester
+    from bnsl.trace import LearnTrace
+
+    class CappedTrace(LearnTrace):
+        def test(self, *args, **kwargs):
+            if self.test_counter >= 1000:
+                raise RuntimeError("inter-iamb did not end")
+            super().test(*args, **kwargs)
+
+    rng = np.random.default_rng(41)
+    names = ["T", "H", "P", "Q"]
+    d = Dataset.from_codes(names, {v: ("a", "b") for v in names},
+                           {v: rng.integers(0, 2, 100) for v in names})
+    answers = {("H", ()): 0.001, ("P", ("H",)): 0.039, ("Q", ("H", "P")): 0.013,
+               ("P", ("H", "Q")): 0.13}
+
+    def oracle(x, y, z):
+        assert x == "T"
+        return answers.get((y, z), 0.001 if y == "H" else 0.5)
+
+    cfg = LearnConfig(algorithm="inter-iamb", alpha=0.05)
+    stream = io.StringIO()
+    trace = CappedTrace(debug=True, stream=stream)
+    tester = _CITester(d, cfg, trace, oracle)
+    assert learn_markov_blanket("T", d, cfg, tester=tester) == {"H"}
+    assert trace.test_counter == 12 and tester.computed == 9
+    assert stream.getvalue().count("seen before; stopping the growing phase") == 1
+
+
 # -- priors on learned graphs ------------------------------------------------------------
 
 @pytest.fixture(scope="module")

@@ -662,23 +662,35 @@ class TestPairTables:
         self._assert_fresh(d, families)
         self._assert_tables_fresh(d)
 
-    @pytest.mark.parametrize("rows, dtype", [(700, np.float64), (701, np.float32)])
-    def test_float64_product_from_the_row_threshold(self, monkeypatch, rows, dtype):
-        d = _mixed_levels(700, 38)
-        dtypes = []
-        zeros = np.zeros
+    def test_the_product_is_int64_throughout_its_build(self, monkeypatch):
+        d = _mixed_levels(1000, 38)
+        width = sum(len(d.levels(v)) for v in d.names)
+        squares, sums = [], []
+        zeros, add = np.zeros, np.add
 
         def recording(shape, dtype=float, *args, **kwargs):
-            dtypes.append(np.dtype(dtype))
+            if tuple(np.atleast_1d(shape)) == (width, width):
+                squares.append(np.dtype(dtype))
             return zeros(shape, dtype, *args, **kwargs)
 
-        monkeypatch.setattr(bnsl.data, "_FLOAT32_ROWS", rows)
+        def adding(a, b, *args, out=None, **kwargs):
+            sums.append((out is a, a.dtype, b.dtype, b.shape))
+            return add(a, b, *args, out=out, **kwargs)
+
+        monkeypatch.setattr(bnsl.data, "_PAIR_CHUNK_ROWS", 7)
         monkeypatch.setattr(bnsl.data.np, "zeros", recording)
-        bnsl.data._pair_tables(d)
+        monkeypatch.setattr(bnsl.data.np, "add", adding)
+        span, product = bnsl.data._pair_tables(d)
         monkeypatch.setattr(bnsl.data.np, "zeros", zeros)
-        assert dtypes and set(dtypes) == {np.dtype(dtype)}
+        monkeypatch.setattr(bnsl.data.np, "add", add)
+        # one int64 table, each block's float32 product added into it in place
+        assert squares == [np.dtype(np.int64)]
+        assert sums == [(True, np.dtype(np.int64), np.dtype(np.float32),
+                         (width, width))] * 143
+        assert product.dtype == np.int64 and not product.flags.writeable
         self._assert_fresh(d, self._fill(d, list(d.names)))
         self._assert_tables_fresh(d)
+        assert d._memo["pair-tables"][1] is product
 
     @pytest.mark.parametrize("test", ["mi", "x2"])
     def test_empty_z_pvalues_equal_those_of_bincount_tables(self, test):
@@ -739,6 +751,16 @@ def _reference_mi(counts, n):
     return (counts * np.log(ratio)).sum(axis=(-3, -2, -1)) / n
 
 
+def _reference_x2(counts):
+    """The Pearson X^2 kernel as it was before it took its margins from one float table."""
+    nik = counts.sum(axis=-2, keepdims=True).astype(float)
+    njk = counts.sum(axis=-3, keepdims=True).astype(float)
+    nk = counts.sum(axis=(-3, -2), keepdims=True).astype(float)
+    m = np.divide(nik * njk, nk, out=np.zeros_like(nik * njk), where=nk > 0)
+    terms = np.divide((counts - m) ** 2, m, out=np.zeros_like(m), where=m > 0)
+    return terms.sum(axis=(-3, -2, -1))
+
+
 def _sparse_counts(rng, shape):
     """Counts up to 10^6 (of a random order of magnitude), a quarter of them 0."""
     counts = rng.integers(0, int(10 ** rng.uniform(0, 6)) + 1, size=shape)
@@ -747,7 +769,7 @@ def _sparse_counts(rng, shape):
 
 
 class TestCountKernels:
-    """The count layer and the mutual-information kernel give the reference bits."""
+    """The count layer and the MI and X^2 kernels give the reference bits."""
 
     def test_lone_tables_equal_the_reference_kernel(self):
         rng = np.random.default_rng(50)
@@ -776,6 +798,31 @@ class TestCountKernels:
                 n = max(int(counts[0].sum()), 1)
                 got = bnsl.independence._mi_from_counts(counts, n)
                 want = _reference_mi(counts, n)
+                assert got.shape == want.shape == (b,)
+                assert got.tobytes() == want.tobytes()
+
+    def test_x2_equals_the_reference_kernel_with_empty_strata(self):
+        rng = np.random.default_rng(54)
+        for _ in range(400):
+            R, C = (int(v) for v in rng.integers(2, 6, size=2))
+            L = int(rng.integers(1, 601)) if rng.random() < 0.5 else int(rng.integers(1, 9))
+            counts = _sparse_counts(rng, (R, C, L))
+            counts[..., rng.random(L) < 0.2] = 0  # whole strata unseen
+            assert bnsl.independence._x2_from_counts(counts) == _reference_x2(counts)
+            n = int(counts.sum())
+            if n:
+                t = ContingencyTable(counts, R, C, L, n)
+                assert table_test(t, "x2").statistic == float(_reference_x2(counts))
+        for _ in range(60):
+            b = int(rng.integers(1, 200))
+            R, C, L = (int(v) for v in rng.integers([2, 2, 1], [6, 6, 30]))
+            t = _sparse_counts(rng, (R, C, L)) % 50
+            t[..., rng.random(L) < 0.2] = 0
+            for counts in (_sparse_counts(rng, (b, R, C, L)),
+                           bnsl.independence._null_tables(rng, t.sum(axis=1), t.sum(axis=0),
+                                                          b)):
+                got = bnsl.independence._x2_from_counts(counts)
+                want = _reference_x2(counts)
                 assert got.shape == want.shape == (b,)
                 assert got.tobytes() == want.tobytes()
 

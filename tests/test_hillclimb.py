@@ -308,6 +308,43 @@ class TestIncrementalSearch:
         assert g.provenance.ntests == ref_trace.test_counter
         assert network_score(g, d, cfg.score) == ref_score
 
+    def test_refilled_rows_read_the_parents_of_the_graph(self, monkeypatch):
+        import bnsl.hillclimb as hc
+        rng = np.random.default_rng(61)
+        for trial in range(30):  # random legal move sequences on random DAGs
+            g = random_dag(rng, 8, p_edge=0.3)
+            cons = normalize_priors(_priors_fitting(rng, g) if trial % 2 else None, g.nodes)
+            g = Graph(g.nodes, g.directed_arcs | cons.forced_arcs | cons.required_edges)
+            dag = hc._Dag(g, cons)
+            for _ in range(25):
+                moves = np.argwhere(dag.legal())
+                if not len(moves):
+                    break
+                dag.apply(*moves[rng.integers(len(moves))].tolist())
+                h = dag.graph(g)
+                assert [dag.parent_labels(v) for v in range(8)] == [h.parents(name)
+                                                                    for name in dag.names]
+        # and in a climb with restarts, each row scored against the graph's parents
+        dags, rows = [], []
+        toggle = hc._toggle_scores
+
+        class Recording(hc._Dag):
+            def __init__(self, *args):
+                super().__init__(*args)
+                dags.append(self)
+
+        def recording(node, parents, others, d, spec):
+            rows.append(set(parents) == dags[-1].graph(start).parents(node))
+            return toggle(node, parents, others, d, spec)
+
+        monkeypatch.setattr(hc, "_Dag", Recording)
+        monkeypatch.setattr(hc, "_toggle_scores", recording)
+        d = _dependent_data(rng, random_dag(rng, 8, p_edge=0.35), 300, discrete=True)
+        start = random_dag(rng, 8, p_edge=0.3)
+        hill_climb(d, HillClimbConfig(score="bic", start=start, restarts=3, perturb=3,
+                                      seed=2))
+        assert len(rows) > 8 and all(rows)
+
     def test_climb_score_identical_to_reference(self, sample):
         from bnsl.hillclimb import _climb
         spec = ScoreSpec(kind="bde")

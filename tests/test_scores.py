@@ -500,7 +500,7 @@ class TestBgePinned:
 
 
 def _bge_set_reference(ctx, subset):
-    """log_set_marginal as one expression, with no per-size or per-set cache."""
+    """A log_set_marginals value as one expression, with no per-size or per-set cache."""
     idx = sorted(ctx.index[c] for c in subset)
     l = len(idx)
     a = ctx.alpha_w - ctx.nvar + l
@@ -525,7 +525,7 @@ class TestBgeSetMarginal:
         for size in range(1, 7):
             for _ in range(12):
                 subset = [str(c) for c in rng.choice(names, size, replace=False)]
-                assert ctx.log_set_marginal(subset) == _bge_set_reference(ctx, subset)
+                assert ctx.log_set_marginals([subset])[0] == _bge_set_reference(ctx, subset)
 
 
     @pytest.mark.parametrize("spec", [ScoreSpec("bge"),
