@@ -514,10 +514,13 @@ def _pair_blocks(d: Dataset, node: str, others):
 
 
 def _gaussian_moments(d: Dataset):
-    """(index, means, sds, scatter, correlations) of all columns, once per Dataset.
+    """[index, means, sds, scatter, correlations, certified] of all columns, once per Dataset.
 
-    scatter is centered.T @ centered. Correlations of a zero-variance column
-    are non-finite; callers reject such columns before reading them.
+    scatter is centered.T @ centered, which numpy forms as a symmetric
+    rank-n update, so scatter and correlations are exactly symmetric
+    (_certified relies on that). Correlations of a zero-variance column are
+    non-finite; callers reject such columns before reading them. certified
+    is None until a test first conditions on a nonempty z (_certified).
     """
     moments = d._memo.get("gaussian-moments")
     if moments is None:
@@ -530,9 +533,63 @@ def _gaussian_moments(d: Dataset):
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = scatter / (d.n * np.outer(sds, sds))
         np.fill_diagonal(corr, 1.0)
-        moments = (index, means, sds, scatter, np.clip(corr, -1.0, 1.0))
+        moments = [index, means, sds, scatter, np.clip(corr, -1.0, 1.0), None]
         d._memo["gaussian-moments"] = moments
     return moments
+
+
+# A conditioned test trusts its Cholesky factor when its correlation matrix's
+# 2-norm condition number, read from the spectrum, is below this.
+_MAX_CONDITION = 1e12
+
+# The margin of the certificate (_certified). Let C be the correlations of the
+# k nonconstant columns and S (m x m, m <= k) a test's matrix: a principal
+# submatrix of C in some order. Their entries lie in [-1, 1], so
+# ||S||_F <= m <= k, and likewise ||C||_F <= k.
+# - eigvalsh is backward stable (Householder tridiagonalisation, Higham,
+#   Accuracy and Stability of Numerical Algorithms, ch. 19): its eigenvalues
+#   are exact for a symmetric matrix within c0 k^2 u ||.||_F <= c0 k^3 u of
+#   the one given, u = 2^-53, so by Weyl each is within c0 k^3 u of the exact
+#   one. _CERTIFICATE_SLACK = 2 c0 with c0 = 500, far above the small
+#   constants of those bounds.
+# - By Cauchy interlacing (Horn & Johnson, Matrix Analysis, Thm 4.3.28) the
+#   exact spectrum of S lies in [lambda_min(C), lambda_max(C)], and
+#   lambda_max(C) <= ||C||_F <= k.
+# So a computed lambda_min(C) = l puts the computed spectrum of S in
+# [l - 2 c0 k^3 u, k + c0 k^3 u]. If l > 2 c0 k^3 u + 2 k / _MAX_CONDITION,
+# the lower end exceeds 2 k / _MAX_CONDITION > 0; the upper end is below 2 k,
+# since C's exact eigenvalues average 1, so l <= 1 + c0 k^3 u and
+# c0 k^3 u < 1. The ratio is then below _MAX_CONDITION: S passes the check.
+_CERTIFICATE_SLACK = 1000
+
+
+def _certified(d: Dataset) -> bool:
+    """Whether every conditioned test of d passes the condition check, decided once.
+
+    The check is _well_conditioned on the test's correlation matrix. A
+    test touching a constant column raises DataError before the check, so
+    the certificate reads the spectrum of the correlations of the nonconstant
+    columns only; it holds when their smallest eigenvalue clears the margin
+    derived above. With at least n such columns the matrix is singular
+    (centred columns span at most n - 1 dimensions), so the spectrum is not
+    computed and each test takes its own check. The answer is kept in the
+    Gaussian moments' memo entry.
+    """
+    moments = _gaussian_moments(d)
+    if moments[5] is None:
+        keep = np.flatnonzero(moments[2])  # the nonconstant columns
+        k = len(keep)
+        margin = _CERTIFICATE_SLACK * k ** 3 * 2.0 ** -53 + 2 * k / _MAX_CONDITION
+        moments[5] = k < d.n and float(
+            np.linalg.eigvalsh(moments[4][keep[:, None], keep]).min()) > margin
+    return moments[5]
+
+
+def _well_conditioned(corr: np.ndarray) -> bool:
+    """Whether corr's 2-norm condition number, from its spectrum, is below _MAX_CONDITION."""
+    lam = np.abs(np.linalg.eigvalsh(corr))
+    smallest = float(lam.min())
+    return smallest > 0.0 and float(lam.max()) / smallest < _MAX_CONDITION
 
 
 def correlation_matrix(d: Dataset, names) -> np.ndarray:
@@ -542,7 +599,7 @@ def correlation_matrix(d: Dataset, names) -> np.ndarray:
     names = _name_list(names)
     if d.n < 2:
         raise DataError("need at least 2 rows")
-    index, _, sds, _, corr = _gaussian_moments(d)
+    index, _, sds, _, corr, _ = _gaussian_moments(d)
     try:
         idx = np.array([index[c] for c in names], dtype=np.intp)
     except KeyError as exc:
@@ -559,12 +616,18 @@ def partial_correlation(d: Dataset, x: str, y: str, z=()) -> float:
     The correlation matrix of z + [a, b] (a, b = x, y in label order) factors
     as L L^T; the last 2 x 2 block of L factors the covariance of a and b given
     z, so rho = l21 / sqrt(l21^2 + l22^2). Exactly symmetric in x and y. The
-    factor is trusted only when the 2-norm condition number, read from the
-    eigenvalues, is below 1e12. Otherwise rho is the correlation of the
-    residuals of a and b on z: 0 when either residual vanishes (x or y is a
-    linear function of z), and the partial correlation given the span of z
-    when z is singular. For every z, empty or not, |rho| within 5e-13 of 1
-    reads as an exact linear relation of x and y and is reported as +-1.
+    factor is trusted only when the matrix's 2-norm condition number, read
+    from its eigenvalues, is below 1e12. That check is decided once per
+    dataset when the smallest eigenvalue of the correlations of all its
+    nonconstant columns clears a rounding margin (_certified): every test's
+    matrix is a principal submatrix of those, so every test passes it. Other
+    datasets (collinear or nearly so, or with at least n nonconstant columns)
+    check each test's matrix. An untrusted factor gives way to the
+    correlation of the residuals of a and b on z: 0 when either residual
+    vanishes (x or y is a linear function of z), and the partial correlation
+    given the span of z when z is singular. For every z, empty or not, |rho|
+    within 5e-13 of 1 reads as an exact linear relation of x and y and is
+    reported as +-1.
     """
     z = _name_list(z)
     _check_variables(d, x, y, z)
@@ -576,9 +639,7 @@ def partial_correlation(d: Dataset, x: str, y: str, z=()) -> float:
     if z:
         # a near-singular matrix can still factor; its pivots alone do not
         # show it, so the guard reads the condition number from the spectrum
-        lam = np.abs(np.linalg.eigvalsh(corr))
-        smallest = float(lam.min())
-        if smallest > 0.0 and float(lam.max()) / smallest < 1e12:
+        if _certified(d) or _well_conditioned(corr):
             chol = np.linalg.cholesky(corr)
             l21, l22 = float(chol[-1, -2]), float(chol[-1, -1])
             rho = l21 / math.sqrt(l21 * l21 + l22 * l22)

@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bnsl
-from bnsl import (DataError, Dataset, FittedNetwork, ScoreSpec, ci_test,
-                  contingency_counts, correlation_matrix, fit_mle, forward_sample,
-                  load_table, local_score, parse_modelstring, partial_correlation,
-                  write_table)
+from bnsl import (DataError, Dataset, FittedNetwork, LearnConfig, ScoreSpec, ci_test,
+                  constraint_learn, contingency_counts, correlation_matrix, fit_mle,
+                  forward_sample, load_table, local_score, parse_modelstring,
+                  partial_correlation, write_table)
 from bnsl.data import CategoricalColumn, ContingencyTable, DiscreteCPT, LinearGaussian, \
     NumericColumn, _gaussian_moments, _regress, _toggle_family_counts, family_counts, \
     joint_config_codes
@@ -932,7 +933,7 @@ class TestCorrelation:
         mat = rng.standard_normal((70, 9)) @ rng.standard_normal((9, 9))
         d = Dataset(tuple(names), {c: NumericColumn(mat[:, i] * (i + 1) + 3.0 * i)
                                    for i, c in enumerate(names)})
-        index, _, sds, scatter, _ = _gaussian_moments(d)
+        index, _, sds, scatter, _, _ = _gaussian_moments(d)
         for _ in range(200):
             subset = [names[i] for i in rng.choice(9, int(rng.integers(1, 10)),
                                                    replace=False)]
@@ -1125,6 +1126,177 @@ class TestNearCollinearSweep:
                 q = gaussian_statistic(ref_rho, d.n, len(z), label).p_value
                 assert abs(p - q) <= 1e-12
         assert min(seen.values()) >= 50 and compared >= 200, (seen, compared)
+
+
+def _per_test_rule(d, x, y, z):
+    """partial_correlation as it was while every test checked its own matrix.
+
+    Returns rho and whether the Cholesky factor was trusted.
+    """
+    if d.n <= len(z) + 2:
+        raise DataError("not enough rows for the conditioning set")
+    a, b = (x, y) if x <= y else (y, x)
+    corr = correlation_matrix(d, z + [a, b])
+    trusted = _per_test_check(corr)
+    if trusted:
+        chol = np.linalg.cholesky(corr)
+        l21, l22 = float(chol[-1, -2]), float(chol[-1, -1])
+        rho = l21 / math.sqrt(l21 * l21 + l22 * l22)
+    else:
+        ra, rb = (_regress(d, name, z)[1] for name in (a, b))
+        for name, resid in ((a, ra), (b, rb)):
+            vals = d.values(name)
+            scale = max(np.linalg.norm(vals - vals.mean()), 1e-30)
+            if np.linalg.norm(resid) <= 1e-6 * scale:
+                return 0.0, False
+        rho = float(ra @ rb) / math.sqrt(float(ra @ ra) * float(rb @ rb))
+    return (math.copysign(1.0, rho) if 1.0 - rho * rho <= 1e-12 else rho), trusted
+
+
+def _per_test_check(corr):
+    lam = np.abs(np.linalg.eigvalsh(corr))
+    smallest = float(lam.min())
+    return smallest > 0.0 and float(lam.max()) / smallest < 1e12
+
+
+def _certificate_case(rng, kind):
+    """A numeric Dataset of the given kind and whether it should be certified (None: either)."""
+    if kind == "near-collinear":
+        return _near_collinear_case(rng)[0], None
+    n = int(rng.integers(6, 11)) if kind == "wide" else int(rng.integers(12, 301))
+    k = n + int(rng.integers(0, 4)) if kind == "wide" else int(rng.integers(3, 9))
+    mat = rng.standard_normal((n, k)) @ (np.eye(k) + 0.3 * rng.standard_normal((k, k)))
+    mat = mat * rng.uniform(0.1, 10.0, k) + rng.uniform(-100.0, 100.0, k)
+    if kind == "duplicate":
+        mat[:, -1] = mat[:, 0]
+    elif kind == "constant":
+        mat[:, int(rng.integers(k))] = 2.5
+    names = [f"V{i}" for i in range(k)]
+    certified = {"random": True, "constant": True}.get(kind, False)
+    return Dataset.from_values(names, dict(zip(names, mat.T))), certified
+
+
+class TestCorrelationCertificate:
+    KINDS = ("random", "near-collinear", "duplicate", "constant", "wide")
+
+    def test_every_decision_and_value_as_per_test(self, monkeypatch):
+        # the certificate changes which spectra are computed, never a value
+        # or a path: rho is equal to the per-test rule's, and the regressions
+        # counted show the residual path was taken exactly when it was there
+        regressions = []
+        def counted(*args):
+            regressions.append(args[1])
+            return _regress(*args)
+        monkeypatch.setattr(bnsl.data, "_regress", counted)
+        rng = np.random.default_rng(2410)
+        seen = Counter()
+        for _ in range(600):
+            kind = self.KINDS[int(rng.integers(len(self.KINDS)))]
+            d, certified = _certificate_case(rng, kind)
+            for _ in range(5):
+                x, y, *z = (d.names[i] for i in rng.permutation(len(d.names)))
+                z = z[:int(rng.integers(1, len(z) + 1))]
+                try:
+                    want, trusted = _per_test_rule(d, x, y, z)
+                except DataError as exc:
+                    with pytest.raises(DataError, match=re.escape(str(exc))):
+                        partial_correlation(d, x, y, z)
+                    seen[kind, "refused"] += 1
+                    continue
+                regressions.clear()
+                got = partial_correlation(d, x, y, z)
+                assert got == want and repr(got) == repr(want), (kind, x, y, z)
+                assert bool(regressions) == (not trusted), (kind, regressions)
+                held = _gaussian_moments(d)[5]
+                assert certified is None or held == certified, kind
+                seen[kind, held, trusted] += 1
+        # certified, certified past a constant column, a failed certificate
+        # whose tests mostly pass their own check, wide data that skips the
+        # spectrum, and near-collinear data on both sides of the margin
+        for key in (("random", True, True), ("constant", True, True),
+                    ("constant", "refused"), ("duplicate", False, True),
+                    ("duplicate", False, False), ("wide", False, True),
+                    ("wide", "refused"), ("near-collinear", True, True),
+                    ("near-collinear", False, True), ("near-collinear", False, False)):
+            assert seen[key] >= 50, (key, seen)
+
+    def test_certified_submatrices_pass_the_per_test_check(self):
+        # soundness: on a certified dataset, every principal submatrix of the
+        # nonconstant columns' correlations, in any order, passes the check
+        rng = np.random.default_rng(2411)
+        certified = 0
+        for _ in range(400):
+            d, _ = _certificate_case(rng, self.KINDS[int(rng.integers(4))])
+            z = [c for c in d.names if np.ptp(d.values(c)) > 0]
+            if len(z) < 3 or d.n <= len(z) or not bnsl.data._certified(d):
+                continue
+            certified += 1
+            corr = correlation_matrix(d, z)
+            assert _per_test_check(corr)
+            for _ in range(20):
+                idx = rng.permutation(len(z))[:int(rng.integers(3, len(z) + 1))]
+                assert _per_test_check(corr[idx[:, None], idx])
+        assert certified >= 150
+
+    def test_spectrum_skipped_with_at_least_n_columns(self, monkeypatch):
+        spectra, eigvalsh = [], np.linalg.eigvalsh
+        def counted(a):
+            spectra.append(a.shape)
+            return eigvalsh(a)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        rng = np.random.default_rng(2412)
+        names = [f"V{i}" for i in range(8)]
+        d = Dataset.from_values(names, dict(zip(names, rng.standard_normal((8, 8)))))
+        partial_correlation(d, "V0", "V1", ["V2"])
+        assert not bnsl.data._certified(d) and spectra == [(3, 3)]
+
+    @pytest.mark.parametrize("shape", [(7, 3), (50, 9), (2000, 40), (5, 12)])
+    def test_moments_correlations_exactly_symmetric(self, shape):
+        # the certificate's proof needs each test's matrix to be exactly
+        # symmetric, so every order of a subset sees the same entries
+        rng = np.random.default_rng(list(shape))
+        n, k = shape
+        mat = rng.standard_normal((n, k)) @ rng.standard_normal((k, k)) * 3.0 + 7.0
+        mat[:, 1] = 1.0  # a constant column's non-finite row and column too
+        names = [f"V{i}" for i in range(k)]
+        _, _, _, scatter, corr, _ = _gaussian_moments(
+            Dataset.from_values(names, dict(zip(names, mat.T))))
+        assert np.array_equal(scatter, scatter.T)
+        assert np.array_equal(corr, corr.T, equal_nan=True)
+
+    @staticmethod
+    def _chain(n, duplicate):
+        rng = np.random.default_rng(2413)
+        cols = {"A": rng.standard_normal(n)}
+        for prev, name in zip("ABCD", "BCDE"):
+            cols[name] = 0.8 * cols[prev] + rng.standard_normal(n)
+        if duplicate:
+            cols["F"] = cols["C"].copy()
+        return Dataset.from_values(tuple(cols), cols)
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_one_spectrum_for_a_certified_learn(self, monkeypatch, duplicate):
+        # a certified gs/cor learn computes one spectrum in all; with a
+        # duplicated column, one for the failed certificate and one per
+        # conditioned test. The learned graph and trace are those of the
+        # per-test check either way.
+        spectra, conditioned = [], []
+        eigvalsh, partial = np.linalg.eigvalsh, bnsl.independence.partial_correlation
+        def spectrum(a):
+            spectra.append(a.shape)
+            return eigvalsh(a)
+        def counted(d, x, y, z=()):
+            conditioned.extend([z] if z else [])
+            return partial(d, x, y, z)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spectrum)
+        monkeypatch.setattr(bnsl.independence, "partial_correlation", counted)
+        cfg = LearnConfig(algorithm="gs", test="cor")
+        g, trace = constraint_learn(self._chain(500, duplicate), cfg)
+        assert conditioned
+        assert len(spectra) == (1 + len(conditioned) if duplicate else 1)
+        monkeypatch.setattr(bnsl.data, "_certified", lambda d: False)
+        g_per_test, trace_per_test = constraint_learn(self._chain(500, duplicate), cfg)
+        assert g == g_per_test and trace.lines() == trace_per_test.lines()
 
 
 class TestFitMLE:
