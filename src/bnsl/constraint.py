@@ -137,17 +137,17 @@ def _shrink(target, blanket, skip_once, known_good, tester):
             if v in known_good or v in skip:
                 continue
             rest = tuple(w for w in blanket if w != v)
-            trace.say(f"  * checking node {v} for exclusion (shrinking phase).")
+            if trace.debug:
+                trace.say(f"  * checking node {v} for exclusion (shrinking phase).")
             p = tester(target, v, rest, note="shrink")
-            if p > tester.alpha:
+            removed = p > tester.alpha
+            if removed:
                 blanket.discard(v)
                 changed = True
                 skip.clear()  # conditioning sets changed, retest everything
-                trace.say(f"    > node {v} removed from the markov blanket. "
-                          f"( p-value: {p:g} )")
-            else:
-                trace.say(f"    > node {v} remains in the markov blanket. "
-                          f"( p-value: {p:g} )")
+            if trace.debug:
+                trace.say(f"    > node {v} {'removed from' if removed else 'remains in'} "
+                          f"the markov blanket. ( p-value: {p:g} )")
     return blanket
 
 
@@ -159,20 +159,23 @@ def _grow_gs(target, candidates, blanket, tester):
     last_added = None
     while queue and fails < len(queue):
         v = queue.pop(0)
-        trace.say(f"  * checking node {v} for inclusion.")
+        if trace.debug:
+            trace.say(f"  * checking node {v} for inclusion.")
         p = tester(target, v, tuple(blanket), note="grow")
         if p <= tester.alpha:
             blanket.append(v)
             last_added = v
             fails = 0
-            trace.say(f"    > node {v} included in the markov blanket "
-                      f"( p-value: {p:g} ).")
-            trace.say(f"    > markov blanket now is {_fmt(blanket)}.")
+            if trace.debug:
+                trace.say(f"    > node {v} included in the markov blanket "
+                          f"( p-value: {p:g} ).")
+                trace.say(f"    > markov blanket now is {_fmt(blanket)}.")
         else:
             queue.append(v)
             fails += 1
-            trace.say(f"    > {target} indep. {v} given {_fmt(blanket)} "
-                      f"( p-value: {p:g} ).")
+            if trace.debug:
+                trace.say(f"    > {target} indep. {v} given {_fmt(blanket)} "
+                          f"( p-value: {p:g} ).")
     return blanket, last_added
 
 
@@ -209,21 +212,23 @@ def _grow_ranked(target, candidates, blanket, tester, d, algorithm, known_good):
                   for v in remaining]
         dependent = sorted(s for s in scored if s[0] <= tester.alpha)
         if not dependent:
-            if not batch:
+            if not batch and trace.debug:
                 trace.say(f"    > no candidate is dependent on {target} given "
                           f"{_fmt(blanket)}.")
             break
         for i, (p, _, v) in enumerate(dependent if batch else dependent[:1]):
             if i > 0 and not _speculative_ok(d, target, v, blanket, tester.order):
-                trace.say(f"    > stopping the speculative batch before {v} "
-                          "(not enough data per parameter).")
+                if trace.debug:
+                    trace.say(f"    > stopping the speculative batch before {v} "
+                              "(not enough data per parameter).")
                 break
             blanket.append(v)
             remaining.remove(v)
             last_added = v
-            trace.say(f"    > node {v} included in the markov blanket "
-                      f"( p-value: {p:g} ).")
-        if not batch:
+            if trace.debug:
+                trace.say(f"    > node {v} included in the markov blanket "
+                          f"( p-value: {p:g} ).")
+        if not batch and trace.debug:
             trace.say(f"    > markov blanket now is {_fmt(blanket)}.")
         if algorithm == "inter-iamb":
             kept = set(blanket)
@@ -234,8 +239,9 @@ def _grow_ranked(target, candidates, blanket, tester, d, algorithm, known_good):
                 remaining += removed
                 last_added = None
             if frozenset(kept) in shrunk:
-                trace.say(f"    > markov blanket {_fmt(blanket)} seen before; "
-                          "stopping the growing phase.")
+                if trace.debug:
+                    trace.say(f"    > markov blanket {_fmt(blanket)} seen before; "
+                              "stopping the growing phase.")
                 break
             shrunk.add(frozenset(kept))
     return blanket, last_added
@@ -254,9 +260,9 @@ def learn_markov_blanket(target: str, d: Dataset, cfg: LearnConfig,
     blanket = [v for v in d.names if v in known_good]
     candidates = [v for v in d.names
                   if v != target and v not in known_good and v not in known_bad]
-    if known_good:
+    if known_good and trace.debug:
         trace.say(f"    * known good (backtracking): {_fmt(sorted(known_good, key=order.__getitem__))}.")
-    if known_bad:
+    if known_bad and trace.debug:
         trace.say(f"    * known bad (backtracking): {_fmt(sorted(known_bad, key=order.__getitem__))}.")
         trace.say(f"    * nodes still to be tested for inclusion: {_fmt(candidates)}.")
 
@@ -301,8 +307,9 @@ def _max_min_pc(target: str, d: Dataset, known_good, known_bad, tester: _CITeste
         v = min(candidates, key=lambda c: (maxp[c], order[c]))
         cpc.append(v)
         candidates.remove(v)
-        trace.say(f"    > node {v} added to the parent-children set of {target} "
-                  f"( max p-value: {maxp[v]:g} ).")
+        if trace.debug:
+            trace.say(f"    > node {v} added to the parent-children set of {target} "
+                      f"( max p-value: {maxp[v]:g} ).")
         prune([w for w in cpc if w != v], (v,))
 
     # backward: drop members separated by some subset of the rest
@@ -311,8 +318,9 @@ def _max_min_pc(target: str, d: Dataset, known_good, known_bad, tester: _CITeste
             p = tester(target, v, sub, note="mmpc-backward")
             if p > alpha:
                 cpc.remove(v)
-                trace.say(f"    > node {v} removed from the parent-children set of "
-                          f"{target} ( p-value: {p:g} ).")
+                if trace.debug:
+                    trace.say(f"    > node {v} removed from the parent-children set of "
+                              f"{target} ( p-value: {p:g} ).")
                 break
     return set(cpc)
 
@@ -355,7 +363,8 @@ def neighbourhood_from_mb(x: str, blankets: dict[str, set[str]], d: Dataset,
     neighbours: list[str] = []
     dseps: dict[str, tuple[str, ...]] = {}
     members = sorted(blankets[x], key=order.__getitem__)
-    trace.say(f"  * starting with neighbourhood: {_fmt(members)}")
+    if trace.debug:
+        trace.say(f"  * starting with neighbourhood: {_fmt(members)}")
     for y in members:
         if y in excluded:
             continue
@@ -367,18 +376,20 @@ def neighbourhood_from_mb(x: str, blankets: dict[str, set[str]], d: Dataset,
         pool_x = [w for w in members if w != y]
         pool_y = sorted(blankets[y] - {x}, key=order.__getitem__)
         pool = pool_y if len(pool_y) <= len(pool_x) else pool_x
-        trace.say(f"  * checking node {y} for neighbourhood.")
-        trace.say(f"    > dsep.set = {_fmt(pool)}")
+        if trace.debug:
+            trace.say(f"  * checking node {y} for neighbourhood.")
+            trace.say(f"    > dsep.set = {_fmt(pool)}")
         for sub in _subsets(pool):
-            trace.say(f"    > trying conditioning subset {_fmt(sub)}.")
+            if trace.debug:
+                trace.say(f"    > trying conditioning subset {_fmt(sub)}.")
             p = tester(x, y, sub, note="neighbourhood")
-            if p > tester.alpha:
+            separated = p > tester.alpha
+            if trace.debug:
+                trace.say(f"    > node {y} is {'not' if separated else 'still'} a neighbour "
+                          f"of {x} . ( p-value: {p:g} )")
+            if separated:
                 dseps[y] = sub
-                trace.say(f"    > node {y} is not a neighbour of {x} . "
-                          f"( p-value: {p:g} )")
                 break
-            trace.say(f"    > node {y} is still a neighbour of {x} . "
-                      f"( p-value: {p:g} )")
         else:
             neighbours.append(y)
     return set(neighbours), dseps
@@ -390,8 +401,9 @@ def _detect_vstructures(names, adjacency, dseps, tester):
     trace = tester.trace
     detected = []
     for center in names:
-        trace.say(_RULE)
-        trace.say(f"* v-structures centered on {center} .")
+        if trace.debug:
+            trace.say(_RULE)
+            trace.say(f"* v-structures centered on {center} .")
         for x, y in combinations(sorted(adjacency[center]), 2):
             if y in adjacency[x]:
                 continue
@@ -401,14 +413,18 @@ def _detect_vstructures(names, adjacency, dseps, tester):
             sep = dseps[pair]
             if center in sep:
                 continue
-            trace.say(f"  * checking {x} -> {center} <- {y}")
-            trace.say(f"    > chosen d-separating set: {_fmt(sep)}")
+            if trace.debug:
+                trace.say(f"  * checking {x} -> {center} <- {y}")
+                trace.say(f"    > chosen d-separating set: {_fmt(sep)}")
             p = tester(x, y, tuple(sep) + (center,), note="vstructure")
-            trace.say(f"    > testing {x} vs {y} given {' '.join(tuple(sep) + (center,))} ( {p:g} )")
+            if trace.debug:
+                trace.say(f"    > testing {x} vs {y} given "
+                          f"{' '.join(tuple(sep) + (center,))} ( {p:g} )")
             if p <= tester.alpha:
                 detected.append((p, x, center, y))
                 trace.add("vstructure", x, y, (center,), p, note="detected")
-                trace.say(f"    @ detected v-structure {x} -> {center} <- {y}")
+                if trace.debug:
+                    trace.say(f"    @ detected v-structure {x} -> {center} <- {y}")
     return sorted(detected)
 
 
@@ -445,12 +461,14 @@ def orient_vstructures(skeleton: Graph, dsep_sets: dict, d: Dataset,
     for p, x, center, y in detected:
         reason = _vstructure_conflict(skeleton.nodes, directed, x, center, y, cons)
         if reason is not None:
-            trace.say(f"* not applying v-structure {x} -> {center} <- {y} ({reason})")
+            if trace.debug:
+                trace.say(f"* not applying v-structure {x} -> {center} <- {y} ({reason})")
             continue
         directed |= {(x, center), (y, center)}
         undirected -= {_pair(x, center), _pair(y, center)}
         trace.add("vstructure", x, y, (center,), p, note="applied")
-        trace.say(f"* applying v-structure {x} -> {center} <- {y} ( {p:e} )")
+        if trace.debug:
+            trace.say(f"* applying v-structure {x} -> {center} <- {y} ( {p:e} )")
     return Graph(skeleton.nodes, directed, undirected, skeleton.provenance)
 
 
@@ -458,8 +476,9 @@ def orient_vstructures(skeleton: Graph, dsep_sets: dict, d: Dataset,
 
 def _consistent(sets, forced_adj, trace, what) -> dict[str, set[str]]:
     """AND-rule symmetrization, then the prior-forced adjacency, which always survives."""
-    trace.say(_RULE)
-    trace.say(f"* checking consistency of {what}.")
+    if trace.debug:
+        trace.say(_RULE)
+        trace.say(f"* checking consistency of {what}.")
     sets = symmetry_correction(sets)
     for x in sets:
         sets[x] |= forced_adj[x]
@@ -484,8 +503,9 @@ def constraint_learn(d: Dataset, cfg: LearnConfig,
 
     blankets: dict[str, set[str]] = {}
     for i, target in enumerate(names):
-        trace.say(_RULE)
-        trace.say(f"* learning markov blanket of {target} .")
+        if trace.debug:
+            trace.say(_RULE)
+            trace.say(f"* learning markov blanket of {target} .")
         # mmpc keeps its AND-check meaningful: positive seeds would let one
         # false rejection survive both directions
         kg, kb = _backtrack_seeds(target, names[:i] if cfg.optimized else (),
@@ -504,11 +524,12 @@ def constraint_learn(d: Dataset, cfg: LearnConfig,
     if not is_mmpc:
         nbrs = {}
         for i, x in enumerate(names):
-            trace.say(_RULE)
-            trace.say(f"* learning neighbourhood of {x} .")
+            if trace.debug:
+                trace.say(_RULE)
+                trace.say(f"* learning neighbourhood of {x} .")
             earlier = [y for y in names[:i] if y in blankets[x]] if cfg.optimized else ()
             kg, kb = _backtrack_seeds(x, earlier, nbrs, forced_adj[x])
-            if cfg.optimized:
+            if cfg.optimized and trace.debug:
                 if kg:
                     trace.say(f"  * known good (backtracking): {_fmt(sorted(kg, key=order.__getitem__))}.")
                 if kb:
@@ -553,10 +574,11 @@ def constraint_learn(d: Dataset, cfg: LearnConfig,
 
     pdag = Graph(names, directed, undirected, provenance)
     if not is_mmpc:
-        trace.say(_RULE)
-        trace.say("* propagating directions for the following undirected arcs:")
-        for a, b in sorted(pdag.undirected_arcs):
-            trace.say(f"  > {a} - {b}")
+        if trace.debug:
+            trace.say(_RULE)
+            trace.say("* propagating directions for the following undirected arcs:")
+            for a, b in sorted(pdag.undirected_arcs):
+                trace.say(f"  > {a} - {b}")
         pdag, flagged = propagate_directions(pdag, allowed=cons.arc_allowed)
         for a, b in flagged:
             trace.add("ambiguous", a, b, note="left undirected")

@@ -39,6 +39,8 @@ class DataError(ValueError):
 
 def _check_integer(name: str, value, least: int, error: type[Exception]) -> None:
     """Raise error unless value is an integer (not a bool) of at least least."""
+    if type(value) is int and value >= least:  # the common case, without the ABC check
+        return
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise error(f"{name} must be an integer of at least {least}, got {value!r}")
 
@@ -398,7 +400,13 @@ def joint_config_codes(d: Dataset, names) -> tuple[np.ndarray, int]:
 
 
 def _config_codes(d: Dataset, names) -> tuple[np.ndarray, int]:
-    """joint_config_codes without the cache."""
+    """joint_config_codes without the cache.
+
+    A space of at most _CODE_SPACE_PER_ROW * n + _CODE_SPACE_BASE codes is
+    numbered by marking the mixed-radix codes that occur and ranking them;
+    when every code occurs the rank is the identity, so the mixed-radix
+    codes are returned as they are. A larger space is sorted.
+    """
     names = list(names)
     if not names:
         return np.zeros(d.n, dtype=np.int64), 1
@@ -407,7 +415,10 @@ def _config_codes(d: Dataset, names) -> tuple[np.ndarray, int]:
     space = math.prod(radix)
     if space <= _CODE_SPACE_PER_ROW * d.n + _CODE_SPACE_BASE:
         code = _parent_config_index(radix, [c.codes for c in columns], d.n)
-        rank = np.cumsum(np.bincount(code, minlength=space) > 0) - 1
+        seen = np.bincount(code, minlength=space) > 0
+        if seen.all():
+            return code, space
+        rank = np.cumsum(seen) - 1
         return rank[code], int(rank[-1]) + 1
     combined = columns[0].codes.copy()
     for c, r in zip(columns[1:], radix[1:]):
@@ -423,7 +434,9 @@ def contingency_counts(d: Dataset, x: str, y: str, z=()) -> ContingencyTable:
 
     The cell index (x * C + y) * L + z of every row is built in one int64
     buffer and counted with one bincount. With z empty, the table is read
-    from the dataset's pair tables (_pair_blocks) where they serve it. A
+    from the dataset's pair tables (_pair_blocks) where they serve it; an
+    asymptotic test with z empty reads its statistic from one stacked pass
+    over them instead (independence._pair_statistic), once they exist. A
     table of more than 2^24 cells, the cap on a family's parent
     configurations, is a DataError.
     """
@@ -511,6 +524,45 @@ def _pair_blocks(d: Dataset, node: str, others):
         return None
     span, product = tables
     return [product[span[node], span[u]].copy() for u in others]
+
+
+def _pair_stacks(d: Dataset, cells: int):
+    """The joint tables of every column pair, in stacks of one shape, or None.
+
+    Yields (ix, iy, counts) for one pair of level counts (R, C) at a time: ix
+    and iy are the places in d.names of columns of R and of C levels, and
+    counts[i, j] is the (R, C, 1) table of columns ix[i] and iy[j], equal to
+    its block of the pair tables (a column meets itself too). A stack holds
+    as many whole rows of tables as fit in about `cells` cells, at least one,
+    so memory stays bounded however many columns there are. Each stack is
+    C-contiguous: every table in it is laid out as a lone copy is. This only
+    reads the pair tables; before the ask rule of _pair_blocks has computed
+    them, and past their bound, it is None.
+    """
+    tables = d._memo.get("pair-tables")
+    if tables is None:
+        return None
+    span, product = tables
+    starts = np.array([span[name].start for name in d.names])
+    radix = np.array([span[name].stop - span[name].start for name in d.names])
+    # not np.unique: its first call in a process imports numpy.ma (about 1.7 MB)
+    shapes = sorted(set(radix.tolist()))
+
+    def stacks():
+        for R in shapes:
+            ix = np.flatnonzero(radix == R)
+            for C in shapes:
+                iy = np.flatnonzero(radix == C)
+                columns = (starts[iy, None] + np.arange(C)).ravel()
+                step = max(1, cells // (len(iy) * R * C))
+                for lo in range(0, len(ix), step):
+                    part = ix[lo:lo + step]
+                    rows = (starts[part, None] + np.arange(R)).ravel()
+                    block = product[rows[:, None], columns]
+                    counts = block.reshape(len(part), R, len(iy), C).transpose(0, 2, 1, 3)
+                    yield part, iy, np.ascontiguousarray(counts)[..., None]
+
+    return stacks()
 
 
 def _gaussian_moments(d: Dataset):

@@ -250,8 +250,9 @@ def _climb(g: Graph, d: Dataset, spec: ScoreSpec, cons: Constraints,
         if kind == _REVERSE:
             gain[u] = np.nan
         trace.add("move", names[u], names[v], p_value=best_delta, note=_KINDS[kind])
-        trace.say(f"* applying {_KINDS[kind]} {names[u]} -> {names[v]} "
-                  f"( delta: {best_delta:g} )")
+        if trace.debug:
+            trace.say(f"* applying {_KINDS[kind]} {names[u]} -> {names[v]} "
+                      f"( delta: {best_delta:g} )")
     g = dag.graph(g)
     return g, network_score(g, d, spec, cache)
 

@@ -6,7 +6,9 @@ statistics are transformations of the partial correlation. Every asymptotic
 test has a Monte Carlo permutation twin (labels mc-*) whose null replicates
 permute x within conditioning strata (discrete, drawn directly as tables with
 the observed margins in every stratum) or permute the residuals of x on z
-(continuous).
+(continuous). Once a dataset holds its pair tables, an asymptotic discrete
+test with an empty conditioning set reads its statistic from one stacked
+kernel pass over every column pair (_pair_statistic).
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import ContingencyTable, DataError, Dataset, _check_integer, \
-    _check_variables, _name_list, _regress, contingency_counts, partial_correlation
+    _check_variables, _name_list, _pair_stacks, _regress, contingency_counts, \
+    partial_correlation
 # re-exported: the benchmark's tracer (perfbench/tracing.py) wraps this name here
 from .data import joint_config_codes  # noqa: F401
 from .special import chi2_sf, normal_two_sided, student_t_two_sided
@@ -132,22 +135,67 @@ def aic_test(t: ContingencyTable, n: int) -> bool:
     return mi_discrete(t) >= table_df(t) / n
 
 
+# The statistic each asymptotic discrete label reads from its table.
+_KERNELS = {"mi": "mi", "fmi": "mi", "aict": "mi", "x2": "x2"}
+
+
 def table_test(t: ContingencyTable, kind: str) -> TestResult:
     """Asymptotic TestResult for one of the discrete labels."""
-    df = table_df(t)
-    if kind == "x2":
-        stat = x2_discrete(t)
-        return TestResult("x2", stat, chi2_sf(stat, df), df=df)
-    if kind not in ("mi", "fmi", "aict"):
+    if kind not in _KERNELS:
         raise TestError(f"unknown discrete test {kind!r}")
-    # the table's mutual information, computed once (fmi zeroes it on few data)
-    mi = fmi_statistic(t, t.n) if kind == "fmi" else mi_discrete(t)
-    stat = 2.0 * t.n * mi
+    # fmi does not compute the mutual information it would zero
+    statistic = x2_discrete(t) if kind == "x2" else \
+        fmi_statistic(t, t.n) if kind == "fmi" else mi_discrete(t)
+    return _discrete_result(kind, table_df(t), t.n, statistic)
+
+
+def _discrete_result(kind: str, df: int, n: int, statistic: float) -> TestResult:
+    """The rules of the discrete labels, on a table's statistic from either source.
+
+    statistic is the table's X^2 for x2 and its mutual information otherwise
+    (_KERNELS), from the table itself (table_test) or from the stacked pass
+    over the pair tables (_pair_statistic). fmi zeroes the mutual
+    information under five data per parameter.
+    """
+    if kind == "x2":
+        return TestResult("x2", statistic, chi2_sf(statistic, df), df=df)
+    mi = 0.0 if kind == "fmi" and n < 5 * df else statistic
+    stat = 2.0 * n * mi
     if kind == "mi":
         return TestResult("mi", stat, chi2_sf(stat, df), df=df)
     if kind == "fmi":
         return TestResult("fmi", stat, chi2_sf(stat, df) if stat > 0 else 1.0, df=df)
-    return TestResult("aict", stat, 0.0 if mi >= df / t.n else 1.0, df=df)
+    return TestResult("aict", stat, 0.0 if mi >= df / n else 1.0, df=df)
+
+
+def _pair_statistic(d: Dataset, x: str, y: str, kernel: str) -> float | None:
+    """The kernel's statistic of the joint table of x and y, from one pass over all pairs.
+
+    kernel is "mi" or "x2" (_KERNELS). The first call once the dataset holds
+    its pair tables runs the kernel on the tables of every column pair, one
+    call per stack of same-shape tables (data._pair_stacks, about
+    _CHUNK_ELEMENTS cells each); a table in a stack gets the same bits as a
+    call on it alone. The values are kept in the dataset's memo, one entry
+    per kernel. None before that, for a dataset without rows, and when x and
+    y are not two distinct columns.
+    """
+    key = ("pair-statistics", kernel)
+    stats = d._memo.get(key)
+    if stats is None:
+        stacks = _pair_stacks(d, _CHUNK_ELEMENTS) if d.n else None
+        if stacks is None:
+            return None
+        values = np.empty((len(d.names), len(d.names)))
+        for ix, iy, counts in stacks:
+            values[np.ix_(ix, iy)] = (_x2_from_counts(counts) if kernel == "x2"
+                                      else _mi_from_counts(counts, d.n))
+        index = {name: i for i, name in enumerate(d.names)}
+        stats = d._memo[key] = index, values.tolist()
+    index, rows = stats
+    i, j = index.get(x), index.get(y)
+    if i is None or j is None or i == j:
+        return None
+    return rows[i][j]
 
 
 # -- Gaussian statistics ------------------------------------------------------------
@@ -184,7 +232,8 @@ def gaussian_statistic(rho: float, n: int, zsize: int, kind: str) -> TestResult:
 # -- Monte Carlo permutation tests -----------------------------------------------------
 
 # Replicates are drawn in chunks whose working arrays hold about this many
-# elements, so memory stays fixed whatever B is.
+# elements, so memory stays fixed whatever B is; the pass over the pair
+# tables (_pair_statistic) scores its stacks in chunks of this many cells.
 _CHUNK_ELEMENTS = 2 ** 14
 
 # Replicates per Monte Carlo test when B is not given.
@@ -266,11 +315,11 @@ def permutation_pvalue(d: Dataset, x: str, y: str, z=(), kind: str = "mc-mi",
         norm = math.sqrt(float(rx @ rx)) * math.sqrt(float(ry @ ry))
         rho0 = abs(float(np.clip(rx @ ry / norm, -1.0, 1.0)))
         # every statistic grows with |rho|, so replicates compare on the residuals'
-        # |rho|; permuted() draws exactly what successive rng.permutation(n) calls do
-        identity = np.arange(d.n)
+        # |rho|; permuted() draws exactly what successive rng.permutation(n) calls
+        # do, whatever it shuffles, so it permutes the residuals themselves
         for b in _chunks(B, d.n):
-            perms = rng.permuted(np.broadcast_to(identity, (b, d.n)), axis=1)
-            rho = np.clip(rx[perms] @ ry / norm, -1.0, 1.0)
+            rho = np.clip(rng.permuted(np.broadcast_to(rx, (b, d.n)), axis=1) @ ry / norm,
+                          -1.0, 1.0)
             exceed += int(np.count_nonzero(np.abs(rho) >= rho0))
     return TestResult(kind, s0, (1 + exceed) / (1 + B), replicates=B)
 
@@ -329,4 +378,10 @@ def ci_test(d: Dataset, x: str, y: str, z=(), test: str | None = None,
     if label.startswith("mc-"):
         return permutation_pvalue(d, x, y, z, kind=label,
                                   B=_DEFAULT_REPLICATES if B is None else B, seed=seed)
-    return _asymptotic_test(d, x, y, _name_list(z), label)[0]
+    z = _name_list(z)
+    if not z and label in _KERNELS:  # the pair's statistic, once the pair pass has it
+        statistic = _pair_statistic(d, x, y, _KERNELS[label])
+        if statistic is not None:
+            df = (len(d.columns[x].levels) - 1) * (len(d.columns[y].levels) - 1)
+            return _discrete_result(label, df, d.n, statistic)
+    return _asymptotic_test(d, x, y, z, label)[0]

@@ -42,10 +42,15 @@ class LearnTrace:
         self._tests += len(events)
 
     def test(self, x: str, y: str, z, p_value: float, note: str = "") -> None:
-        self.add("test", x, y, z, p_value, note)
+        self.events.append(TraceEvent("test", x, y, tuple(z), p_value, note))
+        self._tests += 1
 
     def say(self, line: str) -> None:
-        """Debug commentary, written to the trace stream when enabled."""
+        """Debug commentary, written to the trace stream when enabled.
+
+        The learners build a line only when debug is set, so a run with
+        debug off formats no text.
+        """
         if self.debug:
             print(line, file=self.stream)
 

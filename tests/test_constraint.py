@@ -360,6 +360,23 @@ class TestTrace:
         assert tests and len(tests) == tr.test_counter == tester.computed + tester.hits
         assert {e.note for e in tests} == {"grow", "shrink"}
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS + ("hc",))
+    def test_no_debug_text_is_formatted_with_debug_off(self, monkeypatch, algorithm):
+        def refuse(*args):
+            raise AssertionError("debug text formatted with debug off")
+
+        monkeypatch.setattr(bnsl.constraint, "_fmt", refuse)
+        monkeypatch.setattr(bnsl.trace.LearnTrace, "say", refuse)
+        d = forward_sample(alarm_fitted(1), 1000, seed=4)
+        if algorithm == "hc":
+            _, trace = bnsl.hill_climb(d, bnsl.HillClimbConfig(restarts=1, perturb=2))
+            assert any(e.kind == "move" for e in trace.events)
+            return
+        _, trace = constraint_learn(d, LearnConfig(algorithm=algorithm))
+        assert trace.test_counter > 0
+        with pytest.raises(AssertionError, match="debug text formatted"):
+            constraint_learn(d, LearnConfig(algorithm=algorithm, debug=True))
+
     def test_structured_export(self, sample):
         _, trace = constraint_learn(sample, LearnConfig(algorithm="gs"))
         lines = trace.lines()

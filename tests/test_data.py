@@ -1,5 +1,6 @@
 """Ingestion, sufficient statistics, MLE fitting and forward sampling."""
 
+import itertools
 import math
 import re
 import warnings
@@ -507,6 +508,44 @@ class TestConfigCodes:
             seen.add(z)
         assert len(seen) > capacity and len(cache) == capacity
 
+    @staticmethod
+    def _ranked(d, names):
+        """The marking path as it was: rank the mixed-radix codes that occur."""
+        code = np.zeros(d.n, dtype=np.int64)
+        for name in names:
+            code = code * len(d.levels(name)) + d.codes(name)
+        space = math.prod(len(d.levels(name)) for name in names)
+        rank = np.cumsum(np.bincount(code, minlength=space) > 0) - 1
+        return rank[code], int(rank[-1]) + 1
+
+    @pytest.mark.parametrize("data", ["alarm", "mixed"])
+    def test_fully_observed_spaces_skip_the_rank(self, monkeypatch, data):
+        d = _PAIR_DATASETS[data]()
+        ranks = []
+        cumsum = np.cumsum
+
+        def ranking(*args, **kwargs):
+            ranks.append(1)
+            return cumsum(*args, **kwargs)
+
+        monkeypatch.setattr(bnsl.data.np, "cumsum", ranking)
+        rng = np.random.default_rng(14)
+        full = partial = 0
+        for zsize in (1, 1, 1, 2, 2, 3, 4):
+            for _ in range(15):
+                z = [str(v) for v in rng.choice(d.names, size=zsize, replace=False)]
+                want, want_L = self._ranked(d, z)
+                ranks.clear()
+                codes, L = bnsl.data._config_codes(d, z)
+                assert L == want_L and codes.dtype == np.int64
+                assert codes.tobytes() == want.tobytes()
+                space = math.prod(len(d.levels(v)) for v in z)
+                assert space <= bnsl.data._CODE_SPACE_PER_ROW * d.n + bnsl.data._CODE_SPACE_BASE
+                assert ranks == ([] if L == space else [1])
+                full += L == space
+                partial += L < space
+        assert full and partial
+
 
 def _mixed_levels(n, seed):
     """Random data whose columns have 2 to 6 levels, some of them never observed."""
@@ -706,6 +745,150 @@ class TestPairTables:
                     got = ci_test(d, x, y, test=test)
                     assert got.p_value == want.p_value
                     assert got.statistic == want.statistic
+
+
+def _discrete_sample(n, seed):
+    """Random data whose columns have 2 to 4 levels, some of them never observed."""
+    rng = np.random.default_rng(seed)
+    names = [f"V{i}" for i in range(7)]
+    levels = {v: tuple("abcd"[:int(rng.integers(2, 5))]) for v in names}
+    codes = {v: rng.integers(0, max(1, len(levels[v]) - int(rng.integers(0, 2))), n)
+             for v in names}
+    return Dataset.from_codes(names, levels, codes)
+
+
+def _fresh_table_test(d, x, y, label):
+    """The test of x and y from a table counted on a dataset without a memo."""
+    return table_test(contingency_counts(Dataset(d.names, d.columns), x, y), label)
+
+
+def _digits(r):
+    return repr((r.label, r.statistic, r.p_value, r.df, r.replicates, r.degenerate))
+
+
+class TestPairStatistics:
+    """An empty-z test reads its statistic from one stacked pass over the pair tables."""
+
+    def test_a_stacked_kernel_call_gives_each_table_its_lone_bits(self):
+        rng = np.random.default_rng(60)
+        for _ in range(300):
+            R, C = (int(v) for v in rng.integers(2, 5, size=2))
+            stack = (int(rng.integers(1, 8)), int(rng.integers(1, 8)), R, C, 1)
+            counts = _sparse_counts(rng, stack) % int(rng.choice([3, 50, 10 ** 6]))
+            counts[0, 0] += 1  # no empty table
+            n = int(counts.sum(axis=(-3, -2, -1)).max())
+            mi = bnsl.independence._mi_from_counts(counts, n)
+            x2 = bnsl.independence._x2_from_counts(counts)
+            assert mi.shape == x2.shape == stack[:2]
+            for i, j in np.ndindex(stack[:2]):
+                lone = counts[i, j].copy()
+                assert mi[i, j].tobytes() == bnsl.independence._mi_from_counts(lone, n).tobytes()
+                assert x2[i, j].tobytes() == bnsl.independence._x2_from_counts(lone).tobytes()
+
+    @pytest.mark.parametrize("cells", [1, 100, 2 ** 14])
+    @pytest.mark.parametrize("data", _PAIR_DATASETS)
+    def test_stacks_hold_every_block_once(self, data, cells):
+        d = _PAIR_DATASETS[data]()
+        assert bnsl.data._pair_stacks(d, cells) is None  # they only read the pair tables
+        span, product = bnsl.data._pair_tables(d)
+        seen = Counter()
+        for ix, iy, counts in bnsl.data._pair_stacks(d, cells):
+            xs, ys = [d.names[i] for i in ix], [d.names[j] for j in iy]
+            R, C = len(d.levels(xs[0])), len(d.levels(ys[0]))
+            assert counts.shape == (len(xs), len(ys), R, C, 1)
+            assert counts.flags.c_contiguous and counts.dtype == np.int64
+            assert counts.size <= max(cells, len(ys) * R * C)  # whole rows, about cells
+            for (i, x), (j, y) in itertools.product(enumerate(xs), enumerate(ys)):
+                assert np.array_equal(counts[i, j, ..., 0], product[span[x], span[y]])
+                seen[x, y] += 1
+        assert seen == Counter(itertools.product(d.names, d.names))
+
+    @pytest.mark.parametrize("cells", [1, 50])
+    def test_small_stacks_give_the_same_statistics(self, monkeypatch, cells):
+        d = _mixed_levels(700, 36)
+        whole = Dataset(d.names, d.columns)
+        monkeypatch.setattr(bnsl.independence, "_CHUNK_ELEMENTS", cells)
+        got = {(label, pair): ci_test(d, *pair, test=label) for label in ("mi", "x2")
+               for pair in itertools.permutations(d.names, 2)}
+        assert ("pair-statistics", "x2") in d._memo
+        monkeypatch.undo()
+        for (label, pair), result in got.items():
+            assert _digits(result) == _digits(ci_test(whole, *pair, test=label))
+
+    @pytest.mark.parametrize("n, seed", [(6, 61), (40, 62), (300, 63), (6000, 64)])
+    @pytest.mark.parametrize("label", ["mi", "x2", "fmi", "aict"])
+    def test_empty_z_tests_equal_tests_on_fresh_tables(self, monkeypatch, n, seed, label):
+        d = _discrete_sample(n, seed)
+        pairs = [(x, y) for x in d.names for y in d.names if x != y]
+        first = ci_test(d, *pairs[0], test=label)  # one bincount, before the product
+        assert "pair-tables" not in d._memo
+        assert _digits(first) == _digits(_fresh_table_test(d, *pairs[0], label))
+        ci_test(d, *pairs[1], test=label)  # the second lone table builds the product
+        tables = []
+        counted = bnsl.independence.contingency_counts
+
+        def counting(*args, **kwargs):
+            tables.append(args[1:])
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(bnsl.independence, "contingency_counts", counting)
+        got = {pair: ci_test(d, *pair, test=label) for pair in pairs}
+        assert tables == []  # every statistic came from the stacked pass
+        monkeypatch.setattr(bnsl.independence, "contingency_counts", counted)
+        for (x, y), result in got.items():
+            assert _digits(result) == _digits(_fresh_table_test(d, x, y, label))
+
+    @pytest.mark.parametrize("label", ["mc-mi", "mc-x2"])
+    def test_monte_carlo_labels_still_draw_from_their_table(self, label):
+        d = _discrete_sample(500, 65)
+        ci_test(d, "V0", "V1")
+        ci_test(d, "V1", "V2")
+        assert bnsl.independence._pair_statistic(d, "V0", "V1", "mi") is not None
+        for x, y in (("V0", "V1"), ("V3", "V2")):
+            got = ci_test(d, x, y, test=label, B=200, seed=3)
+            want = ci_test(Dataset(d.names, d.columns), x, y, test=label, B=200, seed=3)
+            assert got.replicates == 200 and _digits(got) == _digits(want)
+
+    def test_a_dataset_without_rows_tests_its_tables(self):
+        empty = np.zeros(0, dtype=np.int64)
+        d = Dataset.from_codes("AB", {"A": "ab", "B": "abc"}, {"A": empty, "B": empty})
+        for _ in range(3):  # the bincount, then the product's blocks
+            with pytest.raises(bnsl.TestError, match="empty contingency table"):
+                ci_test(d, "A", "B")
+            fmi = ci_test(d, "A", "B", test="fmi")
+            assert (fmi.statistic, fmi.p_value, fmi.df) == (0.0, 1.0, 2)
+        assert d._memo["pair-tables"] is not None
+        assert bnsl.independence._pair_statistic(d, "A", "B", "mi") is None
+
+    def test_repeated_or_unknown_variables_are_still_refused(self):
+        d = _discrete_sample(200, 66)
+        ci_test(d, "V0", "V1")
+        ci_test(d, "V1", "V2")
+        with pytest.raises(DataError, match="distinct"):
+            ci_test(d, "V0", "V0")
+        with pytest.raises(DataError, match="unknown column 'W'"):
+            ci_test(d, "V0", "W")
+
+
+class TestCheckInteger:
+    """The integer check accepts and refuses what it did before its fast path."""
+
+    @pytest.mark.parametrize("value", [0, 3, np.int64(0), np.int64(7), np.uint8(2)])
+    def test_integers_are_accepted(self, value):
+        bnsl.data._check_integer("seed", value, 0, DataError)
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, "1", None, -1, np.int64(-1)])
+    def test_others_are_refused_with_the_value(self, value):
+        with pytest.raises(DataError, match=re.escape(
+                f"seed must be an integer of at least 0, got {value!r}")):
+            bnsl.data._check_integer("seed", value, 0, DataError)
+
+    def test_the_least_value_holds_for_both_paths(self):
+        for value in (1, np.int64(1)):
+            bnsl.data._check_integer("B", value, 1, DataError)
+        for value in (0, np.int64(0)):
+            with pytest.raises(DataError, match="B must be an integer of at least 1"):
+                bnsl.data._check_integer("B", value, 1, DataError)
 
 
 class TestCountCap:
