@@ -6,8 +6,10 @@ columns never change after construction: their arrays are read-only.
 Derived statistics that several callers reuse (Gaussian moments, the
 correlation matrix, log-gamma tables, recent configuration codes) are filled
 in lazily, on first use, in its private memo; the joint tables of every
-column pair, one exact int64 product, are filled in once a second pair
-table is asked for.
+column pair, one exact int64 product, are filled in once the dataset has
+been asked for two pair tables in all (_pair_tables). They serve
+hill-climbing's parentless rows and the stacked pass of empty-z test
+statistics, not contingency_counts.
 
 Reading a file parses the stripped cells of a numeric column with float()
 and codes each other column by its distinct cell texts, each stripped and
@@ -433,12 +435,11 @@ def contingency_counts(d: Dataset, x: str, y: str, z=()) -> ContingencyTable:
     """Exact n_ijk counts of x versus y within each observed z configuration.
 
     The cell index (x * C + y) * L + z of every row is built in one int64
-    buffer and counted with one bincount. With z empty, the table is read
-    from the dataset's pair tables (_pair_blocks) where they serve it; an
-    asymptotic test with z empty reads its statistic from one stacked pass
-    over them instead (independence._pair_statistic), once they exist. A
-    table of more than 2^24 cells, the cap on a family's parent
-    configurations, is a DataError.
+    buffer and counted with one bincount, whether z is empty or not; this
+    never reads the dataset's pair tables. An asymptotic test with z empty
+    reads its statistic from one stacked pass over them instead, once they
+    exist (independence._pair_statistic). A table of more than 2^24 cells,
+    the cap on a family's parent configurations, is a DataError.
     """
     if not d.discrete:
         raise DataError("contingency tables require a discrete dataset")
@@ -451,16 +452,12 @@ def contingency_counts(d: Dataset, x: str, y: str, z=()) -> ContingencyTable:
     if cells > _MAX_PARENT_CONFIGS:
         raise DataError(f"the contingency table of {x!r} and {y!r} has {cells} cells, "
                         f"more than {_MAX_PARENT_CONFIGS}")
-    blocks = None if z else _pair_blocks(d, x, [y])
-    if blocks is not None:
-        counts = blocks[0]
-    else:
-        flat = cx.codes * C
-        flat += cy.codes
-        if z:
-            flat *= L
-            flat += zidx
-        counts = np.bincount(flat, minlength=cells)
+    flat = cx.codes * C
+    flat += cy.codes
+    if z:
+        flat *= L
+        flat += zidx
+    counts = np.bincount(flat, minlength=cells)
     return ContingencyTable(counts.reshape(R, C, L), R, C, L, d.n)
 
 
@@ -472,8 +469,15 @@ _PAIR_LEVELS = 2048
 _PAIR_CHUNK_ROWS = 1024
 
 
-def _pair_tables(d: Dataset):
+def _pair_tables(d: Dataset, asks: int):
     """Each column's span of levels and the joint table of every column pair, or None.
+
+    asks is how many pair tables the caller wants. A lone table costs one
+    bincount, so the tables are computed once the dataset has been asked
+    for two in all: at the second lone ask, or at once for a hill-climbing
+    row of several. Before that this is None, and the asks are added up in
+    the dataset's memo; this is the only code that reads or writes them or
+    the tables.
 
     The tables are X^T X for the one-hot coding X of the data: n rows and one
     column per level of every column, so block (x, y) of the product counts
@@ -486,6 +490,9 @@ def _pair_tables(d: Dataset):
     """
     if "pair-tables" in d._memo:
         return d._memo["pair-tables"]
+    asked = d._memo["pair-asks"] = d._memo.get("pair-asks", 0) + asks
+    if asked < 2:
+        return None
     columns = [d._col(name, CategoricalColumn) for name in d.names]
     radix = np.array([len(c.levels) for c in columns])
     starts = np.cumsum(radix) - radix
@@ -507,25 +514,6 @@ def _pair_tables(d: Dataset):
     return tables
 
 
-def _pair_blocks(d: Dataset, node: str, others):
-    """Fresh copies of the joint tables of node with each column of others, or None.
-
-    A lone table costs one bincount, so the blocks of the pair tables
-    (_pair_tables) are read once the dataset has been asked for two tables
-    in all: from the second lone table on, or at once for a hill-climbing
-    row of several. Before that, and past their bound, this is None.
-    """
-    if "pair-tables" not in d._memo:
-        asked = d._memo["pair-asks"] = d._memo.get("pair-asks", 0) + len(others)
-        if asked < 2:
-            return None
-    tables = _pair_tables(d)
-    if tables is None:
-        return None
-    span, product = tables
-    return [product[span[node], span[u]].copy() for u in others]
-
-
 def _pair_stacks(d: Dataset, cells: int):
     """The joint tables of every column pair, in stacks of one shape, or None.
 
@@ -535,11 +523,11 @@ def _pair_stacks(d: Dataset, cells: int):
     its block of the pair tables (a column meets itself too). A stack holds
     as many whole rows of tables as fit in about `cells` cells, at least one,
     so memory stays bounded however many columns there are. Each stack is
-    C-contiguous: every table in it is laid out as a lone copy is. This only
-    reads the pair tables; before the ask rule of _pair_blocks has computed
-    them, and past their bound, it is None.
+    C-contiguous: every table in it is laid out as a lone copy is. The call
+    is one ask of _pair_tables, which may compute the tables; before its
+    ask rule has, and past their bound, this is None.
     """
-    tables = d._memo.get("pair-tables")
+    tables = _pair_tables(d, 1)
     if tables is None:
         return None
     span, product = tables
@@ -756,9 +744,10 @@ def _toggle_family_counts(d: Dataset, node: str, parents: list[str],
     an added u is one more (least significant) digit of it, and its axis then
     moves to u's sorted place; a deleted parent sums the base table over its
     axis, with no pass over the data. A row with no parents makes no pass
-    either: each family is the joint table of the node and u from the
-    dataset's pair tables (_pair_blocks), or, where they do not serve it,
-    one more digit of the node's codes like any added parent.
+    either: each family is a fresh, writable copy of the joint table of the
+    node and u, read from the dataset's pair tables (_pair_tables, asked for
+    one table per family), or, where they do not serve it, one more digit
+    of the node's codes like any added parent.
     A row with an unknown column or a family past the configuration cap is
     counted one family at a time, so each family raises where family_counts
     raises.
@@ -776,9 +765,11 @@ def _toggle_family_counts(d: Dataset, node: str, parents: list[str],
         q = math.prod(radix)
     if widest is None or q * widest > _MAX_PARENT_CONFIGS:
         return [family_counts(d, node, sorted(place.keys() ^ {u})) for u in others]
-    blocks = None if parents else _pair_blocks(d, node, others)
-    if blocks is not None:
-        return [(counts, counts.shape[1]) for counts in blocks]
+    tables = None if parents else _pair_tables(d, len(others))
+    if tables is not None:
+        span, product = tables
+        return [(product[span[node], span[u]].copy(), len(d.columns[u].levels))
+                for u in others]
     R = len(column.levels)
     shape = (R, *radix)
     idx = _parent_config_index(shape, [column.codes] + [c.codes for c in columns], d.n)

@@ -6,9 +6,11 @@ statistics are transformations of the partial correlation. Every asymptotic
 test has a Monte Carlo permutation twin (labels mc-*) whose null replicates
 permute x within conditioning strata (discrete, drawn directly as tables with
 the observed margins in every stratum) or permute the residuals of x on z
-(continuous). Once a dataset holds its pair tables, an asymptotic discrete
-test with an empty conditioning set reads its statistic from one stacked
-kernel pass over every column pair (_pair_statistic).
+(continuous). From a dataset's second asymptotic discrete test with an
+empty conditioning set on, such a test reads its statistic from one stacked
+kernel pass over the joint tables of every column pair (_pair_statistic);
+the pass asks for those tables itself, and the first test counts its own
+table with one bincount.
 """
 
 from __future__ import annotations
@@ -171,13 +173,15 @@ def _discrete_result(kind: str, df: int, n: int, statistic: float) -> TestResult
 def _pair_statistic(d: Dataset, x: str, y: str, kernel: str) -> float | None:
     """The kernel's statistic of the joint table of x and y, from one pass over all pairs.
 
-    kernel is "mi" or "x2" (_KERNELS). The first call once the dataset holds
-    its pair tables runs the kernel on the tables of every column pair, one
-    call per stack of same-shape tables (data._pair_stacks, about
-    _CHUNK_ELEMENTS cells each); a table in a stack gets the same bits as a
-    call on it alone. The values are kept in the dataset's memo, one entry
-    per kernel. None before that, for a dataset without rows, and when x and
-    y are not two distinct columns.
+    kernel is "mi" or "x2" (_KERNELS). Until a kernel's values are kept, each
+    call asks for the pair tables once (data._pair_stacks), so the second
+    ask on a fresh dataset computes them. The first call that gets them runs
+    the kernel on the tables of every column pair, one call per stack of
+    same-shape tables (about _CHUNK_ELEMENTS cells each); a table in a stack
+    gets the same bits as a call on it alone. The values are kept in the
+    dataset's memo, one entry per kernel. None before the tables exist, past
+    their bound, for a dataset without rows (which never asks), and when x
+    and y are not two distinct columns.
     """
     key = ("pair-statistics", kernel)
     stats = d._memo.get(key)

@@ -21,6 +21,7 @@ from bnsl.data import CategoricalColumn, ContingencyTable, DiscreteCPT, LinearGa
     joint_config_codes
 from bnsl.independence import gaussian_statistic, table_test
 from bnsl.networks import alarm_fitted
+from bnsl.scores import network_score
 
 
 def _write(tmp_path, name, text):
@@ -563,6 +564,21 @@ _PAIR_DATASETS = {"alarm": lambda: forward_sample(alarm_fitted(1), 5000, seed=35
                   "one-row": lambda: _mixed_levels(1, 37)}
 
 
+def _record_builds(monkeypatch):
+    """A list of whether each later call of data._pair_tables built the product."""
+    asked = bnsl.data._pair_tables
+    builds = []
+
+    def asking(d, *args):
+        unbuilt = "pair-tables" not in d._memo
+        tables = asked(d, *args)
+        builds.append(unbuilt and tables is not None)
+        return tables
+
+    monkeypatch.setattr(bnsl.data, "_pair_tables", asking)
+    return builds
+
+
 class TestPairTables:
     """Every joint table of a column pair comes from the dataset's one-hot product."""
 
@@ -643,11 +659,17 @@ class TestPairTables:
         self._fill(d, list(d.names))
         assert len(d.names) == 37 and passes == [] and blocks == [1024] * 4 + [904]
         product = d._memo["pair-tables"]
+        span, gram = product
         blocks.clear()
         self._fill(d, list(d.names))
-        for x in d.names:
-            contingency_counts(d, x, "HR" if x != "HR" else "CVP")
-        assert passes == [] and blocks == [] and d._memo["pair-tables"] is product
+        assert passes == [] and blocks == []
+        for x in d.names:  # a table is always its own bincount, equal to its block
+            y = "HR" if x != "HR" else "CVP"
+            passes.clear()
+            t = contingency_counts(d, x, y)
+            assert passes == [d.n]
+            assert t.counts.tobytes() == gram[span[x], span[y]].tobytes()
+        assert blocks == [] and d._memo["pair-tables"] is product
 
     def test_a_lone_table_is_one_bincount_and_the_second_builds_the_product(
             self, monkeypatch):
@@ -720,7 +742,7 @@ class TestPairTables:
         monkeypatch.setattr(bnsl.data, "_PAIR_CHUNK_ROWS", 7)
         monkeypatch.setattr(bnsl.data.np, "zeros", recording)
         monkeypatch.setattr(bnsl.data.np, "add", adding)
-        span, product = bnsl.data._pair_tables(d)
+        span, product = bnsl.data._pair_tables(d, 2)
         monkeypatch.setattr(bnsl.data.np, "zeros", zeros)
         monkeypatch.setattr(bnsl.data.np, "add", add)
         # one int64 table, each block's float32 product added into it in place
@@ -731,6 +753,29 @@ class TestPairTables:
         self._assert_fresh(d, self._fill(d, list(d.names)))
         self._assert_tables_fresh(d)
         assert d._memo["pair-tables"][1] is product
+
+    @pytest.mark.parametrize("test_first", [True, False], ids=["test-first", "hc-first"])
+    def test_one_ask_counter_serves_tests_and_hill_climbing(self, monkeypatch, test_first):
+        d = forward_sample(alarm_fitted(1), 2000, seed=68)
+        spec = ScoreSpec(kind="bic")
+
+        def learn(data):
+            g, trace = bnsl.hill_climb(data, bnsl.HillClimbConfig(score=spec))
+            return g, network_score(g, data, spec), trace.lines()
+
+        want_graph, want_score, want_lines = learn(Dataset(d.names, d.columns))
+        want_test = ci_test(Dataset(d.names, d.columns), "HR", "CVP")
+        builds = _record_builds(monkeypatch)
+        if test_first:
+            got_test = ci_test(d, "HR", "CVP")
+            assert builds == [False] and "pair-tables" not in d._memo
+            got_graph, got_score, got_lines = learn(d)
+        else:
+            got_graph, got_score, got_lines = learn(d)
+            got_test = ci_test(d, "HR", "CVP")
+        assert builds.count(True) == 1 and d._memo["pair-tables"] is not None
+        assert got_graph == want_graph and got_score == want_score
+        assert got_lines == want_lines and _digits(got_test) == _digits(want_test)
 
     @pytest.mark.parametrize("test", ["mi", "x2"])
     def test_empty_z_pvalues_equal_those_of_bincount_tables(self, test):
@@ -789,8 +834,8 @@ class TestPairStatistics:
     @pytest.mark.parametrize("data", _PAIR_DATASETS)
     def test_stacks_hold_every_block_once(self, data, cells):
         d = _PAIR_DATASETS[data]()
-        assert bnsl.data._pair_stacks(d, cells) is None  # they only read the pair tables
-        span, product = bnsl.data._pair_tables(d)
+        assert bnsl.data._pair_stacks(d, cells) is None  # the first ask returns None
+        span, product = bnsl.data._pair_tables(d, 1)
         seen = Counter()
         for ix, iy, counts in bnsl.data._pair_stacks(d, cells):
             xs, ys = [d.names[i] for i in ix], [d.names[j] for j in iy]
@@ -849,15 +894,60 @@ class TestPairStatistics:
             want = ci_test(Dataset(d.names, d.columns), x, y, test=label, B=200, seed=3)
             assert got.replicates == 200 and _digits(got) == _digits(want)
 
+    def test_contingency_counts_never_reads_the_product_and_the_pass_builds_it(
+            self, monkeypatch):
+        d = forward_sample(alarm_fitted(1), 5000, seed=67)
+        fresh = Dataset(d.names, d.columns)
+        want = {pair: ci_test(fresh, *pair) for pair in (("HR", "CVP"), ("HIST", "LVV"))}
+        want_mc = {label: ci_test(fresh, "PAP", "SHNT", test=label, B=200, seed=3)
+                   for label in ("mc-mi", "mc-x2")}
+        passes, tables = [], []
+        bincount, counted = np.bincount, bnsl.independence.contingency_counts
+
+        def counting(x, *args, **kwargs):
+            passes.append(len(x))
+            return bincount(x, *args, **kwargs)
+
+        def reading(*args, **kwargs):
+            tables.append(args[1:3])
+            return counted(*args, **kwargs)
+
+        builds = _record_builds(monkeypatch)
+        monkeypatch.setattr(bnsl.data.np, "bincount", counting)
+        monkeypatch.setattr(bnsl.independence, "contingency_counts", reading)
+        first = ci_test(d, "HR", "CVP")
+        assert passes == [d.n] and tables == [("HR", "CVP")] and True not in builds
+        assert "pair-tables" not in d._memo
+        del passes[:], tables[:], builds[:]
+        second = ci_test(d, "HIST", "LVV")  # the statistics pass asks and builds
+        assert passes == [] and tables == [] and builds == [True]
+        span, gram = d._memo["pair-tables"]
+        builds.clear()
+        for x, y in itertools.permutations(d.names, 2):
+            passes.clear()
+            t = contingency_counts(d, x, y)
+            assert passes == [d.n]
+            assert t.counts.tobytes() == gram[span[x], span[y]].tobytes()
+        got_mc = {}
+        for label in want_mc:
+            del passes[:], tables[:]
+            got_mc[label] = ci_test(d, "PAP", "SHNT", test=label, B=200, seed=3)
+            assert passes == [d.n] and tables == [("PAP", "SHNT")]
+        assert builds == [] and d._memo["pair-tables"][1] is gram
+        assert _digits(first) == _digits(want["HR", "CVP"])
+        assert _digits(second) == _digits(want["HIST", "LVV"])
+        assert {label: repr(r) for label, r in got_mc.items()} == \
+            {label: repr(r) for label, r in want_mc.items()}
+
     def test_a_dataset_without_rows_tests_its_tables(self):
         empty = np.zeros(0, dtype=np.int64)
         d = Dataset.from_codes("AB", {"A": "ab", "B": "abc"}, {"A": empty, "B": empty})
-        for _ in range(3):  # the bincount, then the product's blocks
+        for _ in range(3):  # a bincount each time: nothing asks for the product
             with pytest.raises(bnsl.TestError, match="empty contingency table"):
                 ci_test(d, "A", "B")
             fmi = ci_test(d, "A", "B", test="fmi")
             assert (fmi.statistic, fmi.p_value, fmi.df) == (0.0, 1.0, 2)
-        assert d._memo["pair-tables"] is not None
+        assert "pair-tables" not in d._memo
         assert bnsl.independence._pair_statistic(d, "A", "B", "mi") is None
 
     def test_repeated_or_unknown_variables_are_still_refused(self):
