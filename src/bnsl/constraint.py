@@ -11,7 +11,7 @@ node's search with the decisions already made for earlier nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -542,10 +542,6 @@ def constraint_learn(d: Dataset, cfg: LearnConfig,
                 dseps.setdefault(_pair(x, y), sep)
         nbrs = _consistent(nbrs, forced_adj, trace, "neighbourhood sets")
 
-    provenance = Provenance(
-        method="constraint", algorithm=ALGORITHM_NAMES[cfg.algorithm],
-        test=tester.label, alpha=cfg.alpha, optimized=cfg.optimized)
-
     # every required edge is in the skeleton: forced adjacency joins each set
     directed: set[tuple[str, str]] = set(cons.forced_arcs)
     covered = {_pair(u, v) for u, v in directed}
@@ -572,6 +568,11 @@ def constraint_learn(d: Dataset, cfg: LearnConfig,
         directed.add(choice)
         trace.add("prior-orient", choice[0], choice[1])
 
+    # the last test has run: propagation tests nothing and keeps the provenance
+    provenance = Provenance(
+        method="constraint", algorithm=ALGORITHM_NAMES[cfg.algorithm],
+        test=tester.label, alpha=cfg.alpha, ntests=trace.test_counter,
+        optimized=cfg.optimized)
     pdag = Graph(names, directed, undirected, provenance)
     if not is_mmpc:
         if trace.debug:
@@ -582,6 +583,4 @@ def constraint_learn(d: Dataset, cfg: LearnConfig,
         pdag, flagged = propagate_directions(pdag, allowed=cons.arc_allowed)
         for a, b in flagged:
             trace.add("ambiguous", a, b, note="left undirected")
-
-    final = pdag.with_provenance(replace(provenance, ntests=trace.test_counter))
-    return final, trace
+    return pdag, trace

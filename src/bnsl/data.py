@@ -748,23 +748,21 @@ def _toggle_family_counts(d: Dataset, node: str, parents: list[str],
     node and u, read from the dataset's pair tables (_pair_tables, asked for
     one table per family), or, where they do not serve it, one more digit
     of the node's codes like any added parent.
-    A row with an unknown column or a family past the configuration cap is
-    counted one family at a time, so each family raises where family_counts
-    raises.
+    The row reads its node, parents and added columns first, so an unknown
+    column raises as in family_counts; a row whose widest family passes the
+    configuration cap then raises family_counts' own error. Hill-climbing
+    scores the base family before a row, so each row it sends raises what
+    its first failing family raises alone.
     """
     place = {p: j for j, p in enumerate(parents)}
-    try:
-        column = d._col(node, CategoricalColumn)
-        columns = [d._col(p, CategoricalColumn) for p in parents]
-        widest = max((len(d._col(u, CategoricalColumn).levels)
-                      for u in others if u not in place), default=1)
-    except DataError:
-        widest = None
-    if widest is not None:
-        radix = [len(c.levels) for c in columns]
-        q = math.prod(radix)
-    if widest is None or q * widest > _MAX_PARENT_CONFIGS:
-        return [family_counts(d, node, sorted(place.keys() ^ {u})) for u in others]
+    column = d._col(node, CategoricalColumn)
+    columns = [d._col(p, CategoricalColumn) for p in parents]
+    widest = max((len(d._col(u, CategoricalColumn).levels)
+                  for u in others if u not in place), default=1)
+    radix = [len(c.levels) for c in columns]
+    q = math.prod(radix)
+    if q * widest > _MAX_PARENT_CONFIGS:
+        raise DataError(f"parent configuration space of {node!r} is too large")
     tables = None if parents else _pair_tables(d, len(others))
     if tables is not None:
         span, product = tables
@@ -957,7 +955,7 @@ def forward_sample(f: FittedNetwork, n: int, seed: int) -> Dataset:
     _check_integer("n", n, 1, DataError)
     _check_integer("seed", seed, 0, DataError)
     rng = np.random.default_rng(seed)
-    order = topological_order(f.graph, by_label=True)
+    order = topological_order(f.graph)
     columns: dict[str, object] = {}
     if f.discrete:
         sampled: dict[str, np.ndarray] = {}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 import numpy as np
@@ -31,6 +32,11 @@ class CycleError(GraphError):
 def _pair(a: str, b: str) -> tuple[str, str]:
     """The key of the undirected pair {a, b}: its two labels in sorted order."""
     return (a, b) if a < b else (b, a)
+
+
+def _smallest(arcs):
+    """The offending arc an error names: the first in sorted label order."""
+    return min(arcs, key=lambda arc: tuple(map(str, arc)))
 
 
 @dataclass(frozen=True)
@@ -64,25 +70,23 @@ class Graph:
                 raise GraphError(f"invalid node label {n!r}")
         node_set = set(nodes)
 
-        directed = set()
-        for u, v in directed_arcs:
-            if u == v:
-                raise GraphError(f"self-loop on {u!r}")
-            if u not in node_set or v not in node_set:
-                raise GraphError(f"arc endpoint not in node set: {u!r} -> {v!r}")
-            directed.add((u, v))
-        undirected = set()
-        for a, b in undirected_arcs:
-            if a == b:
-                raise GraphError(f"self-loop on {a!r}")
-            if a not in node_set or b not in node_set:
-                raise GraphError(f"arc endpoint not in node set: {a!r} - {b!r}")
-            undirected.add(_pair(a, b))
-        for u, v in directed:
+        directed = {(u, v) for u, v in directed_arcs}
+        rows = {(a, b) for a, b in undirected_arcs}
+        for arcs, sep in ((directed, "->"), (rows, "-")):
+            bad = [(u, v) for u, v in arcs
+                   if u == v or u not in node_set or v not in node_set]
+            if bad:
+                u, v = _smallest(bad)
+                if u == v:
+                    raise GraphError(f"self-loop on {u!r}")
+                raise GraphError(f"arc endpoint not in node set: {u!r} {sep} {v!r}")
+        undirected = {_pair(a, b) for a, b in rows}
+        bad = [(u, v) for u, v in directed if (v, u) in directed or _pair(u, v) in undirected]
+        if bad:
+            u, v = _smallest(bad)
             if (v, u) in directed:
                 raise GraphError(f"both orientations of {u!r}/{v!r} are directed")
-            if _pair(u, v) in undirected:
-                raise GraphError(f"{u!r}/{v!r} is both directed and undirected")
+            raise GraphError(f"{u!r}/{v!r} is both directed and undirected")
 
         self.nodes = nodes
         self.directed_arcs = frozenset(directed)
@@ -205,30 +209,25 @@ def empty_graph(nodes) -> Graph:
     return Graph(nodes)
 
 
-def topological_order(g: Graph, by_label: bool = False) -> list[str] | None:
-    """Topological order of the directed part, or None if it is cyclic.
+def topological_order(g: Graph) -> list[str] | None:
+    """The label-smallest topological order of the directed part, or None if it is cyclic.
 
-    With by_label=True ties are broken by sorting each frontier.
+    Kahn's algorithm over a min-heap frontier: each step places the smallest
+    label whose parents are all placed, so the order depends on the labels
+    and arcs alone, never on set iteration order.
     """
     indeg = {n: len(g._parents[n]) for n in g.nodes}
-    frontier = [n for n in g.nodes if indeg[n] == 0]
-    if by_label:
-        frontier.sort()
+    frontier = [n for n in g.nodes if not indeg[n]]
+    heapify(frontier)
     order = []
     while frontier:
-        n = frontier.pop(0)
+        n = heappop(frontier)
         order.append(n)
-        added = False
         for c in g._children[n]:
             indeg[c] -= 1
-            if indeg[c] == 0:
-                frontier.append(c)
-                added = True
-        if by_label and added:
-            frontier.sort()
-    if len(order) != len(g.nodes):
-        return None
-    return order
+            if not indeg[c]:
+                heappush(frontier, c)
+    return order if len(order) == len(g.nodes) else None
 
 
 def _has_directed_path(children, source: str, target: str) -> bool:

@@ -263,9 +263,10 @@ def _starting_graph(d: Dataset, cfg: HillClimbConfig, cons: Constraints) -> Grap
         raise GraphError("start graph nodes and dataset columns do not match")
     if g.undirected_arcs:
         raise GraphError("the start graph must be completely directed")
-    for u, v in g.directed_arcs:
-        if not cons.arc_allowed(u, v):
-            raise PriorError(f"start graph violates the blacklist on {u} -> {v}")
+    banned = [(u, v) for u, v in g.directed_arcs if not cons.arc_allowed(u, v)]
+    if banned:
+        u, v = min(banned)  # the message never depends on set order
+        raise PriorError(f"start graph violates the blacklist on {u} -> {v}")
     directed = set(g.directed_arcs) | cons.forced_arcs
     try:
         Graph(d.names, directed)

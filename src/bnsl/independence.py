@@ -6,11 +6,11 @@ statistics are transformations of the partial correlation. Every asymptotic
 test has a Monte Carlo permutation twin (labels mc-*) whose null replicates
 permute x within conditioning strata (discrete, drawn directly as tables with
 the observed margins in every stratum) or permute the residuals of x on z
-(continuous). From a dataset's second asymptotic discrete test with an
-empty conditioning set on, such a test reads its statistic from one stacked
-kernel pass over the joint tables of every column pair (_pair_statistic);
-the pass asks for those tables itself, and the first test counts its own
-table with one bincount.
+(continuous). From a dataset's second asymptotic discrete test of two
+distinct columns with an empty conditioning set on, such a test reads its
+statistic from one stacked kernel pass over the joint tables of every column
+pair (_pair_statistic); the pass asks for those tables itself, the first test
+counts its own table with one bincount, and a refused test never asks.
 """
 
 from __future__ import annotations
@@ -180,8 +180,8 @@ def _pair_statistic(d: Dataset, x: str, y: str, kernel: str) -> float | None:
     same-shape tables (about _CHUNK_ELEMENTS cells each); a table in a stack
     gets the same bits as a call on it alone. The values are kept in the
     dataset's memo, one entry per kernel. None before the tables exist, past
-    their bound, for a dataset without rows (which never asks), and when x
-    and y are not two distinct columns.
+    their bound, and for a dataset without rows (which never asks). x and y
+    are two distinct columns: ci_test sends no other pair.
     """
     key = ("pair-statistics", kernel)
     stats = d._memo.get(key)
@@ -196,10 +196,7 @@ def _pair_statistic(d: Dataset, x: str, y: str, kernel: str) -> float | None:
         index = {name: i for i, name in enumerate(d.names)}
         stats = d._memo[key] = index, values.tolist()
     index, rows = stats
-    i, j = index.get(x), index.get(y)
-    if i is None or j is None or i == j:
-        return None
-    return rows[i][j]
+    return rows[index[x]][index[y]]
 
 
 # -- Gaussian statistics ------------------------------------------------------------
@@ -383,7 +380,8 @@ def ci_test(d: Dataset, x: str, y: str, z=(), test: str | None = None,
         return permutation_pvalue(d, x, y, z, kind=label,
                                   B=_DEFAULT_REPLICATES if B is None else B, seed=seed)
     z = _name_list(z)
-    if not z and label in _KERNELS:  # the pair's statistic, once the pair pass has it
+    # two distinct columns read the pair's statistic, once the pair pass has it
+    if not z and label in _KERNELS and x != y and d.columns.keys() >= {x, y}:
         statistic = _pair_statistic(d, x, y, _KERNELS[label])
         if statistic is not None:
             df = (len(d.columns[x].levels) - 1) * (len(d.columns[y].levels) - 1)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -13,6 +15,7 @@ import numpy as np
 # in the terminal summary (pytest captures even low-level stdout writes)
 ACCEPTANCE_VERDICTS: list[str] = []
 
+import bnsl
 from bnsl import CycleError, Dataset, Graph, PriorError, PriorKnowledge, normalize_priors
 from bnsl.data import CategoricalColumn, NumericColumn
 
@@ -84,6 +87,21 @@ def perfbench_module(name: str):
             if Path(getattr(sys.modules[key], "__file__", None) or "").parent == folder:
                 del sys.modules[key]
     return module
+
+
+def under_hash_seeds(script: str, cwd=None) -> list[str]:
+    """The output of a Python script run under PYTHONHASHSEED 0 and then 1.
+
+    The script imports this bnsl; each run's stdout and stderr are joined.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(bnsl.__file__).resolve().parents[1])}
+    outputs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-c", script], cwd=cwd,
+                              env={**env, "PYTHONHASHSEED": seed},
+                              capture_output=True, text=True)
+        outputs.append(proc.stdout + proc.stderr)
+    return outputs
 
 
 def random_discrete_dataset(rng: np.random.Generator, names, n_rows: int,

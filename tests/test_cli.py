@@ -10,8 +10,10 @@ import pytest
 import bnsl
 from bnsl import (HillClimbConfig, ScoreSpec, forward_sample, hill_climb,
                   load_table, network_score, write_table)
-from bnsl.cli import load_graph, main
+from bnsl.cli import load_graph, main, summary_block
 from bnsl.networks import SIXNODE_MODEL, sixnode
+
+from helpers import under_hash_seeds
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +49,17 @@ class TestLearn:
         assert SIXNODE_MODEL in out
         assert "penalization coefficient:              1" in out
         assert "Akaike Information Criterion" in out
+
+    def test_summary_format_alone(self, capsys, data_path):
+        code, out, _ = run_cli(capsys, "learn", data_path, "--algo", "hc",
+                               "--score", "bde", "--format", "summary")
+        assert code == 0
+        graph, _ = hill_climb(load_table(data_path), HillClimbConfig(score=ScoreSpec("bde")))
+        assert out == summary_block(graph)
+        assert out.startswith("\n  Bayesian network learned via Score-based methods\n")
+        assert "  score:                                 Bayesian Dirichlet (BDe) \n" \
+            "  equivalent sample size:                1 \n" in out
+        assert "penalization coefficient" not in out
 
     def test_summary_arithmetic(self, capsys, data_path):
         code, out, _ = run_cli(capsys, "learn", data_path, "--algo", "gs")
@@ -613,6 +626,13 @@ class TestExportAndModelstring:
         assert code == 3
         assert f"arc file {one} needs two columns" in err
         assert out == ""
+
+    @pytest.mark.hash_seed
+    def test_error_does_not_depend_on_the_hash_seed(self, tmp_path):
+        (tmp_path / "loops.csv").write_text("from,to\nC,C\nB,B\nA,A\n")
+        script = "import sys; from bnsl.cli import main; sys.exit(main(['modelstring', 'loops.csv']))"
+        outputs = under_hash_seeds(script, cwd=tmp_path)
+        assert outputs[0] == outputs[1] == "error: self-loop on 'A'\n"
 
     def test_cycle_message_propagates(self, capsys):
         code, _, err = run_cli(capsys, "modelstring", "[A|C][B|A][C|B]")

@@ -450,6 +450,7 @@ def test_fast_iamb_reads_the_blanket_codes_in_column_order(monkeypatch):
     assert counted and all(list(z) == sorted(z, key=order.__getitem__) for z in counted)
 
 
+@pytest.mark.hash_seed
 def test_inter_iamb_stops_when_a_shrink_repeats_a_blanket():
     # T-H always dependent; P then Q join the blanket, and the shrink after Q
     # drops both, so the blanket is {H} again and would cycle for ever
@@ -480,6 +481,58 @@ def test_inter_iamb_stops_when_a_shrink_repeats_a_blanket():
     assert learn_markov_blanket("T", d, cfg, tester=tester) == {"H"}
     assert trace.test_counter == 12 and tester.computed == 9
     assert stream.getvalue().count("seen before; stopping the growing phase") == 1
+
+
+def test_fast_iamb_stops_a_speculative_batch_short_of_data():
+    # T depends on X1 and X2 alone; 20 rows cannot support X2 beside X1's
+    # three configurations (5 * 2 * 2 * 3 = 60 rows), so the batch stops at X2
+    from bnsl.constraint import _CITester
+    from bnsl.trace import LearnTrace
+
+    rng = np.random.default_rng(42)
+    names = ["T", "X1", "X2"]
+    d = Dataset.from_codes(names, {v: ("a", "b", "c") for v in names},
+                           {v: np.arange(20) % 3 if v == "X1" else rng.integers(0, 3, 20)
+                            for v in names})
+
+    def oracle(x, y, z):
+        return {("X1", ()): 0.001, ("X2", ()): 0.002}.get((y, z), 0.5)
+
+    cfg = LearnConfig(algorithm="fast-iamb", debug=True)
+    stream = io.StringIO()
+    tester = _CITester(d, cfg, LearnTrace(debug=True, stream=stream), oracle)
+    assert learn_markov_blanket("T", d, cfg, tester=tester) == {"X1"}
+    lines = stream.getvalue().splitlines()
+    assert lines.count("    > stopping the speculative batch before X2 "
+                       "(not enough data per parameter).") == 1
+    assert lines.index("    > node X1 included in the markov blanket ( p-value: 0.001 ).") \
+        < lines.index("    > stopping the speculative batch before X2 "
+                      "(not enough data per parameter).")
+
+
+def test_mmpc_backward_phase_removes_a_separated_member():
+    # V enters first (ties at p = 0 go to the column order), then W; only the
+    # backward phase tests V given W and finds them separated
+    from bnsl.constraint import _CITester, _max_min_pc
+    from bnsl.trace import LearnTrace
+
+    rng = np.random.default_rng(43)
+    names = ["T", "V", "W"]
+    d = Dataset.from_codes(names, {v: ("a", "b") for v in names},
+                           {v: rng.integers(0, 2, 100) for v in names})
+
+    def oracle(x, y, z):
+        return 1.0 if (y, z) == ("V", ("W",)) else 0.0
+
+    cfg = LearnConfig(algorithm="mmpc", debug=True)
+    stream = io.StringIO()
+    tester = _CITester(d, cfg, LearnTrace(debug=True, stream=stream), oracle)
+    assert _max_min_pc("T", d, set(), set(), tester) == {"W"}
+    assert stream.getvalue().splitlines() == [
+        "    > node V added to the parent-children set of T ( max p-value: 0 ).",
+        "    > node W added to the parent-children set of T ( max p-value: 0 ).",
+        "    > node V removed from the parent-children set of T ( p-value: 1 ).",
+    ]
 
 
 # -- priors on learned graphs ------------------------------------------------------------
@@ -598,6 +651,7 @@ def _digests(d, cfg) -> tuple[str, str]:
             hashlib.sha256(err.getvalue().encode()).hexdigest())
 
 
+@pytest.mark.hash_seed
 @pytest.mark.parametrize("run", sorted(GOLDEN_DIGESTS))
 def test_golden_trace(run, golden_data):
     data, cfg = _golden_config(run)

@@ -215,6 +215,7 @@ def _noisy_text(rng, names, rows):
     return "".join(line + end for line, end in zip(lines, ends)), at
 
 
+@pytest.mark.hash_seed
 class TestLoadTableNoise:
     """Spaces, tabs, blank lines and \\r\\n change neither a table nor an error's place."""
 
@@ -376,6 +377,7 @@ class TestDatasetInvariants:
         assert d.reorder(("B", "A")).names == ("B", "A")
 
 
+@pytest.mark.blas_threads
 class TestContingency:
     def test_marginal_2x2(self):
         rng = np.random.default_rng(5)
@@ -435,6 +437,7 @@ def _unique_codes(d, names):
     return dense.astype(np.int64), int(uniq.size)
 
 
+@pytest.mark.blas_threads
 class TestConfigCodes:
     """joint_config_codes and contingency_counts against a direct np.unique reference."""
 
@@ -473,6 +476,28 @@ class TestConfigCodes:
         rng = np.random.default_rng(100 + zsize)
         for _ in range(20):
             self._check(alarm_sample, rng, zsize)
+
+    def test_codes_past_int64_are_made_dense_on_the_way(self, monkeypatch):
+        # 9^21 configurations pass 2^63: the running code is renumbered before
+        # it would overflow, and the codes still follow the configurations' order
+        rng = np.random.default_rng(21)
+        names = [f"C{i}" for i in range(21)]
+        d = Dataset.from_codes(names, {c: tuple("abcdefghi") for c in names},
+                               {c: rng.integers(0, 9, size=300) for c in names})
+        unique, calls = np.unique, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(bnsl.data.np, "unique", counting)
+        codes, L = bnsl.data._config_codes(d, names)
+        monkeypatch.undo()
+        assert len(calls) >= 2  # at least one renumbering, then the final one
+        rows = np.stack([d.codes(c) for c in names], axis=1)
+        uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert codes.dtype == np.int64 and L == len(uniq)
+        assert codes.tolist() == inverse.ravel().tolist()
 
     def test_empty_z_and_unobserved_configurations(self):
         # 3 x 3 configuration space of (Z1, Z2) with only 4 configurations seen
@@ -579,6 +604,8 @@ def _record_builds(monkeypatch):
     return builds
 
 
+@pytest.mark.hash_seed
+@pytest.mark.blas_threads
 class TestPairTables:
     """Every joint table of a column pair comes from the dataset's one-hot product."""
 
@@ -811,6 +838,7 @@ def _digits(r):
     return repr((r.label, r.statistic, r.p_value, r.df, r.replicates, r.degenerate))
 
 
+@pytest.mark.blas_threads
 class TestPairStatistics:
     """An empty-z test reads its statistic from one stacked pass over the pair tables."""
 
@@ -950,6 +978,27 @@ class TestPairStatistics:
         assert "pair-tables" not in d._memo
         assert bnsl.independence._pair_statistic(d, "A", "B", "mi") is None
 
+    @pytest.mark.parametrize("label", ["mi", "x2", "fmi", "aict"])
+    def test_a_refused_test_never_asks_for_the_pair_tables(self, monkeypatch, label):
+        d = _discrete_sample(200, 68)
+        with pytest.raises(DataError, match="distinct"):
+            ci_test(d, "V0", "V0", test=label)
+        with pytest.raises(DataError, match="unknown column 'W'"):
+            ci_test(d, "V0", "W", test=label)
+        assert "pair-asks" not in d._memo and "pair-tables" not in d._memo
+        passes, bincount = [], np.bincount
+
+        def counting(x, *args, **kwargs):
+            passes.append(len(x))
+            return bincount(x, *args, **kwargs)
+
+        builds = _record_builds(monkeypatch)
+        monkeypatch.setattr(bnsl.data.np, "bincount", counting)
+        result = ci_test(d, "V0", "V1", test=label)  # the first valid test: one bincount
+        assert passes == [d.n] and True not in builds
+        assert d._memo["pair-asks"] == 1 and "pair-tables" not in d._memo
+        assert _digits(result) == _digits(_fresh_table_test(d, "V0", "V1", label))
+
     def test_repeated_or_unknown_variables_are_still_refused(self):
         d = _discrete_sample(200, 66)
         ci_test(d, "V0", "V1")
@@ -981,6 +1030,7 @@ class TestCheckInteger:
                 bnsl.data._check_integer("B", value, 1, DataError)
 
 
+@pytest.mark.blas_threads
 class TestCountCap:
     """A contingency table past 2^24 cells is refused before it is counted."""
 
@@ -1042,6 +1092,8 @@ def _sparse_counts(rng, shape):
     return counts
 
 
+@pytest.mark.hash_seed
+@pytest.mark.blas_threads
 class TestCountKernels:
     """The count layer and the MI and X^2 kernels give the reference bits."""
 
@@ -1449,6 +1501,7 @@ def _certificate_case(rng, kind):
     return Dataset.from_values(names, dict(zip(names, mat.T))), certified
 
 
+@pytest.mark.blas_threads
 class TestCorrelationCertificate:
     KINDS = ("random", "near-collinear", "duplicate", "constant", "wide")
 
@@ -1598,6 +1651,18 @@ class TestFitMLE:
         assert loc.coefficients[0] == pytest.approx(2.0, abs=0.05)
         assert loc.intercept == pytest.approx(1.0, abs=0.05)
         assert loc.sd == pytest.approx(0.1, abs=0.02)
+
+    def test_a_perfect_gaussian_fit_keeps_a_positive_sd(self):
+        # Y is identically 0, so its residuals are exactly 0
+        rng = np.random.default_rng(17)
+        d = Dataset(("X", "Y"), {"X": NumericColumn(rng.standard_normal(50)),
+                                 "Y": NumericColumn(np.zeros(50))})
+        f = fit_mle(parse_modelstring("[X][Y|X]"), d)
+        loc = f.locals["Y"]
+        assert loc.sd == 1e-12
+        assert loc.intercept == 0.0 and loc.coefficients.tolist() == [0.0]
+        sample = forward_sample(f, 20, seed=1)
+        assert np.abs(sample.values("Y")).max() < 1e-9
 
     def test_parent_configuration_cap(self):
         # 300^3 parent configurations exceed the cap, which must fire before

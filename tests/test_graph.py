@@ -17,7 +17,7 @@ from bnsl.data import CategoricalColumn, Dataset, NumericColumn
 from bnsl.graph import set_undirected, topological_order
 from bnsl.networks import alarm
 
-from helpers import perfbench_module, random_dag
+from helpers import perfbench_module, random_dag, under_hash_seeds
 
 SIXNODE = "[A][C][F][B|A][D|A:C][E|B:F]"
 
@@ -225,6 +225,17 @@ class TestCompare:
         with pytest.raises(GraphError):
             compare(parse_modelstring("[A][B]"), parse_modelstring("[A][C]"))
 
+    def test_format_lists_each_node_difference(self):
+        _, report = compare(Graph("ABC", [("A", "B")]), Graph("ABC", [("C", "B")]))
+        assert report.format() == "\n".join([
+            "equal: false",
+            "directed arcs only in first: A -> B",
+            "directed arcs only in second: C -> B",
+            "node A: children only in first: B",
+            "node B: parents only in first: A; parents only in second: C",
+            "node C: children only in second: B",
+        ])
+
 
 class TestVStructures:
     def test_sixnode(self):
@@ -336,6 +347,7 @@ def _random_pdag(rng):
 PROPAGATION_DIGEST = "5220a86a4dc3dad6ffbaf91be642dd696ebe9afd104d61b671934b08c344017d"
 
 
+@pytest.mark.hash_seed
 def test_propagation_golden_digest():
     rng = np.random.default_rng(92)
     rows, n_flagged, n_vetoed = [], 0, 0
@@ -408,9 +420,79 @@ class TestGraphInvariants:
 
     def test_topological_order_label_ties(self):
         g = parse_modelstring(SIXNODE)
-        order = topological_order(g, by_label=True)
-        assert order.index("A") < order.index("B")
-        assert order.index("F") < order.index("E")
+        assert topological_order(g) == ["A", "B", "C", "D", "F", "E"]
+
+    @pytest.mark.parametrize("arcs,undirected,message", [
+        ({("C", "C"), ("B", "B")}, (), "self-loop on 'B'"),
+        ({("A", "Z"), ("A", "Y")}, (), "arc endpoint not in node set: 'A' -> 'Y'"),
+        ((), {("B", "Z"), ("A", "Z")}, "arc endpoint not in node set: 'A' - 'Z'"),
+        ({("A", "B"), ("B", "A"), ("C", "D"), ("D", "C")}, (),
+         "both orientations of 'A'/'B' are directed"),
+        ({("C", "D"), ("A", "B")}, {("D", "C"), ("B", "A")},
+         "'A'/'B' is both directed and undirected"),
+    ])
+    def test_an_error_names_the_smallest_offending_arc(self, arcs, undirected, message):
+        with pytest.raises(GraphError) as info:
+            Graph("ABCD", arcs, undirected)
+        assert str(info.value) == message
+
+
+def _sorted_frontier_order(g):
+    """topological_order as it was with by_label=True: pop the head of a frontier
+    that is sorted again after each node that frees a child."""
+    indeg = {n: len(g.parents(n)) for n in g.nodes}
+    frontier = sorted(n for n in g.nodes if indeg[n] == 0)
+    order = []
+    while frontier:
+        n = frontier.pop(0)
+        order.append(n)
+        added = False
+        for c in g.children(n):
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                frontier.append(c)
+                added = True
+        if added:
+            frontier.sort()
+    return order
+
+
+def test_topological_order_is_the_sorted_frontier_walk():
+    rng = np.random.default_rng(27)
+    for _ in range(300):
+        g = random_dag(rng, int(rng.integers(1, 16)), float(rng.uniform(0.05, 0.6)))
+        order = topological_order(g)
+        assert order == _sorted_frontier_order(g)
+        assert sorted(order) == sorted(g.nodes)
+
+
+@pytest.mark.hash_seed
+def test_order_and_messages_do_not_depend_on_the_hash_seed():
+    script = """
+from bnsl import Graph, GraphError, parse_modelstring
+from bnsl.graph import topological_order
+print(topological_order(parse_modelstring("[A][B|A][C|A][D|A][E|A][F|A]")))
+print(topological_order(Graph("FEDCBA", {(u, "F") for u in "ABCDE"})))
+for arcs, undirected in [({("A", "B"), ("B", "A"), ("C", "D"), ("D", "C")}, ()),
+                         ({("C", "C"), ("B", "B"), ("D", "D")}, ()),
+                         ({("D", "Z"), ("C", "Y"), ("B", "X")}, ()),
+                         ((), {("D", "Z"), ("C", "Y"), ("B", "X")}),
+                         ({("C", "D"), ("A", "B")}, {("D", "C"), ("B", "A")})]:
+    try:
+        Graph("ABCD", arcs, undirected)
+    except GraphError as exc:
+        print(exc)
+"""
+    outputs = under_hash_seeds(script)
+    assert outputs[0] == outputs[1] == "\n".join([
+        "['A', 'B', 'C', 'D', 'E', 'F']",
+        "['A', 'B', 'C', 'D', 'E', 'F']",
+        "both orientations of 'A'/'B' are directed",
+        "self-loop on 'B'",
+        "arc endpoint not in node set: 'B' -> 'X'",
+        "arc endpoint not in node set: 'B' - 'X'",
+        "'A'/'B' is both directed and undirected",
+    ]) + "\n"
 
 
 @settings(max_examples=120, deadline=None)

@@ -16,7 +16,7 @@ from bnsl.networks import SIXNODE_MODEL, sixnode
 from bnsl.priors import normalize_priors
 
 from helpers import (prior_violations, random_dag, random_discrete_dataset,
-                     random_priors)
+                     random_priors, under_hash_seeds)
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +271,7 @@ class TestPerturb:
         assert a == b
 
 
+@pytest.mark.hash_seed
 class TestIncrementalSearch:
     """hill_climb against a reference climb over enumerate_moves and score_delta."""
 
@@ -442,6 +443,33 @@ class TestHillClimb:
         with pytest.raises(PriorError):
             hill_climb(sample, HillClimbConfig(score="aic", priors=pr,
                                                start=start))
+
+    @pytest.mark.hash_seed
+    def test_start_graph_errors_do_not_depend_on_the_hash_seed(self):
+        script = """
+import numpy as np
+from bnsl import Dataset, Graph, HillClimbConfig, PriorError, PriorKnowledge, hill_climb
+d = Dataset.from_codes("ABCD", {c: ("a", "b") for c in "ABCD"},
+                       {c: np.arange(40) % 2 for c in "ABCD"})
+for start, priors in [({("C", "D"), ("A", "B")}, {"blacklist": [("C", "D"), ("A", "B")]}),
+                      ({("D", "C"), ("B", "A")}, {"whitelist": [("C", "D"), ("A", "B")]})]:
+    try:
+        hill_climb(d, HillClimbConfig(start=Graph("ABCD", start),
+                                      priors=PriorKnowledge(**priors)))
+    except PriorError as exc:
+        print(exc)
+"""
+        outputs = under_hash_seeds(script)
+        assert outputs[0] == outputs[1] == (
+            "start graph violates the blacklist on A -> B\n"
+            "start graph violates the blacklist on B -> A\n")
+
+    def test_debug_prints_each_applied_move(self, sample, capsys):
+        _, trace = hill_climb(sample, HillClimbConfig(score="bic", debug=True))
+        moves = [e for e in trace.events if e.kind == "move"]
+        assert len(moves) >= 5
+        assert capsys.readouterr().err.splitlines() == [
+            f"* applying {e.note} {e.x} -> {e.y} ( delta: {e.p_value:g} )" for e in moves]
 
     def test_intermediate_graphs_stay_prior_consistent(self, sample):
         # every applied move respects priors, so the result must too

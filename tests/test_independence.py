@@ -373,6 +373,7 @@ class TestNullSampler:
 
     # p-values recorded before replicates were drawn in chunks: the Gaussian
     # tests must consume the random stream exactly as before
+    @pytest.mark.hash_seed
     @pytest.mark.parametrize("kind", ["mc-cor", "mc-zf", "mc-mi-g"])
     @pytest.mark.parametrize("seed,expected", [(5, 0.017), (2024, 0.021)])
     def test_gaussian_pvalues_pinned(self, kind, seed, expected):
@@ -393,6 +394,7 @@ class TestNullSampler:
 MC_TESTS_PVALUES_SHA256 = "0ec6096bcc8b559c844da7b8a9bde9c9ead2ae1a63dc3889d3a0ce521e4af074"
 
 
+@pytest.mark.hash_seed
 def test_benchmark_monte_carlo_pvalues_pinned(tmp_path):
     workloads = perfbench_module("workloads")
     pvalues = []

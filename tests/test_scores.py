@@ -473,6 +473,7 @@ class TestScoreCache:
             network_score(g, d, spec, None)
 
 
+@pytest.mark.hash_seed
 class TestBgePinned:
     # values the bge score gave before it read its scatter matrix from the
     # dataset's shared Gaussian moments; they must stay bit-identical
@@ -563,10 +564,14 @@ def _toggle_cases(rng, names, count, max_base=4):
         yield node, parents, others
 
 
+@pytest.mark.hash_seed
 class TestToggleScores:
     """A row of _toggle_scores equals local_score family by family, with ==.
 
-    A row that fails raises what the first failing family raises alone.
+    A row that fails raises what the first failing family raises alone. The
+    row reads every column before it counts, so an unknown column is named
+    first; a row past the configuration cap raises family_counts' error.
+    Each case here, like each row hill-climbing sends, fails in one way only.
     """
 
     DISCRETE = [ScoreSpec("loglik"), ScoreSpec("aic"), ScoreSpec("bic"),
@@ -668,6 +673,7 @@ def _mixed_levels_dataset(rng, levels, n):
                               {c: rng.integers(0, m, size=n) for c, m in zip(names, levels)})
 
 
+@pytest.mark.hash_seed
 class TestStackedDirichletRows:
     """bde/k2 rows, scored as stacks of same-q tables, equal the per-family
     reference with ==, whatever the seen configurations of the stacked items."""
