@@ -201,9 +201,6 @@ class Graph:
     def narcs(self) -> int:
         return len(self.directed_arcs) + len(self.undirected_arcs)
 
-    def with_provenance(self, provenance: Provenance) -> "Graph":
-        return Graph(self.nodes, self.directed_arcs, self.undirected_arcs, provenance)
-
 
 def empty_graph(nodes) -> Graph:
     return Graph(nodes)

@@ -12,9 +12,12 @@ of each v's parent set, and clears only the rows of the nodes a move
 touched. A stale row is refilled by one call to the score layer, which
 shares one count pass (and, for bge, one stacked determinant per set size)
 among the row's families and scores the discrete families of one shape as
-one stack. Legal moves are boolean masks built from the adjacency, the
-reachability (recomputed once per applied move) and the priors; one rule
-serves enumerate_moves, the perturbations and the climb.
+one stack. One search state, a _Dag of arc and reachability masks (the
+latter recomputed once per applied move), carries a run: the start graph is
+built into it, climbs and perturbations edit it in place, and a Graph is
+built only to score a climb's end and to return the result. Legal moves are
+masks of the arcs, the reachability and the priors; one rule serves
+enumerate_moves, the perturbations and the climb.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, _check_integer
-from .graph import CycleError, Graph, GraphError, Provenance, empty_graph
+from .graph import Graph, GraphError, Provenance, empty_graph
 from .priors import Constraints, PriorKnowledge, PriorError, normalize_priors
 from .scores import ScoreCache, ScoreError, ScoreSpec, _cached_local, _check_move, \
     _toggle_scores, default_score, network_score
@@ -79,6 +82,7 @@ class _Dag:
     def __init__(self, g: Graph, cons: Constraints | None):
         if g.undirected_arcs:
             raise GraphError("hill-climbing operates on completely directed graphs")
+        self.nodes = g.nodes  # the result's node order, which network_score sums in
         self.names = names = sorted(g.nodes)
         index = {name: i for i, name in enumerate(names)}
         k = len(names)
@@ -138,10 +142,10 @@ class _Dag:
     def parent_labels(self, v: int) -> set[str]:
         return {self.names[u] for u in np.flatnonzero(self.A[:, v]).tolist()}
 
-    def graph(self, g: Graph) -> Graph:
+    def graph(self, provenance: Provenance | None = None) -> Graph:
         names = self.names
-        return Graph(g.nodes, [(names[u], names[v])
-                               for u, v in np.argwhere(self.A).tolist()], (), g.provenance)
+        return Graph(self.nodes, [(names[u], names[v])
+                                  for u, v in np.argwhere(self.A).tolist()], (), provenance)
 
 
 def enumerate_moves(g: Graph, cons: Constraints | None = None) -> list[tuple[str, str, str]]:
@@ -177,21 +181,23 @@ def perturb_graph(g: Graph, k: int, cons: Constraints | None,
     _check_integer("k", k, 1, ScoreError)
     if not isinstance(seed, np.random.Generator):
         _check_integer("seed", seed, 0, ScoreError)
-    rng = np.random.default_rng(seed)
-    applied = 0
-    for _ in range(k):
-        moves = enumerate_moves(g, cons)
-        if not moves:
-            break
-        g = apply_move(g, moves[rng.integers(len(moves))])
-        applied += 1
-    return g, applied
-
-
-def _climb(g: Graph, d: Dataset, spec: ScoreSpec, cons: Constraints,
-           cache: ScoreCache, trace: LearnTrace,
-           max_iterations: int) -> tuple[Graph, float]:
     dag = _Dag(g, cons)
+    applied = _perturb(dag, k, np.random.default_rng(seed))
+    return dag.graph(g.provenance), applied
+
+
+def _perturb(dag: _Dag, k: int, rng: np.random.Generator) -> int:
+    """Apply up to k uniformly random legal moves in place; returns how many applied."""
+    for applied in range(k):
+        moves = np.argwhere(dag.legal())  # the canonical order of enumerate_moves
+        if not len(moves):
+            return applied
+        dag.apply(*moves[rng.integers(len(moves))].tolist())
+    return k
+
+
+def _climb(dag: _Dag, d: Dataset, spec: ScoreSpec, cache: ScoreCache,
+           trace: LearnTrace, max_iterations: int) -> float:
     names = dag.names
     k = len(names)
     # gain[v, u] = local(v, pa(v) ^ {u}) - local(v, pa(v)), NaN until filled
@@ -253,11 +259,10 @@ def _climb(g: Graph, d: Dataset, spec: ScoreSpec, cons: Constraints,
         if trace.debug:
             trace.say(f"* applying {_KINDS[kind]} {names[u]} -> {names[v]} "
                       f"( delta: {best_delta:g} )")
-    g = dag.graph(g)
-    return g, network_score(g, d, spec, cache)
+    return network_score(dag.graph(), d, spec, cache)
 
 
-def _starting_graph(d: Dataset, cfg: HillClimbConfig, cons: Constraints) -> Graph:
+def _start(d: Dataset, cfg: HillClimbConfig, cons: Constraints) -> _Dag:
     g = cfg.start if cfg.start is not None else empty_graph(d.names)
     if set(g.nodes) != set(d.names):
         raise GraphError("start graph nodes and dataset columns do not match")
@@ -266,23 +271,21 @@ def _starting_graph(d: Dataset, cfg: HillClimbConfig, cons: Constraints) -> Grap
     banned = [(u, v) for u, v in g.directed_arcs if not cons.arc_allowed(u, v)]
     if banned:
         u, v = min(banned)  # the message never depends on set order
+        if (v, u) in cons.forced_arcs:
+            raise PriorError(f"start graph reverses the whitelisted arc {v} -> {u}")
         raise PriorError(f"start graph violates the blacklist on {u} -> {v}")
-    directed = set(g.directed_arcs) | cons.forced_arcs
     try:
-        Graph(d.names, directed)
+        g = Graph(d.names, g.directed_arcs | cons.forced_arcs)
     except GraphError as exc:
         raise PriorError(f"priors conflict with the start graph: {exc}") from None
+    dag = _Dag(g, cons)
     # a required edge a - b (normalize_priors forbids neither orientation)
     # becomes a -> b unless b already reaches a; then b -> a closes no cycle
     for a, b in sorted(cons.required_edges):
-        if (a, b) in directed or (b, a) in directed:
-            continue
-        try:
-            Graph(d.names, directed | {(a, b)})
-        except CycleError:
-            a, b = b, a
-        directed.add((a, b))
-    return Graph(d.names, directed)
+        i, j = dag.names.index(a), dag.names.index(b)
+        if not (dag.A[i, j] or dag.A[j, i]):
+            dag.apply(_ADD, *((j, i) if dag.R[j, i] else (i, j)))
+    return dag
 
 
 def hill_climb(d: Dataset, cfg: HillClimbConfig) -> tuple[Graph, LearnTrace]:
@@ -293,23 +296,25 @@ def hill_climb(d: Dataset, cfg: HillClimbConfig) -> tuple[Graph, LearnTrace]:
     cache = ScoreCache()
     rng = np.random.default_rng(cfg.seed)
 
-    current = _starting_graph(d, cfg, cons)
-    best, best_score = _climb(current, d, spec, cons, cache, trace,
-                              cfg.max_iterations)
+    dag = _start(d, cfg, cons)
+    best_score = _climb(dag, d, spec, cache, trace, cfg.max_iterations)
+    best = dag.A.copy()
     for _ in range(cfg.restarts):
-        perturbed, applied = perturb_graph(best, cfg.perturb, cons, rng)
+        applied = _perturb(dag, cfg.perturb, rng)
         if applied == 0:
             trace.add("restart", note="no legal perturbation")
             continue
         trace.add("restart", note=f"perturbed by {applied} moves")
-        candidate, cand_score = _climb(perturbed, d, spec, cons, cache, trace,
-                                       cfg.max_iterations)
-        if cand_score > best_score:
-            best, best_score = candidate, cand_score
+        score = _climb(dag, d, spec, cache, trace, cfg.max_iterations)
+        if score > best_score:
+            best, best_score = dag.A.copy(), score
+        else:  # the dag holds the best graph whenever a restart ends
+            dag.A = best.copy()
+            dag._reach()
 
     provenance = Provenance(
         method="score", algorithm="Hill-Climbing", score=spec.kind,
         penalty=spec.effective_penalty(d.n) if spec.kind in ("aic", "bic") else None,
         iss=spec.iss if spec.kind in ("bde", "bge") else None,
         ntests=trace.test_counter, optimized=True)
-    return best.with_provenance(provenance), trace
+    return dag.graph(provenance), trace

@@ -275,6 +275,19 @@ class TestLearn:
         assert "priors conflict with the start graph" in err
         assert out == ""
 
+    def test_start_graph_reversing_a_whitelisted_arc_exit_code(self, capsys, data_path,
+                                                               tmp_path):
+        # no blacklist is given, so the message names the whitelisted arc
+        wl = tmp_path / "wl.csv"
+        wl.write_text("from,to\nA,B\n")
+        code, out, err = run_cli(capsys, "learn", data_path, "--algo", "hc",
+                                 "--start", "[B][A|B][C][D][E][F]",
+                                 "--whitelist", str(wl))
+        assert code == 4
+        assert "start graph reverses the whitelisted arc A -> B" in err
+        assert "blacklist" not in err
+        assert out == ""
+
     def test_hc_start_graph(self, capsys, data_path):
         code, out, _ = run_cli(capsys, "learn", data_path, "--algo", "hc",
                                "--score", "aic", "--start", "[A][B][C][D][E|B:F][F]")

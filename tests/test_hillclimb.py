@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from bnsl import (ArcList, CycleError, Dataset, Graph, HillClimbConfig,
-                  LearnTrace, PriorError, PriorKnowledge, ScoreCache,
+from bnsl import (ArcList, CycleError, Dataset, Graph, GraphError, HillClimbConfig,
+                  LearnTrace, PriorError, PriorKnowledge, Provenance, ScoreCache,
                   ScoreError, ScoreSpec, empty_graph, enumerate_moves,
                   find_vstructures, forward_sample, hill_climb, network_score,
                   parse_modelstring, perturb_graph, score_delta,
                   topological_order)
 from bnsl.data import CategoricalColumn, NumericColumn
-from bnsl.hillclimb import (_IMPROVEMENT_EPS, _TIE_EPS, _starting_graph,
-                            apply_move)
+from bnsl.hillclimb import _IMPROVEMENT_EPS, _TIE_EPS, _Dag, _climb, _start, apply_move
 from bnsl.networks import SIXNODE_MODEL, sixnode
 from bnsl.priors import normalize_priors
 
@@ -106,9 +105,52 @@ def _check_against_brute_force(rng, n_nodes, p_edge, trials):
         assert enumerate_moves(g, cons) == _canonical(expected)
 
 
+def _reference_start(d, cfg, cons):
+    """The start graph built as whole Graphs: each required edge a - b is
+    tried as a -> b and, when that Graph is cyclic, taken as b -> a."""
+    g = cfg.start if cfg.start is not None else empty_graph(d.names)
+    if set(g.nodes) != set(d.names):
+        raise GraphError("start graph nodes and dataset columns do not match")
+    if g.undirected_arcs:
+        raise GraphError("the start graph must be completely directed")
+    banned = [(u, v) for u, v in g.directed_arcs if not cons.arc_allowed(u, v)]
+    if banned:
+        u, v = min(banned)
+        raise PriorError(f"start graph violates the blacklist on {u} -> {v}")
+    directed = set(g.directed_arcs) | cons.forced_arcs
+    try:
+        Graph(d.names, directed)
+    except GraphError as exc:
+        raise PriorError(f"priors conflict with the start graph: {exc}") from None
+    for a, b in sorted(cons.required_edges):
+        if (a, b) in directed or (b, a) in directed:
+            continue
+        try:
+            Graph(d.names, directed | {(a, b)})
+        except CycleError:
+            a, b = b, a
+        directed.add((a, b))
+    return Graph(d.names, directed)
+
+
+def _reference_perturb(g, k, cons, seed):
+    """k random moves, each drawn from the list enumerate_moves gives and
+    applied by apply_move; returns the graph and how many applied."""
+    rng = np.random.default_rng(seed)
+    applied = 0
+    for _ in range(k):
+        moves = enumerate_moves(g, cons)
+        if not moves:
+            break
+        g = apply_move(g, moves[rng.integers(len(moves))])
+        applied += 1
+    return g, applied
+
+
 def _reference_hill_climb(d, cfg):
     """The search as a plain loop: every move from enumerate_moves, scored by
-    score_delta, the first of any near-tie kept; restarts as in hill_climb."""
+    score_delta, the first of any near-tie kept; restarts as in hill_climb,
+    from _reference_start and through _reference_perturb."""
     spec = cfg.score
     cons = normalize_priors(cfg.priors, d.names)
     trace = LearnTrace()
@@ -129,9 +171,9 @@ def _reference_hill_climb(d, cfg):
             trace.add("move", best[1], best[2], p_value=best_delta, note=best[0])
         return g, network_score(g, d, spec, cache)
 
-    best, best_score = climb(_starting_graph(d, cfg, cons))
+    best, best_score = climb(_reference_start(d, cfg, cons))
     for _ in range(cfg.restarts):
-        perturbed, applied = perturb_graph(best, cfg.perturb, cons, rng)
+        perturbed, applied = _reference_perturb(best, cfg.perturb, cons, rng)
         if applied == 0:
             trace.add("restart", note="no legal perturbation")
             continue
@@ -270,6 +312,97 @@ class TestPerturb:
         b, _ = perturb_graph(g, 2, None, np.uint8(4))
         assert a == b
 
+    def test_matches_the_move_list_loop(self):
+        # perturb_graph against draws from enumerate_moves applied by apply_move
+        rng = np.random.default_rng(208)
+        # two move sets that run dry: at once, and after the forced arc is added
+        # (which can then neither go nor turn)
+        dry = [PriorKnowledge(blacklist=[("N0", "N1"), ("N1", "N0")]),
+               PriorKnowledge(whitelist=[("N0", "N1")])]
+        applied_counts = []
+        for case in range(240):
+            n_nodes, p_edge = int(rng.integers(2, 8)), float(rng.uniform(0.0, 0.6))
+            g = random_dag(rng, n_nodes, p_edge)
+            g = Graph(tuple(reversed(g.nodes)), g.directed_arcs,
+                      provenance=Provenance(method="score", ntests=case))
+            cons = None
+            if case < len(dry):
+                g = empty_graph(("N0", "N1"))
+                cons = normalize_priors(dry[case], g.nodes)
+            elif case % 3:
+                cons = normalize_priors(random_priors(rng, g.nodes, p_white=0.15,
+                                                      p_black=0.4), g.nodes)
+            k = int(rng.integers(1, 7))
+            seed = int(rng.integers(0, 2**31))
+            if case % 2:  # a Generator is drawn from in place, on both sides alike
+                mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                out, applied = perturb_graph(g, k, cons, mine)
+                ref, ref_applied = _reference_perturb(g, k, cons, theirs)
+                assert mine.integers(2**62) == theirs.integers(2**62)
+            else:
+                out, applied = perturb_graph(g, k, cons, seed)
+                ref, ref_applied = _reference_perturb(g, k, cons, seed)
+            assert (out, out.nodes, out.provenance, applied) == \
+                (ref, ref.nodes, ref.provenance, ref_applied), case
+            applied_counts.append((applied, k))
+        assert any(0 < applied < k for applied, k in applied_counts)
+        assert any(applied == 0 for applied, _ in applied_counts)
+
+
+class TestStart:
+    """_start against _reference_start, which builds whole Graphs."""
+
+    @staticmethod
+    def _random_case(rng, names):
+        # the priors draw some arcs of the start graph, reversed or not
+        start = random_dag(rng, len(names), p_edge=float(rng.uniform(0.0, 0.5)))
+        arcs = sorted(start.directed_arcs)
+        pairs = [(u, v) for u in names for v in names if u != v]
+        draw = lambda rows, p: [row for row in rows if rng.random() < p]
+        white = draw(pairs, 0.08) + [arc[::-1] for arc in draw(arcs, 0.15)]
+        required = draw(pairs, 0.1)
+        black = draw(pairs, 0.08) + draw(arcs, 0.08)
+        white = list(dict.fromkeys(white + required + [arc[::-1] for arc in required]))
+        priors = PriorKnowledge(whitelist=white, blacklist=list(dict.fromkeys(black)))
+        return Graph(names, start.directed_arcs), priors
+
+    def test_matches_the_whole_graph_start(self):
+        rng = np.random.default_rng(2028)
+        names = tuple(f"N{i}" for i in range(7))
+        d = Dataset.from_codes(names, {c: ("a", "b") for c in names},
+                               {c: np.arange(8) % 2 for c in names})
+        outcomes = []
+        while len(outcomes) < 400:
+            start, priors = self._random_case(rng, names)
+            try:
+                cons = normalize_priors(priors, names)
+            except PriorError:
+                continue
+            cfg = HillClimbConfig(start=start if len(outcomes) % 10 else None)
+            try:
+                ref = _reference_start(d, cfg, cons)
+            except (GraphError, PriorError) as exc:
+                expected, outcome = str(exc), str(exc).split(":")[0]
+                if outcome.startswith("start graph violates"):
+                    u, v = min(arc for arc in start.directed_arcs
+                               if not cons.arc_allowed(*arc))
+                    outcome = "blacklist"
+                    if (v, u) in cons.forced_arcs:  # the one message that changed
+                        expected = f"start graph reverses the whitelisted arc {v} -> {u}"
+                        outcome = "whitelist"
+                with pytest.raises(type(exc)) as got:
+                    _start(d, cfg, cons)
+                assert str(got.value) == expected
+                outcomes.append(outcome)
+                continue
+            g = _start(d, cfg, cons).graph()
+            assert (g, g.nodes) == (ref, ref.nodes)
+            assert prior_violations(g, cons) == []
+            outcomes.append("built")
+        assert set(outcomes) == {"built", "priors conflict with the start graph",
+                                 "blacklist", "whitelist"}
+        assert outcomes.count("built") > 100
+
 
 @pytest.mark.hash_seed
 class TestIncrementalSearch:
@@ -322,7 +455,7 @@ class TestIncrementalSearch:
                 if not len(moves):
                     break
                 dag.apply(*moves[rng.integers(len(moves))].tolist())
-                h = dag.graph(g)
+                h = dag.graph()
                 assert [dag.parent_labels(v) for v in range(8)] == [h.parents(name)
                                                                     for name in dag.names]
         # and in a climb with restarts, each row scored against the graph's parents
@@ -335,7 +468,7 @@ class TestIncrementalSearch:
                 dags.append(self)
 
         def recording(node, parents, others, d, spec):
-            rows.append(set(parents) == dags[-1].graph(start).parents(node))
+            rows.append(set(parents) == dags[-1].graph().parents(node))
             return toggle(node, parents, others, d, spec)
 
         monkeypatch.setattr(hc, "_Dag", Recording)
@@ -345,13 +478,13 @@ class TestIncrementalSearch:
         hill_climb(d, HillClimbConfig(score="bic", start=start, restarts=3, perturb=3,
                                       seed=2))
         assert len(rows) > 8 and all(rows)
+        assert len(dags) == 1  # the start, every climb and perturbation share one state
 
     def test_climb_score_identical_to_reference(self, sample):
-        from bnsl.hillclimb import _climb
         spec = ScoreSpec(kind="bde")
         cons = normalize_priors(None, sample.names)
         start = parse_modelstring("[A][B|A][C|B][D|C][E|D][F|E]", nodes=sample.names)
-        g, score = _climb(start, sample, spec, cons, ScoreCache(), LearnTrace(), 10000)
+        score = _climb(_Dag(start, cons), sample, spec, ScoreCache(), LearnTrace(), 10000)
         _, ref_score, _ = _reference_hill_climb(
             sample, HillClimbConfig(score=spec, start=start))
         assert score == ref_score
@@ -379,13 +512,11 @@ class TestHillClimb:
         assert network_score(g, sample, spec) >= network_score(start, sample, spec)
 
     def test_returned_score_matches_network_score(self, sample):
-        from bnsl.hillclimb import _climb
-        from bnsl.priors import normalize_priors
-        from bnsl.trace import LearnTrace
         spec = ScoreSpec(kind="bic")
-        cons = normalize_priors(None, sample.names)
-        g, score = _climb(empty_graph(sample.names), sample, spec, cons,
-                          ScoreCache(), LearnTrace(), 10000)
+        dag = _Dag(empty_graph(sample.names), normalize_priors(None, sample.names))
+        score = _climb(dag, sample, spec, ScoreCache(), LearnTrace(), 10000)
+        g = dag.graph()
+        assert g.directed_arcs and g.nodes == tuple(sample.names)
         assert score == pytest.approx(network_score(g, sample, spec), abs=1e-9)
 
     def test_counter_deterministic(self, sample):
@@ -462,7 +593,7 @@ for start, priors in [({("C", "D"), ("A", "B")}, {"blacklist": [("C", "D"), ("A"
         outputs = under_hash_seeds(script)
         assert outputs[0] == outputs[1] == (
             "start graph violates the blacklist on A -> B\n"
-            "start graph violates the blacklist on B -> A\n")
+            "start graph reverses the whitelisted arc A -> B\n")
 
     def test_debug_prints_each_applied_move(self, sample, capsys):
         _, trace = hill_climb(sample, HillClimbConfig(score="bic", debug=True))
