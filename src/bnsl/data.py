@@ -554,13 +554,14 @@ def _pair_stacks(d: Dataset, cells: int):
 
 
 def _gaussian_moments(d: Dataset):
-    """[index, means, sds, scatter, correlations, certified] of all columns, once per Dataset.
+    """[index, means, sds, scatter, correlations, certified, constant], once per Dataset.
 
     scatter is centered.T @ centered, which numpy forms as a symmetric
     rank-n update, so scatter and correlations are exactly symmetric
-    (_certified relies on that). Correlations of a zero-variance column are
-    non-finite; callers reject such columns before reading them. certified
-    is None until a test first conditions on a nonempty z (_certified).
+    (_certified relies on that). constant holds the names of the
+    zero-variance columns; their correlations are non-finite, and callers
+    reject such columns before reading them. certified is None until a test
+    first conditions on a nonempty z (_certified).
     """
     moments = d._memo.get("gaussian-moments")
     if moments is None:
@@ -573,7 +574,8 @@ def _gaussian_moments(d: Dataset):
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = scatter / (d.n * np.outer(sds, sds))
         np.fill_diagonal(corr, 1.0)
-        moments = [index, means, sds, scatter, np.clip(corr, -1.0, 1.0), None]
+        constant = frozenset(c for c, sd in zip(d.names, sds) if not sd)
+        moments = [index, means, sds, scatter, np.clip(corr, -1.0, 1.0), None, constant]
         d._memo["gaussian-moments"] = moments
     return moments
 
@@ -639,15 +641,14 @@ def correlation_matrix(d: Dataset, names) -> np.ndarray:
     names = _name_list(names)
     if d.n < 2:
         raise DataError("need at least 2 rows")
-    index, _, sds, _, corr, _ = _gaussian_moments(d)
+    index, _, _, _, corr, _, constant = _gaussian_moments(d)
     try:
         idx = np.array([index[c] for c in names], dtype=np.intp)
     except KeyError as exc:
         raise DataError(f"unknown column {exc.args[0]!r}") from None
-    sd = sds[idx]
-    if not sd.all():  # sds are never negative: the first minimum is the first zero
-        raise DataError(f"zero-variance column {names[int(np.argmin(sd))]!r}")
-    return corr[idx[:, None], idx]
+    if constant and not constant.isdisjoint(names):
+        raise DataError(f"zero-variance column {next(c for c in names if c in constant)!r}")
+    return corr.take(idx, 0).take(idx, 1)  # as corr[idx[:, None], idx], in half the time
 
 
 def partial_correlation(d: Dataset, x: str, y: str, z=()) -> float:
@@ -675,22 +676,23 @@ def partial_correlation(d: Dataset, x: str, y: str, z=()) -> float:
         raise DataError("not enough rows for the conditioning set")
     a, b = (x, y) if x <= y else (y, x)
     corr = correlation_matrix(d, z + [a, b])
-    rho = float(corr[0, 1])
-    if z:
-        # a near-singular matrix can still factor; its pivots alone do not
-        # show it, so the guard reads the condition number from the spectrum
-        if _certified(d) or _well_conditioned(corr):
-            chol = np.linalg.cholesky(corr)
-            l21, l22 = float(chol[-1, -2]), float(chol[-1, -1])
-            rho = l21 / math.sqrt(l21 * l21 + l22 * l22)
-        else:
-            ra, rb = (_regress(d, name, z)[1] for name in (a, b))
-            for name, resid in ((a, ra), (b, rb)):
-                vals = d.values(name)
-                scale = max(np.linalg.norm(vals - vals.mean()), 1e-30)
-                if np.linalg.norm(resid) <= 1e-6 * scale:
-                    return 0.0
-            rho = float(ra @ rb) / math.sqrt(float(ra @ ra) * float(rb @ rb))
+    if not z:
+        rho = float(corr[0, 1])
+    # a near-singular matrix can still factor; its pivots alone do not show
+    # it, so the guard reads the condition number from the spectrum. A
+    # decided certificate is read from the memo entry correlation_matrix made.
+    elif d._memo["gaussian-moments"][5] or _certified(d) or _well_conditioned(corr):
+        chol = np.linalg.cholesky(corr)
+        l21, l22 = float(chol[-1, -2]), float(chol[-1, -1])
+        rho = l21 / math.sqrt(l21 * l21 + l22 * l22)
+    else:
+        ra, rb = (_regress(d, name, z)[1] for name in (a, b))
+        for name, resid in ((a, ra), (b, rb)):
+            vals = d.values(name)
+            scale = max(np.linalg.norm(vals - vals.mean()), 1e-30)
+            if np.linalg.norm(resid) <= 1e-6 * scale:
+                return 0.0
+        rho = float(ra @ rb) / math.sqrt(float(ra @ ra) * float(rb @ rb))
     # an exact x-y relation (one residual leaves at most 1e-6 of the other's norm)
     # or rounding past +-1; a trusted factor has 1 - rho^2 >= 1 / cond > 1e-12
     return math.copysign(1.0, rho) if 1.0 - rho * rho <= 1e-12 else rho

@@ -207,6 +207,8 @@ _EXTRA_ROWS = {"cor": 2, "zf": 3, "mi-g": 2}
 
 def gaussian_statistic(rho: float, n: int, zsize: int, kind: str) -> TestResult:
     """Asymptotic test of a partial correlation with |z| = zsize."""
+    _check_integer("n", n, 1, TestError)
+    _check_integer("zsize", zsize, 0, TestError)
     if math.isnan(rho):
         raise TestError("partial correlation is NaN")
     if abs(rho) > 1.0 + 1e-12:
@@ -215,8 +217,12 @@ def gaussian_statistic(rho: float, n: int, zsize: int, kind: str) -> TestResult:
         raise TestError(f"unknown Gaussian test {kind!r}")
     if n <= zsize + _EXTRA_ROWS[kind]:
         raise TestError(f"{kind} requires n > |z| + {_EXTRA_ROWS[kind]}")
-    rho = max(-1.0, min(1.0, rho))
-    df = {"cor": n - zsize - 2, "zf": float(n - zsize - 3), "mi-g": 1.0}[kind]
+    return _gaussian_result(max(-1.0, min(1.0, rho)), n, zsize, kind)
+
+
+def _gaussian_result(rho: float, n: int, zsize: int, kind: str) -> TestResult:
+    """gaussian_statistic's result, unchecked: rho in [-1, 1] and n > zsize + _EXTRA_ROWS[kind]."""
+    df = n - zsize - 2 if kind == "cor" else float(n - zsize - 3) if kind == "zf" else 1.0
     if abs(rho) == 1.0:  # cor and zf keep the sign of rho; mi-g is a magnitude
         stat = math.inf if kind == "mi-g" else math.copysign(math.inf, rho)
         return TestResult(kind, stat, 0.0, df=df, degenerate=True)
@@ -362,7 +368,10 @@ def _asymptotic_test(d: Dataset, x: str, y: str, z: list[str], label: str) -> tu
         # a repeated or unknown variable is the caller's error, not a degenerate test
         _check_variables(d, x, y, z)
         return TestResult(label, 0.0, 1.0, degenerate=True), None
-    return gaussian_statistic(rho, d.n, len(z), label), rho
+    if math.isnan(rho):  # the moments of data this large overflow
+        raise TestError("partial correlation is NaN")
+    # partial_correlation's rho is otherwise within [-1, 1], and d.n has the rows
+    return _gaussian_result(rho, d.n, len(z), label), rho
 
 
 def ci_test(d: Dataset, x: str, y: str, z=(), test: str | None = None,

@@ -178,7 +178,7 @@ class _BgeContext:
     """Posterior matrix and hyperparameters shared by all bge local scores."""
 
     def __init__(self, d: Dataset, spec: ScoreSpec):
-        index, xbar, _, scatter, _, _ = _gaussian_moments(d)
+        index, xbar, _, scatter, *_ = _gaussian_moments(d)
         nvar = len(index)
         n = d.n
         alpha_mu = spec.iss

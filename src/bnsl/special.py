@@ -13,15 +13,17 @@ import math
 import numpy as np
 
 _MAX_ITER = 1000
+# The Lentz fractions replace a value in (-_FPMIN, _FPMIN) by _FPMIN. They stop at a
+# step of exactly 1.0, which is |step - 1| < 1e-17: |step - 1.0| is 0 or at least 2^-53.
 _FPMIN = 1e-300
 
 
 def regularized_gamma_q(a: float, x: float) -> float:
     """Upper regularized incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a)."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    if not a > 0:
+        raise ValueError("a is NaN" if math.isnan(a) else "a must be positive")
+    if not x >= 0:
+        raise ValueError("x is NaN" if math.isnan(x) else "x must be nonnegative")
     if x == 0.0:
         return 1.0
     if x < a + 1.0:
@@ -37,7 +39,7 @@ def _gamma_series(a: float, x: float) -> float:
         ap += 1.0
         term *= x / ap
         total += term
-        if abs(term) < abs(total) * 1e-17:
+        if term < total * 1e-17:  # both are positive here
             break
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
@@ -46,31 +48,33 @@ def _gamma_contfrac(a: float, x: float) -> float:
     # modified Lentz continued fraction for Q(a, x), x >= a + 1
     b = x + 1.0 - a
     c = 1.0 / _FPMIN
+    low = -_FPMIN
     d = 1.0 / b
     h = d
     for i in range(1, _MAX_ITER):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
-        if abs(d) < _FPMIN:
+        if low < d < _FPMIN:
             d = _FPMIN
         c = b + an / c
-        if abs(c) < _FPMIN:
+        if low < c < _FPMIN:
             c = _FPMIN
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < 1e-17:
+        if delta == 1.0:
             break
     return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
 
 
 def regularized_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b)."""
-    if a <= 0 or b <= 0:
-        raise ValueError("a and b must be positive")
-    if x < 0.0 or x > 1.0:
-        raise ValueError("x must be in [0, 1]")
+    if not (a > 0 and b > 0):
+        raise ValueError("a is NaN" if math.isnan(a) else "b is NaN" if math.isnan(b)
+                         else "a and b must be positive")
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("x is NaN" if math.isnan(x) else "x must be in [0, 1]")
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -90,8 +94,9 @@ def _beta_contfrac(a: float, b: float, x: float) -> float:
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
+    low = -_FPMIN
     d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
+    if low < d < _FPMIN:
         d = _FPMIN
     d = 1.0 / d
     h = d
@@ -99,24 +104,24 @@ def _beta_contfrac(a: float, b: float, x: float) -> float:
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
+        if low < d < _FPMIN:
             d = _FPMIN
         c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
+        if low < c < _FPMIN:
             c = _FPMIN
         d = 1.0 / d
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
+        if low < d < _FPMIN:
             d = _FPMIN
         c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
+        if low < c < _FPMIN:
             c = _FPMIN
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < 1e-17:
+        if delta == 1.0:
             break
     return h
 
@@ -129,8 +134,8 @@ def _check_statistic(s: float) -> None:
 
 def chi2_sf(x: float, df: float) -> float:
     """Survival function of the chi-squared distribution."""
-    if df <= 0:
-        raise ValueError("df must be positive")
+    if not df > 0:
+        raise ValueError("df is NaN" if math.isnan(df) else "df must be positive")
     _check_statistic(x)
     if x <= 0.0:
         return 1.0
@@ -141,13 +146,15 @@ def chi2_sf(x: float, df: float) -> float:
 
 def student_t_two_sided(t: float, df: float) -> float:
     """P(|T| >= t) for Student's t with df degrees of freedom."""
-    if df <= 0:
-        raise ValueError("df must be positive")
+    if not df > 0:
+        raise ValueError("df is NaN" if math.isnan(df) else "df must be positive")
     _check_statistic(t)
     if math.isinf(t):
         return 0.0
     if t == 0.0:
         return 1.0
+    if df == math.inf:  # the normal limit; the beta form would divide inf by inf
+        return normal_two_sided(t)
     return regularized_beta(df / 2.0, 0.5, df / (df + t * t))
 
 

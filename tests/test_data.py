@@ -1258,7 +1258,7 @@ class TestCorrelation:
         mat = rng.standard_normal((70, 9)) @ rng.standard_normal((9, 9))
         d = Dataset(tuple(names), {c: NumericColumn(mat[:, i] * (i + 1) + 3.0 * i)
                                    for i, c in enumerate(names)})
-        index, _, sds, scatter, _, _ = _gaussian_moments(d)
+        index, _, sds, scatter, *_ = _gaussian_moments(d)
         for _ in range(200):
             subset = [names[i] for i in rng.choice(9, int(rng.integers(1, 10)),
                                                    replace=False)]
@@ -1585,7 +1585,7 @@ class TestCorrelationCertificate:
         mat = rng.standard_normal((n, k)) @ rng.standard_normal((k, k)) * 3.0 + 7.0
         mat[:, 1] = 1.0  # a constant column's non-finite row and column too
         names = [f"V{i}" for i in range(k)]
-        _, _, _, scatter, corr, _ = _gaussian_moments(
+        _, _, _, scatter, corr, *_ = _gaussian_moments(
             Dataset.from_values(names, dict(zip(names, mat.T))))
         assert np.array_equal(scatter, scatter.T)
         assert np.array_equal(corr, corr.T, equal_nan=True)
@@ -1624,6 +1624,102 @@ class TestCorrelationCertificate:
         g_per_test, trace_per_test = constraint_learn(self._chain(500, duplicate), cfg)
         assert g == g_per_test and trace.lines() == trace_per_test.lines()
 
+
+
+@pytest.mark.blas_threads
+class TestGaussianTestPath:
+    """ci_test's Gaussian labels skip gaussian_statistic's checks, never a bit of its result."""
+
+    KINDS = TestCorrelationCertificate.KINDS + ("gaussian",)
+
+    def test_results_equal_the_public_statistic(self):
+        # random Gaussian data, and the certificate's collinear, failing,
+        # constant-column and wide datasets; z may be empty
+        rng = np.random.default_rng(2900)
+        seen = Counter()
+        for _ in range(300):
+            kind = self.KINDS[int(rng.integers(len(self.KINDS)))]
+            if kind == "gaussian":
+                names = [f"V{i}" for i in range(int(rng.integers(2, 8)))]
+                mat = rng.standard_normal((int(rng.integers(3, 200)), len(names)))
+                d = Dataset.from_values(names, dict(zip(names, mat.T)))
+            else:
+                d, _ = _certificate_case(rng, kind)
+            for _ in range(3):
+                x, y, *z = (d.names[i] for i in rng.permutation(len(d.names)))
+                z = z[:int(rng.integers(0, len(z) + 1))]
+                for label in ("cor", "zf", "mi-g"):
+                    got = ci_test(d, x, y, z, test=label)
+                    try:
+                        want = gaussian_statistic(partial_correlation(d, x, y, z), d.n,
+                                                  len(z), label)
+                    except (DataError, bnsl.TestError):
+                        # untestable: too few rows for the label, or a zero-variance column
+                        assert got == bnsl.TestResult(label, 0.0, 1.0, degenerate=True)
+                        seen[kind, "untestable"] += 1
+                        continue
+                    assert got == want and repr(got) == repr(want), (kind, x, y, z, label)
+                    # the mc-* label runs the same twin
+                    twin = ci_test(d, x, y, z, test=f"mc-{label}", B=1)
+                    assert twin.statistic == abs(want.statistic)
+                    seen[kind, "tested", bool(z)] += 1
+        for kind in self.KINDS:
+            assert seen[kind, "tested", True] >= 20 and seen[kind, "tested", False] >= 5, seen
+        for kind in ("constant", "wide"):
+            assert seen[kind, "untestable"] >= 20, seen
+
+    @staticmethod
+    def _bad_columns():
+        rng = np.random.default_rng(2901)
+        cols = {c: rng.standard_normal(40) for c in "WXY"}
+        cols.update(K=np.full(40, 2.5), L=np.zeros(40))
+        return Dataset.from_values(tuple(cols), cols)
+
+    @staticmethod
+    def _raise_alike(d, x, y, z, message, matrix=True):
+        for label in ("cor", "zf", "mi-g", "mc-cor"):
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                ci_test(d, x, y, z, test=label, B=1)
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            partial_correlation(d, x, y, z)
+        if matrix:
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                correlation_matrix(d, [x, y, *z])
+
+    def test_unknown_column_named_alike_on_every_route(self):
+        # the first unknown column in argument order, before a constant one
+        d = self._bad_columns()
+        for x, y, z, name in (("X", "Q", ["R"], "Q"), ("X", "Y", ["W", "R", "Q"], "R"),
+                              ("P", "Y", ["K"], "P"), ("K", "Y", ["L", "Q"], "Q")):
+            self._raise_alike(d, x, y, z, f"unknown column {name!r}")
+
+    def test_repeated_column_refused_by_the_tests(self):
+        # a repeated column is refused before an unknown or constant one;
+        # correlation_matrix takes repeats and returns their equal rows
+        d = self._bad_columns()
+        for x, y, z in (("X", "X", ["W"]), ("X", "Y", ["W", "Y"]), ("K", "Q", ["Q"]),
+                        ("X", "Y", ["L", "L"])):
+            self._raise_alike(d, x, y, z, "x, y and z must be distinct", matrix=False)
+        m = correlation_matrix(d, ["X", "W", "X"])
+        assert np.array_equal(m[0], m[2]) and np.array_equal(m[:, 0], m[:, 2])
+
+    def test_zero_variance_column_named_and_untestable(self):
+        # correlation_matrix names the first constant column of its list, and
+        # partial_correlation that of its matrix's list, z + sorted([x, y]);
+        # ci_test finds the test untestable
+        d = self._bad_columns()
+        for names, name in ((["X", "K", "W", "L"], "K"), (["L", "Y", "K"], "L"),
+                            (["W", "X", "K"], "K")):
+            with pytest.raises(DataError, match=f"^zero-variance column {name!r}$"):
+                correlation_matrix(d, names)
+        for x, y, z, name in (("X", "K", ["W", "L"], "L"), ("X", "K", ["W"], "K"),
+                              ("L", "K", [], "K"), ("Y", "X", ["L"], "L")):
+            with pytest.raises(DataError, match=f"^zero-variance column {name!r}$"):
+                partial_correlation(d, x, y, z)
+            for label in ("cor", "zf", "mi-g", "mc-cor"):
+                res = ci_test(d, x, y, z, test=label, B=1)
+                assert res == bnsl.TestResult(label, 0.0, 1.0, degenerate=True)
+        assert d._memo["gaussian-moments"][6] == {"K", "L"}
 
 class TestFitMLE:
     def test_parentless_counts(self):

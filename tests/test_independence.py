@@ -214,6 +214,29 @@ class TestGaussianStatistics:
         with pytest.raises(TestError, match="NaN"):
             gaussian_statistic(math.nan, 50, 0, kind)
 
+    @pytest.mark.parametrize("n, zsize, name", [
+        (100.5, 2, "n"), (100, -5, "zsize"), (True, 0, "n"), (100, False, "zsize"),
+        (0, 0, "n"), (np.float64(50.0), 1, "n"), (50, 1.0, "zsize")])
+    def test_integer_arguments_checked(self, n, zsize, name):
+        # a fractional n or a negative zsize used to give a fractional or
+        # inflated df; n=True used to read as one row
+        with pytest.raises(TestError, match=f"^{name} must be an integer of at least"):
+            gaussian_statistic(0.5, n, zsize, "cor")
+        assert gaussian_statistic(0.5, np.int64(50), np.int64(1), "cor") == \
+            gaussian_statistic(0.5, 50, 1, "cor")
+
+    @pytest.mark.parametrize("label", ["cor", "zf", "mi-g", "mc-cor"])
+    def test_nan_rho_from_overflowing_data_rejected(self, label):
+        # moments of values near 1e200 overflow, and the correlation of two
+        # such columns is NaN: ci_test refuses it as gaussian_statistic does
+        rng = np.random.default_rng(17)
+        cols = {c: rng.standard_normal(50) * scale
+                for c, scale in zip("ABC", (1e200, 1e200, 1.0))}
+        d = Dataset.from_values("ABC", cols)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TestError, match="^partial correlation is NaN$"):
+            ci_test(d, "A", "B", test=label, B=1)
+
     def test_pvalue_monotone_in_statistic(self):
         rhos = np.linspace(0.0, 0.9, 20)
         for kind in ("cor", "zf", "mi-g"):
