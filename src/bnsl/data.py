@@ -4,8 +4,9 @@ Datasets are homogeneous: either every column is categorical (discrete
 networks) or every column is numeric (Gaussian networks). A Dataset's
 columns never change after construction: their arrays are read-only.
 Derived statistics that several callers reuse (Gaussian moments, the
-correlation matrix, log-gamma tables, recent configuration codes) are filled
-in lazily, on first use, in its private memo; the joint tables of every
+correlation matrix, log-gamma tables, recent configuration codes, which
+columns have every level observed) are filled in lazily, on first use, in
+its private memo; the joint tables of every
 column pair, one exact int64 product, are filled in once the dataset has
 been asked for two pair tables in all (_pair_tables). They serve
 hill-climbing's parentless rows and the stacked pass of empty-z test
@@ -15,7 +16,11 @@ Reading a file parses the stripped cells of a numeric column with float()
 and codes each other column by its distinct cell texts, each stripped and
 checked once.
 A discrete test builds its cell index in one buffer and counts it with one
-bincount.
+bincount. The codes of its conditioning set (joint_config_codes) are a
+column's own codes when the set is one column all of whose levels occur;
+otherwise they come from the cache of recent sets, or are one more digit on
+the cached codes of the set's first m - 1 columns, or, failing both, are
+numbered from the columns.
 """
 
 from __future__ import annotations
@@ -347,9 +352,9 @@ class ContingencyTable:
         return self.counts.sum(axis=0)  # n_{+jk}, shape (C, L)
 
 
-def _name_list(names) -> list[str]:
-    """Column names as a list; a single string names one column."""
-    return [names] if isinstance(names, str) else list(names)
+def _names(names) -> tuple[str, ...]:
+    """Column names as a tuple, a given tuple itself; a single string names one column."""
+    return (names,) if isinstance(names, str) else tuple(names)
 
 
 def _check_variables(d: Dataset, x: str, y: str, z) -> None:
@@ -380,19 +385,29 @@ def joint_config_codes(d: Dataset, names) -> tuple[np.ndarray, int]:
 
     Codes follow the mixed-radix order of the configurations (first column
     most significant), as np.unique would number them. The codes are
-    read-only: the dataset keeps the most recently used ones, by the tuple
-    of names, and returns the same array while the tuple stays cached.
+    read-only. A single column all of whose levels occur is its own codes:
+    its array and level count are returned as they are, never cached. The
+    codes of every other tuple of names are kept, for the most recently used
+    tuples, in a cache of at most _CODE_CACHE_BYTES; a cached tuple returns
+    the same array. A tuple of m >= 2 columns whose first m - 1 are cached,
+    or are such a column, is numbered from their codes with one more digit;
+    any other is numbered from the columns (_config_codes).
     """
     key = tuple(names)
-    cache = d._memo.get("config-codes")
-    if cache is None:
-        cache = d._memo["config-codes"] = OrderedDict()
-    hit = cache.get(key)
+    hit = _cached_codes(d, key)
     if hit is not None:
-        cache.move_to_end(key)
         return hit
-    codes, L = _config_codes(d, key)
+    prefix = _cached_codes(d, key[:-1]) if len(key) > 1 else None
+    if prefix is None:
+        codes, L = _config_codes(d, key)
+    else:
+        column = d._col(key[-1], CategoricalColumn)
+        r = len(column.levels)
+        code = prefix[0] * r
+        code += column.codes
+        codes, L = _dense_codes(code, prefix[1] * r, d.n)
     codes.flags.writeable = False
+    cache = d._memo["config-codes"]  # made by the first _cached_codes call that missed
     capacity = _CODE_CACHE_BYTES // max(codes.nbytes, 1)
     if capacity:
         cache[key] = codes, L
@@ -401,13 +416,43 @@ def joint_config_codes(d: Dataset, names) -> tuple[np.ndarray, int]:
     return codes, L
 
 
-def _config_codes(d: Dataset, names) -> tuple[np.ndarray, int]:
-    """joint_config_codes without the cache.
+def _cached_codes(d: Dataset, key: tuple) -> tuple[np.ndarray, int] | None:
+    """The codes of the tuple of names key when they need no numbering, else None.
 
-    A space of at most _CODE_SPACE_PER_ROW * n + _CODE_SPACE_BASE codes is
-    numbered by marking the mixed-radix codes that occur and ranking them;
-    when every code occurs the rank is the identity, so the mixed-radix
-    codes are returned as they are. A larger space is sorted.
+    A single column all of whose levels occur gives its own codes; whether
+    they all occur is decided once per column of the dataset. Any other key
+    is looked up in the cache, where a hit counts as the latest use. A
+    single column that is unknown or not categorical raises DataError.
+    """
+    if len(key) == 1:
+        full = d._memo.get("full-columns")
+        if full is None:
+            full = d._memo["full-columns"] = {}
+        name = key[0]
+        hit = full.get(name, False)
+        if hit is False:
+            column = d._col(name, CategoricalColumn)
+            r = len(column.levels)
+            hit = full[name] = ((column.codes, r)
+                                if np.bincount(column.codes, minlength=r).all() else None)
+        if hit is not None:
+            return hit
+    cache = d._memo.get("config-codes")
+    if cache is None:
+        cache = d._memo["config-codes"] = OrderedDict()
+    hit = cache.get(key)
+    if hit is not None:
+        cache.move_to_end(key)
+    return hit
+
+
+def _config_codes(d: Dataset, names) -> tuple[np.ndarray, int]:
+    """joint_config_codes numbered from the columns, without the cache.
+
+    The mixed-radix codes of a space of at most _CODE_SPACE_PER_ROW * n +
+    _CODE_SPACE_BASE codes are built in one buffer; in a larger space the
+    running code is made dense before it would pass 2^62. _dense_codes then
+    numbers them.
     """
     names = list(names)
     if not names:
@@ -417,17 +462,30 @@ def _config_codes(d: Dataset, names) -> tuple[np.ndarray, int]:
     space = math.prod(radix)
     if space <= _CODE_SPACE_PER_ROW * d.n + _CODE_SPACE_BASE:
         code = _parent_config_index(radix, [c.codes for c in columns], d.n)
+    else:
+        code = columns[0].codes.copy()
+        for c, r in zip(columns[1:], radix[1:]):
+            if code.max(initial=0) > (2**62) // r:
+                _, code = np.unique(code, return_inverse=True)
+            code = code * r + c.codes
+    return _dense_codes(code, space, d.n)
+
+
+def _dense_codes(code: np.ndarray, space: int, n: int) -> tuple[np.ndarray, int]:
+    """Dense 0..L-1 numbers of the n int64 codes in [0, space), in their order.
+
+    A space of at most _CODE_SPACE_PER_ROW * n + _CODE_SPACE_BASE codes is
+    numbered by marking the codes that occur and ranking them; when every
+    code occurs the rank is the identity, so code itself is returned. A
+    larger space is sorted.
+    """
+    if space <= _CODE_SPACE_PER_ROW * n + _CODE_SPACE_BASE:
         seen = np.bincount(code, minlength=space) > 0
         if seen.all():
             return code, space
         rank = np.cumsum(seen) - 1
         return rank[code], int(rank[-1]) + 1
-    combined = columns[0].codes.copy()
-    for c, r in zip(columns[1:], radix[1:]):
-        if combined.max(initial=0) > (2**62) // r:
-            _, combined = np.unique(combined, return_inverse=True)
-        combined = combined * r + c.codes
-    uniq, dense = np.unique(combined, return_inverse=True)
+    uniq, dense = np.unique(code, return_inverse=True)
     return dense.astype(np.int64), int(uniq.size)
 
 
@@ -443,7 +501,7 @@ def contingency_counts(d: Dataset, x: str, y: str, z=()) -> ContingencyTable:
     """
     if not d.discrete:
         raise DataError("contingency tables require a discrete dataset")
-    z = _name_list(z)
+    z = _names(z)
     _check_variables(d, x, y, z)
     cx, cy = d.columns[x], d.columns[y]
     R, C = len(cx.levels), len(cy.levels)
@@ -638,7 +696,7 @@ def correlation_matrix(d: Dataset, names) -> np.ndarray:
     """Pearson correlations of the given numeric columns."""
     if d.discrete:
         raise DataError("correlations require a numeric dataset")
-    names = _name_list(names)
+    names = _names(names)
     if d.n < 2:
         raise DataError("need at least 2 rows")
     index, _, _, _, corr, _, constant = _gaussian_moments(d)
@@ -670,12 +728,12 @@ def partial_correlation(d: Dataset, x: str, y: str, z=()) -> float:
     within 5e-13 of 1 reads as an exact linear relation of x and y and is
     reported as +-1.
     """
-    z = _name_list(z)
+    z = _names(z)
     _check_variables(d, x, y, z)
     if d.n <= len(z) + 2:
         raise DataError("not enough rows for the conditioning set")
     a, b = (x, y) if x <= y else (y, x)
-    corr = correlation_matrix(d, z + [a, b])
+    corr = correlation_matrix(d, (*z, a, b))
     if not z:
         rho = float(corr[0, 1])
     # a near-singular matrix can still factor; its pivots alone do not show

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import ContingencyTable, DataError, Dataset, _check_integer, \
-    _check_variables, _name_list, _pair_stacks, _regress, contingency_counts, \
+    _check_variables, _names, _pair_stacks, _regress, contingency_counts, \
     partial_correlation
 # re-exported: the benchmark's tracer (perfbench/tracing.py) wraps this name here
 from .data import joint_config_codes  # noqa: F401
@@ -298,7 +298,7 @@ def permutation_pvalue(d: Dataset, x: str, y: str, z=(), kind: str = "mc-mi",
     _check_seed(seed)
     if not (isinstance(kind, str) and kind.startswith("mc-")):
         raise TestError(f"unknown permutation test {kind!r}")
-    z = _name_list(z)
+    z = _names(z)
     twin, t = _asymptotic_test(d, x, y, z, _resolve_test(d, kind)[3:])
     if t is None:
         return replace(twin, label=kind)
@@ -349,7 +349,7 @@ def _resolve_test(d: Dataset, test: str | None) -> str:
     return label
 
 
-def _asymptotic_test(d: Dataset, x: str, y: str, z: list[str], label: str) -> tuple:
+def _asymptotic_test(d: Dataset, x: str, y: str, z: tuple[str, ...], label: str) -> tuple:
     """An asymptotic test's result and its contingency table or partial correlation.
 
     A Gaussian test is untestable for exactly two reasons, too few rows for the
@@ -379,7 +379,9 @@ def ci_test(d: Dataset, x: str, y: str, z=(), test: str | None = None,
     """Run the named conditional independence test of x and y given z.
 
     An mc-* label differs from its asymptotic twin only in the p-value. seed
-    and a given B are checked whatever the label.
+    and a given B are checked whatever the label. z is made a tuple once; an
+    asymptotic discrete test then goes from its table (contingency_counts,
+    which checks the variables) to its result (table_test).
     """
     if B is not None:
         _check_integer("B", B, 1, TestError)
@@ -388,11 +390,14 @@ def ci_test(d: Dataset, x: str, y: str, z=(), test: str | None = None,
     if label.startswith("mc-"):
         return permutation_pvalue(d, x, y, z, kind=label,
                                   B=_DEFAULT_REPLICATES if B is None else B, seed=seed)
-    z = _name_list(z)
+    z = _names(z)
+    kernel = _KERNELS.get(label)
+    if kernel is None:
+        return _asymptotic_test(d, x, y, z, label)[0]
     # two distinct columns read the pair's statistic, once the pair pass has it
-    if not z and label in _KERNELS and x != y and d.columns.keys() >= {x, y}:
-        statistic = _pair_statistic(d, x, y, _KERNELS[label])
+    if not z and x != y and d.columns.keys() >= {x, y}:
+        statistic = _pair_statistic(d, x, y, kernel)
         if statistic is not None:
             df = (len(d.columns[x].levels) - 1) * (len(d.columns[y].levels) - 1)
             return _discrete_result(label, df, d.n, statistic)
-    return _asymptotic_test(d, x, y, z, label)[0]
+    return table_test(contingency_counts(d, x, y, z), label)

@@ -19,15 +19,30 @@ _FPMIN = 1e-300
 
 
 def regularized_gamma_q(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a)."""
+    """Upper regularized incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a).
+
+    An infinite a or x gives the limit, 1 or 0; both infinite is a ValueError.
+    """
     if not a > 0:
         raise ValueError("a is NaN" if math.isnan(a) else "a must be positive")
     if not x >= 0:
         raise ValueError("x is NaN" if math.isnan(x) else "x must be nonnegative")
     if x == 0.0:
         return 1.0
+    if math.isinf(x):
+        if math.isinf(a):
+            raise ValueError("a and x are both infinite")
+        return 0.0
+    if math.isinf(a):
+        return 1.0
     if x < a + 1.0:
         return 1.0 - _gamma_series(a, x)
+    if x == a:
+        # here a + 1 rounds to a (a >= 2^53), so the fraction would start by
+        # dividing by x + 1 - a = 0. Temme's uniform expansion at x = a is
+        # 1/2 - (1/3 + 1/(540 a) + ...) / sqrt(2 pi a), whose terms past the
+        # first are below 1e-27 at such a
+        return 0.5 - 1.0 / (3.0 * math.sqrt(2.0 * math.pi * a))
     return _gamma_contfrac(a, x)
 
 
@@ -69,7 +84,11 @@ def _gamma_contfrac(a: float, x: float) -> float:
 
 
 def regularized_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
+    """Regularized incomplete beta I_x(a, b).
+
+    For 0 < x < 1 an infinite a or b gives the limit, 0 or 1; both infinite
+    is a ValueError.
+    """
     if not (a > 0 and b > 0):
         raise ValueError("a is NaN" if math.isnan(a) else "b is NaN" if math.isnan(b)
                          else "a and b must be positive")
@@ -78,6 +97,12 @@ def regularized_beta(a: float, b: float, x: float) -> float:
     if x == 0.0:
         return 0.0
     if x == 1.0:
+        return 1.0
+    if math.isinf(a):
+        if math.isinf(b):
+            raise ValueError("a and b are both infinite")
+        return 0.0
+    if math.isinf(b):
         return 1.0
     front = math.exp(
         math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)

@@ -530,9 +530,71 @@ class TestConfigCodes:
                 codes[0] = 1
             cache = d._memo["config-codes"]
             assert sum(c.nbytes for c, _ in cache.values()) <= bnsl.data._CODE_CACHE_BYTES
-            assert cache[z][0] is codes  # the latest set is always kept
-            seen.add(z)
-        assert len(seen) > capacity and len(cache) == capacity
+            if len(z) == 1 and L == len(d.levels(z[0])):
+                # a column all of whose levels occur is its own codes, not a cache entry
+                assert codes is d.codes(z[0]) and z not in cache
+            else:
+                assert cache[z][0] is codes  # the latest other set is always kept
+                seen.add(z)
+        assert () in seen and len(seen) > capacity and len(cache) == capacity
+
+    @pytest.mark.parametrize("sort", [False, True], ids=["mark", "sort"])
+    @pytest.mark.parametrize("data", ["alarm", "unobserved"])
+    def test_sets_in_random_orders_match_the_uncached_codes(self, alarm_sample, monkeypatch,
+                                                            data, sort):
+        # sets of 1-4 columns in random orders, in a cache of six sets: the first
+        # m - 1 columns of a set are cached, evicted or never asked for
+        if data == "alarm":
+            d = Dataset(alarm_sample.names, alarm_sample.columns)  # a fresh cache
+        else:  # three levels a column; the even columns never take the third
+            rng = np.random.default_rng(38)
+            names = [f"U{i}" for i in range(8)]
+            d = Dataset.from_codes(names, {v: ("a", "b", "c") for v in names},
+                                   {v: rng.integers(0, 3 - (i % 2 == 0), 300)
+                                    for i, v in enumerate(names)})
+        if sort:
+            monkeypatch.setattr(bnsl.data, "_CODE_SPACE_PER_ROW", 0)
+            monkeypatch.setattr(bnsl.data, "_CODE_SPACE_BASE", 0)
+        monkeypatch.setattr(bnsl.data, "_CODE_CACHE_BYTES", 6 * 8 * d.n)
+        config_codes, numbered = bnsl.data._config_codes, []
+
+        def counting(d, names):
+            numbered.append(tuple(names))
+            return config_codes(d, names)
+
+        monkeypatch.setattr(bnsl.data, "_config_codes", counting)
+        pool = list(d.names[:8])
+        full = {v for v in pool if np.bincount(d.codes(v), minlength=len(d.levels(v))).all()}
+        rng = np.random.default_rng(39)
+        asked, kinds = set(), Counter()
+        for _ in range(400):
+            z = tuple(str(v) for v in rng.choice(pool, size=int(rng.integers(1, 5)),
+                                                 replace=False))
+            cache = d._memo.get("config-codes", {})
+            prefix = z[:-1]
+            if z in cache:
+                kind = "hit"
+            elif len(z) == 1:
+                kind = "full column" if z[0] in full else "column"
+            elif prefix in cache or len(prefix) == 1 and prefix[0] in full:
+                kind = "prefix cached"
+            else:
+                kind = "prefix evicted" if prefix in asked else "prefix never asked"
+            kinds[kind] += 1
+            numbered.clear()
+            codes, L = joint_config_codes(d, z)
+            assert numbered == ([z] if kind in ("column", "prefix evicted",
+                                                "prefix never asked") else [])
+            want, want_L = config_codes(d, z)
+            assert L == want_L and codes.dtype == want.dtype == np.int64
+            assert codes.tobytes() == want.tobytes()
+            assert not codes.flags.writeable
+            if kind == "full column":
+                assert codes is d.codes(z[0]) and z not in d._memo["config-codes"]
+            asked.add(z)
+        assert all(kinds[k] for k in ("hit", "full column", "prefix cached",
+                                      "prefix evicted", "prefix never asked"))
+        assert kinds["column"] if data == "unobserved" else not kinds["column"]
 
     @staticmethod
     def _ranked(d, names):

@@ -339,3 +339,26 @@ def test_tails_equal_the_abs_forms_on_the_benchmark_calls(tmp_path, monkeypatch)
     new = _tails(calls)
     _old_loops(monkeypatch)
     assert _tails(calls) == new
+
+
+def test_infinite_parameters_give_their_limits():
+    inf = math.inf
+    assert regularized_gamma_q(1.0, inf) == 0.0 == sps.gammaincc(1.0, inf)
+    assert regularized_gamma_q(inf, 1.0) == 1.0 == sps.gammaincc(inf, 1.0)
+    assert regularized_gamma_q(inf, 0.0) == 1.0
+    assert regularized_beta(inf, 1.0, 0.5) == 0.0 == sps.betainc(inf, 1.0, 0.5)
+    assert regularized_beta(1.0, inf, 0.5) == 1.0 == sps.betainc(1.0, inf, 0.5)
+    assert (regularized_beta(inf, inf, 0.0), regularized_beta(inf, inf, 1.0)) == (0.0, 1.0)
+    assert chi2_sf(1.0, inf) == 1.0
+    with pytest.raises(ValueError, match="^a and x are both infinite$"):
+        regularized_gamma_q(inf, inf)
+    with pytest.raises(ValueError, match="^a and b are both infinite$"):
+        regularized_beta(inf, inf, 0.5)
+
+
+@pytest.mark.parametrize("df", [2.0 ** 54, 1e17, 3.3e17, 1e20, 1e300, 1.7e308])
+def test_chi2_sf_where_a_plus_one_rounds_to_a(df):
+    # x = df >= 2^54: the fraction's first step would divide by x/2 + 1 - df/2 = 0
+    assert chi2_sf(df, df) == pytest.approx(stats.chi2.sf(df, df), rel=1e-12, abs=0)
+    assert regularized_gamma_q(df / 2, df / 2) == pytest.approx(
+        sps.gammaincc(df / 2, df / 2), rel=1e-12, abs=0)
