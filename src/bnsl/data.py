@@ -3,14 +3,14 @@
 Datasets are homogeneous: either every column is categorical (discrete
 networks) or every column is numeric (Gaussian networks). A Dataset's
 columns never change after construction: their arrays are read-only.
-Derived statistics that several callers reuse (Gaussian moments, the
-correlation matrix, log-gamma tables, recent configuration codes, which
-columns have every level observed) are filled in lazily, on first use, in
-its private memo; the joint tables of every
-column pair, one exact int64 product, are filled in once the dataset has
-been asked for two pair tables in all (_pair_tables). They serve
-hill-climbing's parentless rows and the stacked pass of empty-z test
-statistics, not contingency_counts.
+Statistics that several callers reuse are kept in slots of the Dataset that
+start empty and fill on first use: _codes (the codes of recent column
+tuples), _full (the columns with every level observed), _pair_asks and
+_pair_tables (the joint tables of every column pair, one exact int64 product
+made at the second ask; they serve hill-climbing's parentless rows and the
+stacked pass of empty-z test statistics, not contingency_counts), _moments
+(the Gaussian moments and certificate) and _derived (what callers build once:
+log-gamma tables, bge contexts, pair statistics). Only this module reads them.
 
 Reading a file parses the stripped cells of a numeric column with float()
 and codes each other column by its distinct cell texts, each stripped and
@@ -76,10 +76,14 @@ def _read_only(array: np.ndarray, given) -> np.ndarray:
     return array
 
 
+_NOT_BUILT = object()  # the pair tables of a dataset not yet asked for two
+
+
 class Dataset:
     """Column-typed table, all categorical or all numeric."""
 
-    __slots__ = ("names", "columns", "n", "discrete", "_memo")
+    __slots__ = ("names", "columns", "n", "discrete",
+                 "_codes", "_full", "_pair_asks", "_pair_tables", "_moments", "_derived")
 
     def __init__(self, names, columns):
         names = tuple(names)
@@ -137,7 +141,11 @@ class Dataset:
         self.columns = cols
         self.n = int(length)
         self.discrete = "categorical" in kinds
-        self._memo = {}
+        self._codes = OrderedDict()  # names -> (codes, L), least recently used first
+        self._full = {}  # name -> (codes, r) when all its r levels occur, else None
+        self._pair_asks, self._pair_tables = 0, _NOT_BUILT
+        self._moments = None
+        self._derived = {}
 
     def levels(self, name: str) -> tuple[str, ...]:
         return self._col(name, CategoricalColumn).levels
@@ -407,7 +415,7 @@ def joint_config_codes(d: Dataset, names) -> tuple[np.ndarray, int]:
         code += column.codes
         codes, L = _dense_codes(code, prefix[1] * r, d.n)
     codes.flags.writeable = False
-    cache = d._memo["config-codes"]  # made by the first _cached_codes call that missed
+    cache = d._codes
     capacity = _CODE_CACHE_BYTES // max(codes.nbytes, 1)
     if capacity:
         cache[key] = codes, L
@@ -425,24 +433,18 @@ def _cached_codes(d: Dataset, key: tuple) -> tuple[np.ndarray, int] | None:
     single column that is unknown or not categorical raises DataError.
     """
     if len(key) == 1:
-        full = d._memo.get("full-columns")
-        if full is None:
-            full = d._memo["full-columns"] = {}
         name = key[0]
-        hit = full.get(name, False)
+        hit = d._full.get(name, False)
         if hit is False:
             column = d._col(name, CategoricalColumn)
             r = len(column.levels)
-            hit = full[name] = ((column.codes, r)
-                                if np.bincount(column.codes, minlength=r).all() else None)
+            hit = d._full[name] = ((column.codes, r)
+                                   if np.bincount(column.codes, minlength=r).all() else None)
         if hit is not None:
             return hit
-    cache = d._memo.get("config-codes")
-    if cache is None:
-        cache = d._memo["config-codes"] = OrderedDict()
-    hit = cache.get(key)
+    hit = d._codes.get(key)
     if hit is not None:
-        cache.move_to_end(key)
+        d._codes.move_to_end(key)
     return hit
 
 
@@ -534,8 +536,8 @@ def _pair_tables(d: Dataset, asks: int):
     bincount, so the tables are computed once the dataset has been asked
     for two in all: at the second lone ask, or at once for a hill-climbing
     row of several. Before that this is None, and the asks are added up in
-    the dataset's memo; this is the only code that reads or writes them or
-    the tables.
+    the dataset's _pair_asks; this is the only code that reads or writes it
+    or the tables.
 
     The tables are X^T X for the one-hot coding X of the data: n rows and one
     column per level of every column, so block (x, y) of the product counts
@@ -546,10 +548,11 @@ def _pair_tables(d: Dataset, asks: int):
     A dataset whose level counts sum to more than _PAIR_LEVELS keeps None,
     and its callers count each pair with a bincount.
     """
-    if "pair-tables" in d._memo:
-        return d._memo["pair-tables"]
-    asked = d._memo["pair-asks"] = d._memo.get("pair-asks", 0) + asks
-    if asked < 2:
+    tables = d._pair_tables
+    if tables is not _NOT_BUILT:
+        return tables
+    d._pair_asks += asks
+    if d._pair_asks < 2:
         return None
     columns = [d._col(name, CategoricalColumn) for name in d.names]
     radix = np.array([len(c.levels) for c in columns])
@@ -568,33 +571,33 @@ def _pair_tables(d: Dataset, asks: int):
             np.add(gram, onehot.T @ onehot, out=gram, casting="unsafe")
         gram.flags.writeable = False
         tables = {name: slice(a, a + r) for name, a, r in zip(d.names, starts, radix)}, gram
-    d._memo["pair-tables"] = tables
+    d._pair_tables = tables
     return tables
 
 
-def _pair_stacks(d: Dataset, cells: int):
-    """The joint tables of every column pair, in stacks of one shape, or None.
+def _pair_statistic(d: Dataset, x: str, y: str, kernel, cells: int) -> float | None:
+    """kernel's statistic of the joint table of x and y, from one pass over every pair.
 
-    Yields (ix, iy, counts) for one pair of level counts (R, C) at a time: ix
-    and iy are the places in d.names of columns of R and of C levels, and
-    counts[i, j] is the (R, C, 1) table of columns ix[i] and iy[j], equal to
-    its block of the pair tables (a column meets itself too). A stack holds
-    as many whole rows of tables as fit in about `cells` cells, at least one,
-    so memory stays bounded however many columns there are. Each stack is
-    C-contiguous: every table in it is laid out as a lone copy is. The call
-    is one ask of _pair_tables, which may compute the tables; before its
-    ask rule has, and past their bound, this is None.
+    kernel(counts, n) maps a stack of (R, C, 1) tables of n rows to their
+    statistics. Until its values for every ordered column pair are kept
+    (_derived), each call is one ask of _pair_tables, so the second ask on a
+    fresh dataset computes them. The pass calls the kernel on stacks of
+    same-shape tables, as many whole rows of them as fit in about `cells`
+    cells (at least one), so memory stays bounded however many columns there
+    are. A stack is C-contiguous, so each table in it is laid out, and
+    scored, as a lone copy is. None before the tables exist, past their
+    bound, and for a dataset without rows (which never asks).
     """
-    tables = _pair_tables(d, 1)
-    if tables is None:
-        return None
-    span, product = tables
-    starts = np.array([span[name].start for name in d.names])
-    radix = np.array([span[name].stop - span[name].start for name in d.names])
-    # not np.unique: its first call in a process imports numpy.ma (about 1.7 MB)
-    shapes = sorted(set(radix.tolist()))
-
-    def stacks():
+    def run():
+        tables = _pair_tables(d, 1) if d.n else None
+        if tables is None:
+            return None
+        span, product = tables
+        starts = np.array([span[name].start for name in d.names])
+        radix = np.array([span[name].stop - span[name].start for name in d.names])
+        values = np.empty((len(d.names), len(d.names)))
+        # not np.unique: its first call in a process imports numpy.ma (about 1.7 MB)
+        shapes = sorted(set(radix.tolist()))
         for R in shapes:
             ix = np.flatnonzero(radix == R)
             for C in shapes:
@@ -606,22 +609,51 @@ def _pair_stacks(d: Dataset, cells: int):
                     rows = (starts[part, None] + np.arange(R)).ravel()
                     block = product[rows[:, None], columns]
                     counts = block.reshape(len(part), R, len(iy), C).transpose(0, 2, 1, 3)
-                    yield part, iy, np.ascontiguousarray(counts)[..., None]
+                    values[np.ix_(part, iy)] = kernel(
+                        np.ascontiguousarray(counts)[..., None], d.n)
+        return {name: i for i, name in enumerate(d.names)}, values.tolist()
 
-    return stacks()
+    kept = _derived(d, kernel, run)
+    if kept is None:
+        return None
+    place, rows = kept
+    return rows[place[x]][place[y]]
 
 
-def _gaussian_moments(d: Dataset):
-    """[index, means, sds, scatter, correlations, certified, constant], once per Dataset.
+def _derived(d: Dataset, key, build):
+    """What build() gives for d under key, built at the first ask and then kept.
+
+    A build that gives None is built again at the next ask.
+    """
+    value = d._derived.get(key)
+    if value is None:
+        value = d._derived[key] = build()
+    return value
+
+
+@dataclass(slots=True)
+class _Moments:
+    """A numeric dataset's moments (_gaussian_moments) and its certificate (_certified)."""
+
+    index: dict  # name -> place in d.names
+    means: np.ndarray
+    sds: np.ndarray
+    scatter: np.ndarray
+    correlations: np.ndarray
+    constant: frozenset  # the zero-variance columns
+    certified: bool | None = None
+
+
+def _gaussian_moments(d: Dataset) -> _Moments:
+    """The dataset's moments, computed once.
 
     scatter is centered.T @ centered, which numpy forms as a symmetric
     rank-n update, so scatter and correlations are exactly symmetric
-    (_certified relies on that). constant holds the names of the
-    zero-variance columns; their correlations are non-finite, and callers
-    reject such columns before reading them. certified is None until a test
-    first conditions on a nonempty z (_certified).
+    (_certified relies on that). The correlations of a constant column are
+    non-finite, and callers reject such columns before reading them.
+    certified is None until a test first conditions on a nonempty z.
     """
-    moments = d._memo.get("gaussian-moments")
+    moments = d._moments
     if moments is None:
         mat = np.column_stack([d.values(c) for c in d.names])
         means = mat.mean(axis=0)
@@ -633,8 +665,8 @@ def _gaussian_moments(d: Dataset):
             corr = scatter / (d.n * np.outer(sds, sds))
         np.fill_diagonal(corr, 1.0)
         constant = frozenset(c for c, sd in zip(d.names, sds) if not sd)
-        moments = [index, means, sds, scatter, np.clip(corr, -1.0, 1.0), None, constant]
-        d._memo["gaussian-moments"] = moments
+        moments = d._moments = _Moments(index, means, sds, scatter,
+                                        np.clip(corr, -1.0, 1.0), constant)
     return moments
 
 
@@ -672,17 +704,17 @@ def _certified(d: Dataset) -> bool:
     columns only; it holds when their smallest eigenvalue clears the margin
     derived above. With at least n such columns the matrix is singular
     (centred columns span at most n - 1 dimensions), so the spectrum is not
-    computed and each test takes its own check. The answer is kept in the
-    Gaussian moments' memo entry.
+    computed and each test takes its own check. The answer is kept with the
+    moments.
     """
     moments = _gaussian_moments(d)
-    if moments[5] is None:
-        keep = np.flatnonzero(moments[2])  # the nonconstant columns
+    if moments.certified is None:
+        keep = np.flatnonzero(moments.sds)  # the nonconstant columns
         k = len(keep)
         margin = _CERTIFICATE_SLACK * k ** 3 * 2.0 ** -53 + 2 * k / _MAX_CONDITION
-        moments[5] = k < d.n and float(
-            np.linalg.eigvalsh(moments[4][keep[:, None], keep]).min()) > margin
-    return moments[5]
+        moments.certified = k < d.n and float(
+            np.linalg.eigvalsh(moments.correlations[keep[:, None], keep]).min()) > margin
+    return moments.certified
 
 
 def _well_conditioned(corr: np.ndarray) -> bool:
@@ -699,7 +731,8 @@ def correlation_matrix(d: Dataset, names) -> np.ndarray:
     names = _names(names)
     if d.n < 2:
         raise DataError("need at least 2 rows")
-    index, _, _, _, corr, _, constant = _gaussian_moments(d)
+    moments = _gaussian_moments(d)
+    index, corr, constant = moments.index, moments.correlations, moments.constant
     try:
         idx = np.array([index[c] for c in names], dtype=np.intp)
     except KeyError as exc:
@@ -738,8 +771,8 @@ def partial_correlation(d: Dataset, x: str, y: str, z=()) -> float:
         rho = float(corr[0, 1])
     # a near-singular matrix can still factor; its pivots alone do not show
     # it, so the guard reads the condition number from the spectrum. A
-    # decided certificate is read from the memo entry correlation_matrix made.
-    elif d._memo["gaussian-moments"][5] or _certified(d) or _well_conditioned(corr):
+    # decided certificate is read from the moments correlation_matrix made.
+    elif d._moments.certified or _certified(d) or _well_conditioned(corr):
         chol = np.linalg.cholesky(corr)
         l21, l22 = float(chol[-1, -2]), float(chol[-1, -1])
         rho = l21 / math.sqrt(l21 * l21 + l22 * l22)

@@ -9,8 +9,8 @@ the observed margins in every stratum) or permute the residuals of x on z
 (continuous). From a dataset's second asymptotic discrete test of two
 distinct columns with an empty conditioning set on, such a test reads its
 statistic from one stacked kernel pass over the joint tables of every column
-pair (_pair_statistic); the pass asks for those tables itself, the first test
-counts its own table with one bincount, and a refused test never asks.
+pair (data._pair_statistic); the pass asks for those tables itself, the first
+test counts its own table with one bincount, and a refused test never asks.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import ContingencyTable, DataError, Dataset, _check_integer, \
-    _check_variables, _names, _pair_stacks, _regress, contingency_counts, \
+    _check_variables, _names, _pair_statistic, _regress, contingency_counts, \
     partial_correlation
 # re-exported: the benchmark's tracer (perfbench/tracing.py) wraps this name here
 from .data import joint_config_codes  # noqa: F401
@@ -137,8 +137,10 @@ def aic_test(t: ContingencyTable, n: int) -> bool:
     return mi_discrete(t) >= table_df(t) / n
 
 
-# The statistic each asymptotic discrete label reads from its table.
-_KERNELS = {"mi": "mi", "fmi": "mi", "aict": "mi", "x2": "x2"}
+# The statistic each asymptotic discrete label reads from a stack of tables of
+# n rows: the mutual information, or X^2 for x2.
+_KERNELS = {"mi": _mi_from_counts, "fmi": _mi_from_counts, "aict": _mi_from_counts,
+            "x2": lambda counts, n: _x2_from_counts(counts)}
 
 
 def table_test(t: ContingencyTable, kind: str) -> TestResult:
@@ -156,7 +158,7 @@ def _discrete_result(kind: str, df: int, n: int, statistic: float) -> TestResult
 
     statistic is the table's X^2 for x2 and its mutual information otherwise
     (_KERNELS), from the table itself (table_test) or from the stacked pass
-    over the pair tables (_pair_statistic). fmi zeroes the mutual
+    over the pair tables (data._pair_statistic). fmi zeroes the mutual
     information under five data per parameter.
     """
     if kind == "x2":
@@ -168,35 +170,6 @@ def _discrete_result(kind: str, df: int, n: int, statistic: float) -> TestResult
     if kind == "fmi":
         return TestResult("fmi", stat, chi2_sf(stat, df) if stat > 0 else 1.0, df=df)
     return TestResult("aict", stat, 0.0 if mi >= df / n else 1.0, df=df)
-
-
-def _pair_statistic(d: Dataset, x: str, y: str, kernel: str) -> float | None:
-    """The kernel's statistic of the joint table of x and y, from one pass over all pairs.
-
-    kernel is "mi" or "x2" (_KERNELS). Until a kernel's values are kept, each
-    call asks for the pair tables once (data._pair_stacks), so the second
-    ask on a fresh dataset computes them. The first call that gets them runs
-    the kernel on the tables of every column pair, one call per stack of
-    same-shape tables (about _CHUNK_ELEMENTS cells each); a table in a stack
-    gets the same bits as a call on it alone. The values are kept in the
-    dataset's memo, one entry per kernel. None before the tables exist, past
-    their bound, and for a dataset without rows (which never asks). x and y
-    are two distinct columns: ci_test sends no other pair.
-    """
-    key = ("pair-statistics", kernel)
-    stats = d._memo.get(key)
-    if stats is None:
-        stacks = _pair_stacks(d, _CHUNK_ELEMENTS) if d.n else None
-        if stacks is None:
-            return None
-        values = np.empty((len(d.names), len(d.names)))
-        for ix, iy, counts in stacks:
-            values[np.ix_(ix, iy)] = (_x2_from_counts(counts) if kernel == "x2"
-                                      else _mi_from_counts(counts, d.n))
-        index = {name: i for i, name in enumerate(d.names)}
-        stats = d._memo[key] = index, values.tolist()
-    index, rows = stats
-    return rows[index[x]][index[y]]
 
 
 # -- Gaussian statistics ------------------------------------------------------------
@@ -240,7 +213,7 @@ def _gaussian_result(rho: float, n: int, zsize: int, kind: str) -> TestResult:
 
 # Replicates are drawn in chunks whose working arrays hold about this many
 # elements, so memory stays fixed whatever B is; the pass over the pair
-# tables (_pair_statistic) scores its stacks in chunks of this many cells.
+# tables (data._pair_statistic) scores its stacks in chunks of this many cells.
 _CHUNK_ELEMENTS = 2 ** 14
 
 # Replicates per Monte Carlo test when B is not given.
@@ -396,7 +369,7 @@ def ci_test(d: Dataset, x: str, y: str, z=(), test: str | None = None,
         return _asymptotic_test(d, x, y, z, label)[0]
     # two distinct columns read the pair's statistic, once the pair pass has it
     if not z and x != y and d.columns.keys() >= {x, y}:
-        statistic = _pair_statistic(d, x, y, kernel)
+        statistic = _pair_statistic(d, x, y, kernel, _CHUNK_ELEMENTS)
         if statistic is not None:
             df = (len(d.columns[x].levels) - 1) * (len(d.columns[y].levels) - 1)
             return _discrete_result(label, df, d.n, statistic)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, _gaussian_moments, _toggle_family_counts, family_counts
+from .data import Dataset, _derived, _gaussian_moments, _toggle_family_counts, family_counts
 from .graph import Graph, GraphError
 from .special import lgamma_array
 
@@ -106,6 +106,8 @@ def _check_spec(d: Dataset, spec: ScoreSpec) -> None:
         raise ScoreError(f"score {spec.kind!r} requires continuous data")
     if not d.discrete and spec.kind not in CONTINUOUS_SCORES:
         raise ScoreError(f"score {spec.kind!r} requires discrete data")
+    if not d.n:
+        raise ScoreError("a score needs at least one row, got n = 0")
 
 
 def _loglik_local(counts: np.ndarray) -> np.ndarray:
@@ -134,12 +136,7 @@ def _lgamma_shifted(d: Dataset, counts: np.ndarray, a: float) -> np.ndarray:
     """
     if d.n + 1 > _LGAMMA_TABLE_CAP:
         return lgamma_array(counts + a)
-    key = ("lgamma", a)
-    table = d._memo.get(key)
-    if table is None:
-        table = lgamma_array(np.arange(d.n + 1) + a)
-        d._memo[key] = table
-    return table[counts]
+    return _derived(d, ("lgamma", a), lambda: lgamma_array(np.arange(d.n + 1) + a))[counts]
 
 
 def _dirichlet_scores(d: Dataset, counts: np.ndarray, a_cell: float,
@@ -178,7 +175,8 @@ class _BgeContext:
     """Posterior matrix and hyperparameters shared by all bge local scores."""
 
     def __init__(self, d: Dataset, spec: ScoreSpec):
-        index, xbar, _, scatter, *_ = _gaussian_moments(d)
+        moments = _gaussian_moments(d)
+        index, xbar, scatter = moments.index, moments.means, moments.scatter
         nvar = len(index)
         n = d.n
         alpha_mu = spec.iss
@@ -238,12 +236,7 @@ class _BgeContext:
 
 
 def _bge_context(d: Dataset, spec: ScoreSpec) -> _BgeContext:
-    key = ("bge-context", spec.iss, spec.bge_dof)
-    ctx = d._memo.get(key)
-    if ctx is None:
-        ctx = _BgeContext(d, spec)
-        d._memo[key] = ctx
-    return ctx
+    return _derived(d, ("bge-context", spec.iss, spec.bge_dof), lambda: _BgeContext(d, spec))
 
 
 # -- public operations ------------------------------------------------------------------

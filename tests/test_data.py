@@ -5,6 +5,7 @@ import math
 import re
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +17,31 @@ from bnsl import (DataError, Dataset, FittedNetwork, LearnConfig, ScoreSpec, ci_
                   constraint_learn, contingency_counts, correlation_matrix, fit_mle,
                   forward_sample, load_table, local_score, parse_modelstring,
                   partial_correlation, write_table)
-from bnsl.data import CategoricalColumn, ContingencyTable, DiscreteCPT, LinearGaussian, \
-    NumericColumn, _gaussian_moments, _regress, _toggle_family_counts, family_counts, \
-    joint_config_codes
-from bnsl.independence import gaussian_statistic, table_test
+from bnsl.data import _NOT_BUILT, CategoricalColumn, ContingencyTable, DiscreteCPT, \
+    LinearGaussian, NumericColumn, _gaussian_moments, _pair_statistic, _regress, \
+    _toggle_family_counts, family_counts, joint_config_codes
+from bnsl.independence import _KERNELS, gaussian_statistic, table_test
 from bnsl.networks import alarm_fitted
 from bnsl.scores import network_score
+
+# the slots in which a Dataset keeps the statistics it computes
+_STORE = [slot for slot in Dataset.__slots__ if slot.startswith("_")]
+
+
+def _kept(d):
+    """The store slots in which d differs from a fresh Dataset over its columns."""
+    fresh = Dataset(d.names, d.columns)
+    return [slot for slot in _STORE if getattr(d, slot) != getattr(fresh, slot)]
+
+
+def test_only_data_names_the_store():
+    # one module owns what a dataset keeps: no other reads or writes its slots
+    slot = re.compile(r"\.(%s)\b" % "|".join(_STORE))
+    for path in sorted(Path(bnsl.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert "_memo" not in text, path.name
+        if path.name != "data.py":
+            assert slot.search(text) is None, (path.name, slot.search(text))
 
 
 def _write(tmp_path, name, text):
@@ -528,7 +548,7 @@ class TestConfigCodes:
             assert not codes.flags.writeable
             with pytest.raises(ValueError):
                 codes[0] = 1
-            cache = d._memo["config-codes"]
+            cache = d._codes
             assert sum(c.nbytes for c, _ in cache.values()) <= bnsl.data._CODE_CACHE_BYTES
             if len(z) == 1 and L == len(d.levels(z[0])):
                 # a column all of whose levels occur is its own codes, not a cache entry
@@ -570,7 +590,7 @@ class TestConfigCodes:
         for _ in range(400):
             z = tuple(str(v) for v in rng.choice(pool, size=int(rng.integers(1, 5)),
                                                  replace=False))
-            cache = d._memo.get("config-codes", {})
+            cache = d._codes
             prefix = z[:-1]
             if z in cache:
                 kind = "hit"
@@ -590,7 +610,7 @@ class TestConfigCodes:
             assert codes.tobytes() == want.tobytes()
             assert not codes.flags.writeable
             if kind == "full column":
-                assert codes is d.codes(z[0]) and z not in d._memo["config-codes"]
+                assert codes is d.codes(z[0]) and z not in d._codes
             asked.add(z)
         assert all(kinds[k] for k in ("hit", "full column", "prefix cached",
                                       "prefix evicted", "prefix never asked"))
@@ -651,13 +671,19 @@ _PAIR_DATASETS = {"alarm": lambda: forward_sample(alarm_fitted(1), 5000, seed=35
                   "one-row": lambda: _mixed_levels(1, 37)}
 
 
+def _product(d):
+    """The pair tables d keeps (None past their bound), failing if none were built."""
+    assert d._pair_tables is not _NOT_BUILT
+    return d._pair_tables
+
+
 def _record_builds(monkeypatch):
     """A list of whether each later call of data._pair_tables built the product."""
     asked = bnsl.data._pair_tables
     builds = []
 
     def asking(d, *args):
-        unbuilt = "pair-tables" not in d._memo
+        unbuilt = d._pair_tables is _NOT_BUILT
         tables = asked(d, *args)
         builds.append(unbuilt and tables is not None)
         return tables
@@ -709,7 +735,7 @@ class TestPairTables:
         self._assert_fresh(d, first)
         self._assert_fresh(d, second)
         self._assert_tables_fresh(d)
-        span, product = d._memo["pair-tables"]
+        span, product = _product(d)
         width = sum(len(d.levels(v)) for v in d.names)
         assert product.shape == (width, width) and product.dtype == np.int64
         assert not product.flags.writeable
@@ -747,7 +773,7 @@ class TestPairTables:
         monkeypatch.setattr(bnsl.data.np, "stack", stacking)
         self._fill(d, list(d.names))
         assert len(d.names) == 37 and passes == [] and blocks == [1024] * 4 + [904]
-        product = d._memo["pair-tables"]
+        product = _product(d)
         span, gram = product
         blocks.clear()
         self._fill(d, list(d.names))
@@ -758,7 +784,7 @@ class TestPairTables:
             t = contingency_counts(d, x, y)
             assert passes == [d.n]
             assert t.counts.tobytes() == gram[span[x], span[y]].tobytes()
-        assert blocks == [] and d._memo["pair-tables"] is product
+        assert blocks == [] and _product(d) is product
 
     def test_a_lone_table_is_one_bincount_and_the_second_builds_the_product(
             self, monkeypatch):
@@ -780,10 +806,10 @@ class TestPairTables:
         monkeypatch.setattr(bnsl.data.np, "bincount", counting)
         monkeypatch.setattr(bnsl.data.np, "stack", stacking)
         first = ci_test(d, "V0", "V1")
-        assert passes == [5000] and blocks == [] and "pair-tables" not in d._memo
+        assert passes == [5000] and blocks == [] and d._pair_tables is _NOT_BUILT
         passes.clear()
         second = ci_test(d, "V2", "V3")
-        assert passes == [] and len(blocks) == 5 and d._memo["pair-tables"] is not None
+        assert passes == [] and len(blocks) == 5 and _product(d) is not None
         monkeypatch.setattr(bnsl.data.np, "bincount", bincount)
         for (x, y), got in ((("V0", "V1"), first), (("V2", "V3"), second)):
             flat = np.bincount(d.codes(x) * 4 + d.codes(y), minlength=16)
@@ -805,7 +831,7 @@ class TestPairTables:
         monkeypatch.setattr(bnsl.data.np, "bincount", counting)
         nodes = list(d.names)
         families = self._fill(d, nodes)
-        assert passes == [d.n] * 72 and d._memo["pair-tables"] is None
+        assert passes == [d.n] * 72 and _product(d) is None
         passes.clear()
         contingency_counts(d, "V0", "V1")
         assert passes == [d.n]
@@ -841,7 +867,7 @@ class TestPairTables:
         assert product.dtype == np.int64 and not product.flags.writeable
         self._assert_fresh(d, self._fill(d, list(d.names)))
         self._assert_tables_fresh(d)
-        assert d._memo["pair-tables"][1] is product
+        assert _product(d)[1] is product
 
     @pytest.mark.parametrize("test_first", [True, False], ids=["test-first", "hc-first"])
     def test_one_ask_counter_serves_tests_and_hill_climbing(self, monkeypatch, test_first):
@@ -857,12 +883,12 @@ class TestPairTables:
         builds = _record_builds(monkeypatch)
         if test_first:
             got_test = ci_test(d, "HR", "CVP")
-            assert builds == [False] and "pair-tables" not in d._memo
+            assert builds == [False] and d._pair_tables is _NOT_BUILT
             got_graph, got_score, got_lines = learn(d)
         else:
             got_graph, got_score, got_lines = learn(d)
             got_test = ci_test(d, "HR", "CVP")
-        assert builds.count(True) == 1 and d._memo["pair-tables"] is not None
+        assert builds.count(True) == 1 and _product(d) is not None
         assert got_graph == want_graph and got_score == want_score
         assert got_lines == want_lines and _digits(got_test) == _digits(want_test)
 
@@ -924,19 +950,25 @@ class TestPairStatistics:
     @pytest.mark.parametrize("data", _PAIR_DATASETS)
     def test_stacks_hold_every_block_once(self, data, cells):
         d = _PAIR_DATASETS[data]()
-        assert bnsl.data._pair_stacks(d, cells) is None  # the first ask returns None
+        tables = []  # every table the pass sends, in order
+
+        def numbering(counts, n):  # each table's statistic is its place in tables
+            rows, cols, R, C, depth = counts.shape
+            assert depth == 1 and counts.dtype == np.int64 and n == d.n
+            assert counts.flags.c_contiguous
+            assert counts.size <= max(cells, cols * R * C)  # whole rows, about cells
+            tables.extend(counts.reshape(rows * cols, R, C))
+            return len(tables) - rows * cols + np.arange(rows * cols).reshape(rows, cols)
+
+        pair = d.names[:2]
+        assert _pair_statistic(d, *pair, numbering, cells) is None  # the first ask
         span, product = bnsl.data._pair_tables(d, 1)
         seen = Counter()
-        for ix, iy, counts in bnsl.data._pair_stacks(d, cells):
-            xs, ys = [d.names[i] for i in ix], [d.names[j] for j in iy]
-            R, C = len(d.levels(xs[0])), len(d.levels(ys[0]))
-            assert counts.shape == (len(xs), len(ys), R, C, 1)
-            assert counts.flags.c_contiguous and counts.dtype == np.int64
-            assert counts.size <= max(cells, len(ys) * R * C)  # whole rows, about cells
-            for (i, x), (j, y) in itertools.product(enumerate(xs), enumerate(ys)):
-                assert np.array_equal(counts[i, j, ..., 0], product[span[x], span[y]])
-                seen[x, y] += 1
-        assert seen == Counter(itertools.product(d.names, d.names))
+        for x, y in itertools.product(d.names, d.names):
+            place = _pair_statistic(d, x, y, numbering, cells)
+            assert np.array_equal(tables[int(place)], product[span[x], span[y]])
+            seen[place] += 1
+        assert sorted(seen) == list(range(len(tables))) and set(seen.values()) == {1}
 
     @pytest.mark.parametrize("cells", [1, 50])
     def test_small_stacks_give_the_same_statistics(self, monkeypatch, cells):
@@ -945,7 +977,7 @@ class TestPairStatistics:
         monkeypatch.setattr(bnsl.independence, "_CHUNK_ELEMENTS", cells)
         got = {(label, pair): ci_test(d, *pair, test=label) for label in ("mi", "x2")
                for pair in itertools.permutations(d.names, 2)}
-        assert ("pair-statistics", "x2") in d._memo
+        assert d._derived.get(_KERNELS["x2"]) is not None
         monkeypatch.undo()
         for (label, pair), result in got.items():
             assert _digits(result) == _digits(ci_test(whole, *pair, test=label))
@@ -956,7 +988,7 @@ class TestPairStatistics:
         d = _discrete_sample(n, seed)
         pairs = [(x, y) for x in d.names for y in d.names if x != y]
         first = ci_test(d, *pairs[0], test=label)  # one bincount, before the product
-        assert "pair-tables" not in d._memo
+        assert d._pair_tables is _NOT_BUILT
         assert _digits(first) == _digits(_fresh_table_test(d, *pairs[0], label))
         ci_test(d, *pairs[1], test=label)  # the second lone table builds the product
         tables = []
@@ -978,7 +1010,7 @@ class TestPairStatistics:
         d = _discrete_sample(500, 65)
         ci_test(d, "V0", "V1")
         ci_test(d, "V1", "V2")
-        assert bnsl.independence._pair_statistic(d, "V0", "V1", "mi") is not None
+        assert _pair_statistic(d, "V0", "V1", _KERNELS["mi"], 2 ** 14) is not None
         for x, y in (("V0", "V1"), ("V3", "V2")):
             got = ci_test(d, x, y, test=label, B=200, seed=3)
             want = ci_test(Dataset(d.names, d.columns), x, y, test=label, B=200, seed=3)
@@ -1007,11 +1039,11 @@ class TestPairStatistics:
         monkeypatch.setattr(bnsl.independence, "contingency_counts", reading)
         first = ci_test(d, "HR", "CVP")
         assert passes == [d.n] and tables == [("HR", "CVP")] and True not in builds
-        assert "pair-tables" not in d._memo
+        assert d._pair_tables is _NOT_BUILT
         del passes[:], tables[:], builds[:]
         second = ci_test(d, "HIST", "LVV")  # the statistics pass asks and builds
         assert passes == [] and tables == [] and builds == [True]
-        span, gram = d._memo["pair-tables"]
+        span, gram = _product(d)
         builds.clear()
         for x, y in itertools.permutations(d.names, 2):
             passes.clear()
@@ -1023,7 +1055,7 @@ class TestPairStatistics:
             del passes[:], tables[:]
             got_mc[label] = ci_test(d, "PAP", "SHNT", test=label, B=200, seed=3)
             assert passes == [d.n] and tables == [("PAP", "SHNT")]
-        assert builds == [] and d._memo["pair-tables"][1] is gram
+        assert builds == [] and _product(d)[1] is gram
         assert _digits(first) == _digits(want["HR", "CVP"])
         assert _digits(second) == _digits(want["HIST", "LVV"])
         assert {label: repr(r) for label, r in got_mc.items()} == \
@@ -1037,8 +1069,8 @@ class TestPairStatistics:
                 ci_test(d, "A", "B")
             fmi = ci_test(d, "A", "B", test="fmi")
             assert (fmi.statistic, fmi.p_value, fmi.df) == (0.0, 1.0, 2)
-        assert "pair-tables" not in d._memo
-        assert bnsl.independence._pair_statistic(d, "A", "B", "mi") is None
+        assert d._pair_tables is _NOT_BUILT
+        assert _pair_statistic(d, "A", "B", _KERNELS["mi"], 2 ** 14) is None
 
     @pytest.mark.parametrize("label", ["mi", "x2", "fmi", "aict"])
     def test_a_refused_test_never_asks_for_the_pair_tables(self, monkeypatch, label):
@@ -1047,7 +1079,7 @@ class TestPairStatistics:
             ci_test(d, "V0", "V0", test=label)
         with pytest.raises(DataError, match="unknown column 'W'"):
             ci_test(d, "V0", "W", test=label)
-        assert "pair-asks" not in d._memo and "pair-tables" not in d._memo
+        assert d._pair_asks == 0 and d._pair_tables is _NOT_BUILT
         passes, bincount = [], np.bincount
 
         def counting(x, *args, **kwargs):
@@ -1058,7 +1090,7 @@ class TestPairStatistics:
         monkeypatch.setattr(bnsl.data.np, "bincount", counting)
         result = ci_test(d, "V0", "V1", test=label)  # the first valid test: one bincount
         assert passes == [d.n] and True not in builds
-        assert d._memo["pair-asks"] == 1 and "pair-tables" not in d._memo
+        assert d._pair_asks == 1 and d._pair_tables is _NOT_BUILT
         assert _digits(result) == _digits(_fresh_table_test(d, "V0", "V1", label))
 
     def test_repeated_or_unknown_variables_are_still_refused(self):
@@ -1320,7 +1352,8 @@ class TestCorrelation:
         mat = rng.standard_normal((70, 9)) @ rng.standard_normal((9, 9))
         d = Dataset(tuple(names), {c: NumericColumn(mat[:, i] * (i + 1) + 3.0 * i)
                                    for i, c in enumerate(names)})
-        index, _, sds, scatter, *_ = _gaussian_moments(d)
+        moments = _gaussian_moments(d)
+        index, sds, scatter = moments.index, moments.sds, moments.scatter
         for _ in range(200):
             subset = [names[i] for i in rng.choice(9, int(rng.integers(1, 10)),
                                                    replace=False)]
@@ -1331,7 +1364,7 @@ class TestCorrelation:
             want = np.clip(want, -1.0, 1.0)
             got = correlation_matrix(d, subset)
             assert got.shape == want.shape and np.all(got == want)
-        assert list(d._memo) == ["gaussian-moments"]
+        assert _kept(d) == ["_moments"]
 
     def test_correlations_and_bge_share_one_gaussian_entry(self):
         rng = np.random.default_rng(43)
@@ -1340,8 +1373,8 @@ class TestCorrelation:
         correlation_matrix(d, ["X", "Z"])
         local_score("Y", ["X"], d, ScoreSpec(kind="bge"))
         # one entry of moments and correlations, beside the bge posterior
-        assert sorted(map(str, d._memo)) == ["('bge-context', 1.0, None)",
-                                             "gaussian-moments"]
+        assert _kept(d) == ["_moments", "_derived"]
+        assert list(d._derived) == [("bge-context", 1.0, None)]
 
     def test_constant_column_does_not_warn(self):
         rng = np.random.default_rng(42)
@@ -1595,7 +1628,7 @@ class TestCorrelationCertificate:
                 got = partial_correlation(d, x, y, z)
                 assert got == want and repr(got) == repr(want), (kind, x, y, z)
                 assert bool(regressions) == (not trusted), (kind, regressions)
-                held = _gaussian_moments(d)[5]
+                held = _gaussian_moments(d).certified
                 assert certified is None or held == certified, kind
                 seen[kind, held, trusted] += 1
         # certified, certified past a constant column, a failed certificate
@@ -1647,8 +1680,8 @@ class TestCorrelationCertificate:
         mat = rng.standard_normal((n, k)) @ rng.standard_normal((k, k)) * 3.0 + 7.0
         mat[:, 1] = 1.0  # a constant column's non-finite row and column too
         names = [f"V{i}" for i in range(k)]
-        _, _, _, scatter, corr, *_ = _gaussian_moments(
-            Dataset.from_values(names, dict(zip(names, mat.T))))
+        moments = _gaussian_moments(Dataset.from_values(names, dict(zip(names, mat.T))))
+        scatter, corr = moments.scatter, moments.correlations
         assert np.array_equal(scatter, scatter.T)
         assert np.array_equal(corr, corr.T, equal_nan=True)
 
@@ -1781,7 +1814,7 @@ class TestGaussianTestPath:
             for label in ("cor", "zf", "mi-g", "mc-cor"):
                 res = ci_test(d, x, y, z, test=label, B=1)
                 assert res == bnsl.TestResult(label, 0.0, 1.0, degenerate=True)
-        assert d._memo["gaussian-moments"][6] == {"K", "L"}
+        assert d._moments.constant == {"K", "L"}
 
 class TestFitMLE:
     def test_parentless_counts(self):

@@ -393,6 +393,11 @@ class TestHillClimbGlobalOptimumReport:
         assert hits > 0  # finding it never would indicate a search bug
 
 
+def _lgamma_tables(d):
+    """The log-gamma tables d keeps, one per shift a."""
+    return [v for key, v in d._derived.items() if key[0] == "lgamma"]
+
+
 def _dirichlet_reference(d, node, parents, spec):
     """bde/k2 local score with lgamma_array evaluated on the counts directly."""
     counts, q = family_counts(d, node, sorted(parents))
@@ -430,7 +435,7 @@ class TestLgammaTables:
         for node, parents in self._families(d, rng, 60):
             assert local_score(node, parents, d, spec) == \
                 _dirichlet_reference(d, node, parents, spec)
-        assert any(key[0] == "lgamma" for key in d._memo)
+        assert _lgamma_tables(d)
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.iss}")
     def test_above_cap_evaluates_directly(self, spec, monkeypatch):
@@ -440,12 +445,12 @@ class TestLgammaTables:
         for node, parents in self._families(d, rng, 30):
             assert local_score(node, parents, d, spec) == \
                 _dirichlet_reference(d, node, parents, spec)
-        assert not any(key[0] == "lgamma" for key in d._memo)
+        assert not _lgamma_tables(d)
 
     def test_alarm_hill_climb_builds_few_tables(self):
         d = forward_sample(alarm_fitted(1), 2000, seed=5)
         hill_climb(d, HillClimbConfig(score=ScoreSpec("bde", iss=1.0)))
-        tables = [v for key, v in d._memo.items() if key[0] == "lgamma"]
+        tables = _lgamma_tables(d)
         assert 0 < len(tables) <= 48
         assert all(t.shape == (d.n + 1,) for t in tables)
         assert d.n + 1 <= bnsl.scores._LGAMMA_TABLE_CAP
@@ -615,7 +620,7 @@ class TestToggleScores:
         d = forward_sample(alarm_fitted(1), 700, seed=63)
         monkeypatch.setattr(bnsl.scores, "_LGAMMA_TABLE_CAP", d.n)
         self._check(d, spec, _toggle_cases(rng, list(d.names), 15))
-        assert not any(key[0] == "lgamma" for key in d._memo)
+        assert not _lgamma_tables(d)
 
     @pytest.mark.parametrize("spec", [ScoreSpec("bic"), ScoreSpec("bde")], ids=["bic", "bde"])
     def test_configuration_cap(self, spec, monkeypatch):
@@ -733,7 +738,7 @@ class TestStackedDirichletRows:
         self._random_rows(small, spec, 76)
         monkeypatch.setattr(bnsl.scores, "_LGAMMA_TABLE_CAP", wide.n)
         self._wide_rows(wide, spec)
-        assert not any(key[0] == "lgamma" for d in (small, wide) for key in d._memo)
+        assert not _lgamma_tables(small) and not _lgamma_tables(wide)
 
 
 class TestTinyIss:
@@ -764,3 +769,20 @@ class TestTinyIss:
         with pytest.raises(ScoreError, match=message):
             _toggle_scores("B", [], ["A"], d, spec)
         assert local_score("B", ["A"], d, ScoreSpec("k2")) < 0  # k2 has no iss
+
+
+@pytest.mark.parametrize("label", bnsl.scores.SCORE_LABELS)
+def test_a_dataset_without_rows_is_a_score_error(label):
+    if label == "bge":
+        d = Dataset.from_values("AB", {"A": [], "B": []})
+    else:
+        d = Dataset.from_codes("AB", {"A": "ab", "B": "abc"}, {"A": [], "B": []})
+    spec = ScoreSpec(label)
+    message = "^a score needs at least one row, got n = 0$"
+    with pytest.raises(ScoreError, match=message):
+        local_score("B", ["A"], d, spec)
+    with pytest.raises(ScoreError, match=message):
+        network_score(parse_modelstring("[A][B|A]"), d, spec)
+    if label != "lik":  # a hill-climbing config refuses lik itself
+        with pytest.raises(ScoreError, match=message):
+            hill_climb(d, HillClimbConfig(score=spec))
