@@ -10,14 +10,14 @@ A move changes the parent sets of one node (add, delete) or two (reverse),
 so the search keeps an n×n array of the gains of toggling each u in or out
 of each v's parent set, and clears only the rows of the nodes a move
 touched. A stale row is refilled by one call to the score layer, which
-shares one count pass (and, for bge, one stacked determinant per set size)
-among the row's families and scores the discrete families of one shape as
-one stack. One search state, a _Dag of arc and reachability masks (the
-latter recomputed once per applied move), carries a run: the start graph is
-built into it, climbs and perturbations edit it in place, and a Graph is
-built only to score a climb's end and to return the result. Legal moves are
-masks of the arcs, the reachability and the priors; one rule serves
-enumerate_moves, the perturbations and the climb.
+shares one count pass among the row's discrete families and scores the
+families of one shape as one stack; a bge row is one stacked determinant
+per set size. One search state, a _Dag of arc and reachability masks, carries
+a run: an added arc grows the reachability in place, any other change
+recomputes it. The start graph is built into it, climbs and perturbations
+edit it in place, and a Graph is built only to score a climb's end and to
+return the result. Legal moves are masks of the arcs, the reachability and
+the priors; one rule serves enumerate_moves, the perturbations and the climb.
 """
 
 from __future__ import annotations
@@ -74,9 +74,10 @@ class _Dag:
     """A fully directed acyclic graph that the search edits in place.
 
     Nodes are numbered in label order. A[u, v] holds the arc u -> v and
-    R[a, b] says that b is a proper descendant of a; R is recomputed once
-    per applied move. The prior masks say which adds the priors allow and
-    which arcs may not be deleted or reversed.
+    R[a, b] says that b is a proper descendant of a. An add grows R in place
+    (Italiano 1986); a delete, a reverse or a reset of A recomputes it with
+    _reach. The prior masks say which adds the priors allow and which arcs
+    may not be deleted or reversed.
     """
 
     def __init__(self, g: Graph, cons: Constraints | None):
@@ -135,12 +136,17 @@ class _Dag:
 
     def apply(self, kind: int, u: int, v: int) -> None:
         self.A[u, v] = kind == _ADD  # a delete or a reverse takes u -> v away
+        if kind == _ADD:  # new paths: from u or an ancestor of u to v or a descendant of v
+            sources, targets = self.R[:, u].copy(), self.R[v].copy()
+            sources[u] = targets[v] = True
+            self.R |= np.outer(sources, targets)
+            return
         if kind == _REVERSE:
             self.A[v, u] = True
         self._reach()
 
-    def parent_labels(self, v: int) -> set[str]:
-        return {self.names[u] for u in np.flatnonzero(self.A[:, v]).tolist()}
+    def parent_labels(self, v: int) -> frozenset[str]:
+        return frozenset(self.names[u] for u in np.flatnonzero(self.A[:, v]).tolist())
 
     def graph(self, provenance: Provenance | None = None) -> Graph:
         names = self.names
@@ -196,6 +202,26 @@ def _perturb(dag: _Dag, k: int, rng: np.random.Generator) -> int:
     return k
 
 
+def _best_move(deltas: np.ndarray, opening: float) -> tuple[int | None, float | None]:
+    """The position and delta of the canonical best move; (None, None) if none gains.
+
+    The threshold never falls below a delta already scanned, so a delta no
+    larger than an earlier one cannot clear it: only the records are scanned.
+    """
+    positive = np.flatnonzero(deltas > opening)
+    values = deltas[positive]
+    record = np.ones(len(values), dtype=bool)
+    record[1:] = values[1:] > np.maximum.accumulate(values[:-1])
+    best = best_delta = None
+    threshold = opening
+    for i in positive[record].tolist():
+        delta = float(deltas[i])
+        if delta > threshold:
+            best, best_delta = i, delta
+            threshold = best_delta + _TIE_EPS * max(1.0, abs(best_delta))
+    return best, best_delta
+
+
 def _climb(dag: _Dag, d: Dataset, spec: ScoreSpec, cache: ScoreCache,
            trace: LearnTrace, max_iterations: int) -> float:
     names = dag.names
@@ -231,10 +257,11 @@ def _climb(dag: _Dag, d: Dataset, spec: ScoreSpec, cache: ScoreCache,
         for v in np.flatnonzero(stale.any(axis=1)).tolist():
             refill(v, np.flatnonzero(stale[v]).tolist())
         new = legal & ~made
-        for kind, u, v in np.argwhere(new).tolist():
-            events[kind, u, v] = TraceEvent("test", names[u], names[v],
-                                            note=_KINDS[kind])
-        made |= new
+        if new.any():
+            for kind, u, v in np.argwhere(new).tolist():
+                events[kind, u, v] = TraceEvent("test", names[u], names[v],
+                                                note=_KINDS[kind])
+            made |= new
         trace.add_tests(events[legal].tolist())
 
         kinds, us, vs = np.nonzero(legal)
@@ -242,12 +269,7 @@ def _climb(dag: _Dag, d: Dataset, spec: ScoreSpec, cache: ScoreCache,
         deltas = gain[vs, us]
         reverse = kinds == _REVERSE
         deltas[reverse] += gain[us[reverse], vs[reverse]]
-        best, best_delta, threshold = None, _IMPROVEMENT_EPS, opening
-        for i in np.flatnonzero(deltas > opening).tolist():
-            delta = float(deltas[i])
-            if delta > threshold:
-                best, best_delta = i, delta
-                threshold = best_delta + _TIE_EPS * max(1.0, abs(best_delta))
+        best, best_delta = _best_move(deltas, opening)
         if best is None:
             break
         kind, u, v = int(kinds[best]), int(us[best]), int(vs[best])

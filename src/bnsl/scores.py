@@ -172,7 +172,10 @@ def _dirichlet_scores(d: Dataset, counts: np.ndarray, a_cell: float,
 # -- bge ---------------------------------------------------------------------------
 
 class _BgeContext:
-    """Posterior matrix and hyperparameters shared by all bge local scores."""
+    """Posterior matrix and hyperparameters shared by all bge local scores.
+
+    Sets of one size are scored as one stack (_marginals); none is cached.
+    """
 
     def __init__(self, d: Dataset, spec: ScoreSpec):
         moments = _gaussian_moments(d)
@@ -193,7 +196,6 @@ class _BgeContext:
         # prior mean is the zero vector
         self.posterior = (t_scale * np.eye(nvar) + scatter
                           + (n * alpha_mu / (n + alpha_mu)) * np.outer(xbar, xbar))
-        self._set_cache: dict[frozenset, float] = {}
         self._size_terms: dict[int, float] = {}
 
     def _log_multigamma(self, p: int, a: float) -> float:
@@ -213,26 +215,46 @@ class _BgeContext:
             self._size_terms[l] = value
         return value
 
+    def _marginals(self, sets: np.ndarray) -> np.ndarray:
+        """Log marginal likelihoods of the rows of sets, ascending column numbers
+        (the empty set's is 0); the stacked slogdet gives each row its own bits."""
+        m, l = sets.shape
+        if not (m and l):
+            return np.zeros(m)
+        sign, logdet = np.linalg.slogdet(self.posterior[sets[:, :, None], sets[:, None, :]])
+        if (sign <= 0).any():
+            raise ScoreError("bge posterior submatrix is not positive definite")
+        a = self.alpha_w - self.nvar + l
+        return self._size_term(l) - ((a + self.n) / 2.0) * logdet
+
     def log_set_marginals(self, subsets) -> list[float]:
-        """The log marginal likelihood of each subset's columns; the uncached
-        sets of one size share one stacked slogdet, which gives each set its
-        own slogdet bit for bit."""
-        keys = [frozenset(s) for s in subsets]
-        todo: dict[int, dict[frozenset, None]] = {}
-        for key in keys:
-            if key and key not in self._set_cache:
-                todo.setdefault(len(key), {})[key] = None
-        for l, group in todo.items():
-            idx = np.array([sorted(self.index[c] for c in key) for key in group],
-                           dtype=np.intp)
-            sign, logdet = np.linalg.slogdet(self.posterior[idx[:, :, None], idx[:, None, :]])
-            if (sign <= 0).any():
-                raise ScoreError("bge posterior submatrix is not positive definite")
-            a = self.alpha_w - self.nvar + l
-            term, half = self._size_term(l), (a + self.n) / 2.0
-            for key, value in zip(group, logdet.tolist()):
-                self._set_cache[key] = term - half * value
-        return [self._set_cache[key] if key else 0.0 for key in keys]
+        """The log marginal likelihood of each subset's columns."""
+        return [float(self._marginals(np.array([sorted(self.index[c] for c in s)],
+                                               dtype=np.intp))[0]) for s in subsets]
+
+    def local_scores(self, node: str, sets: np.ndarray) -> np.ndarray:
+        """Local scores of node given each row of sets (ascending column numbers)."""
+        families = np.concatenate((sets, np.full((len(sets), 1), self.index[node])), axis=1)
+        families.sort(axis=1)
+        return self._marginals(families) - self._marginals(sets)
+
+    def toggle_scores(self, node: str, parents: list[str], others: list[str]) -> np.ndarray:
+        """local_score(node, parents ^ {u}) for each u in others: the adds are
+        one stack per set size, and so are the deletes."""
+        pa = np.array(sorted(self.index[c] for c in parents), dtype=np.intp)
+        us = np.array([self.index[u] for u in others], dtype=np.intp)
+        deleted = np.array([u in parents for u in others], dtype=bool)
+        adds, dels = us[~deleted], us[deleted]
+        out = np.empty(len(us))
+        if len(adds):
+            sets = np.concatenate((pa[None].repeat(len(adds), axis=0), adds[:, None]), axis=1)
+            sets.sort(axis=1)
+            out[~deleted] = self.local_scores(node, sets)
+        if len(dels):
+            rows = pa[None].repeat(len(dels), axis=0)
+            sets = rows[rows != dels[:, None]].reshape(len(dels), -1)
+            out[deleted] = self.local_scores(node, sets)
+        return out
 
 
 def _bge_context(d: Dataset, spec: ScoreSpec) -> _BgeContext:
@@ -257,7 +279,11 @@ def local_score(node: str, parents, d: Dataset, spec: ScoreSpec) -> float:
     parents = _parent_list(node, parents)
     _check_spec(d, spec)
     if spec.kind == "bge":
-        return _bge_scores(node, [parents], d, spec)[0]
+        for name in (node, *parents):
+            d._col(name)  # DataError for an unknown column, as the discrete scores
+        ctx = _bge_context(d, spec)
+        return float(ctx.local_scores(node, np.array([sorted(ctx.index[c] for c in parents)],
+                                                     dtype=np.intp))[0])
     return _discrete_scores(node, [family_counts(d, node, parents)], d, spec)[0]
 
 
@@ -265,14 +291,18 @@ def _toggle_scores(node: str, parents, others, d: Dataset, spec: ScoreSpec) -> l
     """local_score(node, parents ^ {u}) for each u in others, bit for bit.
 
     The row's discrete families share one count pass, and its bge sets one
-    stacked determinant per set size.
+    stacked determinant per set size. A row that fails raises what its first
+    failing family raises alone.
     """
     parents = _parent_list(node, parents)
     if node in others:
         raise ScoreError("a node cannot be its own parent")
     _check_spec(d, spec)
     if spec.kind == "bge":
-        return _bge_scores(node, [sorted(set(parents) ^ {u}) for u in others], d, spec)
+        if d.columns.keys() >= {node, *parents, *others}:
+            return _bge_context(d, spec).toggle_scores(node, parents, others).tolist()
+        # some family names an unknown column: score (or fail) family by family
+        return [local_score(node, set(parents) ^ {u}, d, spec) for u in others]
     return _discrete_scores(node, _toggle_family_counts(d, node, parents, others),
                             d, spec)
 
@@ -311,17 +341,6 @@ def _discrete_scores(node: str, tables: list[tuple[np.ndarray, int]], d: Dataset
         return [_likelihood(ll) for ll in values]
     penalty = spec.effective_penalty(d.n)
     return [ll - penalty * ((R - 1) * q) for ll, (_, q) in zip(values, tables)]
-
-
-def _bge_scores(node: str, families: list[list[str]], d: Dataset,
-                spec: ScoreSpec) -> list[float]:
-    """bge local scores of node given each sorted parent list in families."""
-    for pa in families:
-        for name in (node, *pa):
-            d._col(name)  # DataError for an unknown column, as the discrete scores
-    marginals = _bge_context(d, spec).log_set_marginals(
-        s for pa in families for s in (pa + [node], pa))
-    return [marginals[i] - marginals[i + 1] for i in range(0, len(marginals), 2)]
 
 
 def network_score(g: Graph, d: Dataset, spec: ScoreSpec,

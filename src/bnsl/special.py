@@ -3,7 +3,8 @@
 Built on in-house regularized incomplete gamma/beta functions so p-values do
 not depend on an external statistics library. The continued-fraction and
 series expansions below converge to ~1e-14 relative accuracy, comfortably
-inside the 1e-10 target for the derived p-values.
+inside the 1e-10 target for the derived p-values, up to a chi-squared df of
+about 1e5 (5e-10 at df = 1e6, 2e-8 at 1e7; past 1e7 a slow tail raises).
 """
 
 from __future__ import annotations
@@ -46,27 +47,38 @@ def regularized_gamma_q(a: float, x: float) -> float:
     return _gamma_contfrac(a, x)
 
 
-def _gamma_series(a: float, x: float) -> float:
+def _more_steps(a: float, steps: int) -> int:
+    # a gamma tail near x = a takes about 8·sqrt(a) steps, past _MAX_ITER from df ≈ 3e4;
+    # past df = 1e7 its prefactor exp(-x + a log x - lgamma(a)) is off by over 1e-8
+    if steps > _MAX_ITER or not a <= 5e6:
+        raise ValueError(f"the incomplete gamma tail does not converge at a = {a:g} "
+                         f"(chi-squared df = {2.0 * a:g})")
+    return _MAX_ITER + int(16.0 * math.sqrt(a))
+
+
+def _gamma_series(a: float, x: float, steps: int = _MAX_ITER) -> float:
     # series representation, converges fast for x < a + 1
     ap = a
     total = term = 1.0 / a
-    for _ in range(_MAX_ITER):
+    for _ in range(steps):
         ap += 1.0
         term *= x / ap
         total += term
         if term < total * 1e-17:  # both are positive here
             break
+    else:
+        return _gamma_series(a, x, _more_steps(a, steps))
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
-def _gamma_contfrac(a: float, x: float) -> float:
+def _gamma_contfrac(a: float, x: float, steps: int = _MAX_ITER) -> float:
     # modified Lentz continued fraction for Q(a, x), x >= a + 1
     b = x + 1.0 - a
     c = 1.0 / _FPMIN
     low = -_FPMIN
     d = 1.0 / b
     h = d
-    for i in range(1, _MAX_ITER):
+    for i in range(1, steps):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -80,6 +92,8 @@ def _gamma_contfrac(a: float, x: float) -> float:
         h *= delta
         if delta == 1.0:
             break
+    else:
+        return _gamma_contfrac(a, x, _more_steps(a, steps))
     return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
 
 

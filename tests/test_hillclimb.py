@@ -10,7 +10,8 @@ from bnsl import (ArcList, CycleError, Dataset, Graph, GraphError, HillClimbConf
                   parse_modelstring, perturb_graph, score_delta,
                   topological_order)
 from bnsl.data import CategoricalColumn, NumericColumn
-from bnsl.hillclimb import _IMPROVEMENT_EPS, _TIE_EPS, _Dag, _climb, _start, apply_move
+from bnsl.hillclimb import _ADD, _DELETE, _IMPROVEMENT_EPS, _REVERSE, _TIE_EPS, _Dag, \
+    _best_move, _climb, _start, apply_move
 from bnsl.networks import SIXNODE_MODEL, sixnode
 from bnsl.priors import normalize_priors
 
@@ -488,6 +489,136 @@ class TestIncrementalSearch:
         _, ref_score, _ = _reference_hill_climb(
             sample, HillClimbConfig(score=spec, start=start))
         assert score == ref_score
+
+
+def _closure(A):
+    """Reachability computed from scratch by Warshall's algorithm."""
+    R = A.copy()
+    for m in range(len(R)):
+        R |= np.outer(R[:, m], R[m])
+    return R
+
+
+class TestReachability:
+    """_Dag.R, grown in place on an add and recomputed on any other change,
+    equals the closure of _Dag.A computed from scratch, and the legal moves
+    equal those of a _Dag built afresh from the same graph."""
+
+    @staticmethod
+    def _random_start(rng, k):
+        # a random start graph and priors with required edges, which _start
+        # adds to the graph one by one
+        names = tuple(f"N{i}" for i in range(k))
+        pairs = [(a, b) for a in names for b in names if a < b]
+        picks = rng.permutation(len(pairs))
+        required = [pairs[i] for i in picks[:3]]
+        black = {pairs[i][::-1] if rng.random() < 0.5 else pairs[i]
+                 for i in picks[3:3 + k // 2]}
+        forced = [arc for arc in [pairs[picks[3 + k // 2]]] if rng.random() < 0.5]
+        priors = PriorKnowledge(whitelist=[e for a, b in required for e in ((a, b), (b, a))]
+                                + forced, blacklist=sorted(black))
+        start = random_dag(rng, k, p_edge=float(rng.uniform(0.0, 0.2)))
+        start = Graph(names, {arc for arc in start.directed_arcs
+                              if arc not in black and arc[::-1] not in forced})
+        d = Dataset.from_codes(names, {c: ("a", "b") for c in names},
+                               {c: np.arange(4) % 2 for c in names})
+        cons = normalize_priors(priors, names)
+        return _start(d, HillClimbConfig(start=start), cons), cons
+
+    def test_random_move_sequences(self):
+        rng = np.random.default_rng(2033)
+        applied = {_ADD: 0, _DELETE: 0, _REVERSE: 0}
+        for case in range(40):
+            try:
+                dag, cons = self._random_start(rng, int(rng.integers(5, 41)))
+            except PriorError:  # the forced arc closes a cycle
+                continue
+            assert np.array_equal(dag.R, _closure(dag.A))
+            best = dag.A.copy()
+            for step in range(30):
+                legal = dag.legal()
+                assert np.array_equal(legal, _Dag(dag.graph(), cons).legal())
+                kinds = np.flatnonzero(legal.any(axis=(1, 2)))
+                if not len(kinds):
+                    break
+                kind = int(rng.choice(kinds))  # a kind first, so adds do not crowd out the rest
+                moves = np.argwhere(legal[kind])
+                u, v = moves[rng.integers(len(moves))].tolist()
+                dag.apply(kind, u, v)
+                applied[kind] += 1
+                if step == 10:
+                    best = dag.A.copy()
+                if step == 20:  # a restart that found nothing better goes back
+                    dag.A = best.copy()
+                    dag._reach()
+                assert np.array_equal(dag.R, _closure(dag.A)), (case, step)
+        assert min(applied.values()) > 200, applied
+
+    def test_every_state_of_a_climb_with_restarts(self, monkeypatch):
+        # hill_climb's own moves, perturbations and resets, checked as they happen
+        apply, reach = _Dag.apply, _Dag._reach
+        seen = []
+
+        def checked_apply(dag, kind, u, v):
+            apply(dag, kind, u, v)
+            seen.append(kind)
+            assert np.array_equal(dag.R, _closure(dag.A))
+
+        def checked_reach(dag):
+            reach(dag)
+            seen.append("reach")
+            assert np.array_equal(dag.R, _closure(dag.A))
+
+        monkeypatch.setattr(_Dag, "apply", checked_apply)
+        monkeypatch.setattr(_Dag, "_reach", checked_reach)
+        rng = np.random.default_rng(2034)
+        truth = random_dag(rng, 12, p_edge=0.25)
+        d = _dependent_data(rng, truth, 300, discrete=True)
+        start = random_dag(rng, 12, p_edge=0.15)
+        cfg = HillClimbConfig(score="bic", priors=_priors_fitting(rng, start), start=start,
+                              restarts=4, perturb=6, seed=3)
+        g, trace = hill_climb(d, cfg)
+        assert {_ADD, _DELETE, _REVERSE} <= set(seen)
+        assert [e.kind for e in trace.events].count("restart") == 4
+        assert seen.count("reach") > 1  # the start, and the reset after a restart
+        ref_graph, _, ref_trace = _reference_hill_climb(d, cfg)
+        assert (g, trace.events) == (ref_graph, ref_trace.events)
+
+
+def _reference_best_move(deltas, opening):
+    """The best-move scan over every delta above the opening, one by one."""
+    best = best_delta = None
+    threshold = opening
+    for i in np.flatnonzero(deltas > opening).tolist():
+        delta = float(deltas[i])
+        if delta > threshold:
+            best, best_delta = i, delta
+            threshold = best_delta + _TIE_EPS * max(1.0, abs(best_delta))
+    return best, best_delta
+
+
+def test_best_move_equals_the_scan_over_every_positive_delta():
+    rng = np.random.default_rng(2035)
+    opening = _IMPROVEMENT_EPS + _TIE_EPS * max(1.0, _IMPROVEMENT_EPS)
+    outcomes = set()
+    for case in range(3000):
+        scale = 10.0 ** rng.uniform(-9, 4)
+        deltas = rng.normal(scale=scale, size=int(rng.integers(0, 60)))
+        if len(deltas) and case % 2:
+            # planted ties: near copies of a few deltas, and chains that creep
+            # up by less than the tie margin per step
+            for _ in range(int(rng.integers(1, 4))):
+                base = float(rng.choice(deltas))
+                margin = _TIE_EPS * max(1.0, abs(base))
+                steps = base + margin * np.cumsum(rng.uniform(0.0, 1.2, int(rng.integers(1, 6))))
+                where = rng.choice(len(deltas), min(len(steps), len(deltas)), replace=False)
+                deltas[np.sort(where)] = steps[:len(where)]
+        if case % 5 == 0:
+            deltas[rng.random(len(deltas)) < 0.3] = opening
+        got = _best_move(deltas, opening)
+        assert got == _reference_best_move(deltas, opening), case
+        outcomes.add(got[0] is None)
+    assert outcomes == {True, False}
 
 
 class TestHillClimb:

@@ -613,6 +613,44 @@ class TestToggleScores:
         adds, deletes = self._check(d, spec, _toggle_cases(rng, list(d.names), 30))
         assert adds > 100 and deletes > 20
 
+    @pytest.mark.parametrize("spec", [ScoreSpec("bge"),
+                                      ScoreSpec("bge", iss=4.0, bge_dof=50.0)],
+                             ids=["default", "iss4-dof50"])
+    def test_bge_rows_with_an_empty_set(self, spec):
+        # adds to an empty parent set, and deletes of the only parent, whose
+        # parent set has size 0 and marginal 0
+        d = random_gaussian_dataset(np.random.default_rng(67), ["A", "B", "C", "D"], 80)
+        adds, deletes = self._check(d, spec, [("A", [], ["B", "C", "D"]), ("A", ["B"], ["B"]),
+                                              ("A", ["B"], ["C", "B", "D"]),
+                                              ("D", ["C"], ["C"])])
+        assert (adds, deletes) == (5, 3)
+
+    def test_bge_row_with_an_unknown_column(self):
+        d = random_gaussian_dataset(np.random.default_rng(68), ["CVP", "HIST", "HR"], 80)
+        spec = ScoreSpec("bge")
+        self._check(d, spec, [("HIST", ["CVP"], ["HR", "Q", "CVP"]), ("HIST", ["CVP"], ["Q"]),
+                              ("Q", ["CVP"], ["HR"]), ("HIST", ["Q", "CVP"], ["Q", "HR"]),
+                              ("HIST", ["Q"], ["Q"])])
+        with pytest.raises(DataError, match="unknown column 'Q'"):
+            _toggle_scores("HIST", ["Q", "CVP"], ["Q", "HR"], d, spec)
+        # each family of this row leaves the unknown parent out
+        assert _toggle_scores("HIST", ["Q"], ["Q"], d, spec) == [local_score("HIST", [], d, spec)]
+
+    def test_bge_row_with_a_posterior_that_is_not_positive_definite(self, monkeypatch):
+        d = random_gaussian_dataset(np.random.default_rng(69), [f"V{i}" for i in range(6)], 80)
+        spec = ScoreSpec("bge")
+        ctx = bnsl.scores._bge_context(d, spec)
+        # an indefinite 2 x 2 block: every set holding V1 and V2 has a negative determinant
+        posterior = ctx.posterior.copy()
+        posterior[1, 2] = posterior[2, 1] = 3.0 * math.sqrt(posterior[1, 1] * posterior[2, 2])
+        monkeypatch.setattr(ctx, "posterior", posterior)
+        cases = list(_toggle_cases(np.random.default_rng(70), list(d.names), 40, max_base=3))
+        self._check(d, spec, cases)
+        rows = [_outcome(lambda c=c: _toggle_scores(*c, d, spec)) for c in cases]
+        failed = (ScoreError, "bge posterior submatrix is not positive definite")
+        assert rows.count(failed) > 5
+        assert sum(isinstance(row, list) for row in rows) > 5
+
     @pytest.mark.parametrize("spec", [ScoreSpec("k2"), ScoreSpec("bde", iss=2.0)],
                              ids=["k2", "bde"])
     def test_above_lgamma_table_cap(self, spec, monkeypatch):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 from collections import Counter
 
@@ -362,3 +363,21 @@ def test_chi2_sf_where_a_plus_one_rounds_to_a(df):
     assert chi2_sf(df, df) == pytest.approx(stats.chi2.sf(df, df), rel=1e-12, abs=0)
     assert regularized_gamma_q(df / 2, df / 2) == pytest.approx(
         sps.gammaincc(df / 2, df / 2), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("df, rel", [(1e3, 1e-12), (1e4, 1e-10), (1e5, 1e-9), (3e5, 1e-9),
+                                     (1e6, 1e-9), (1e7, 5e-8)])
+def test_chi2_sf_past_the_step_cap_against_scipy(df, rel):
+    # near x = df a tail takes about 8 sqrt(df / 2) steps, past _MAX_ITER from
+    # df of about 3e4; it used to return its partial sum there (0.578 at 1e6)
+    for x in (df - 6.0 * math.sqrt(2.0 * df), df, df + 6.0 * math.sqrt(2.0 * df)):
+        assert chi2_sf(x, df) == pytest.approx(stats.chi2.sf(x, df), rel=rel, abs=0)
+
+
+@pytest.mark.parametrize("df", [1.1e7, 1e8, 1e12])
+def test_chi2_sf_that_cannot_converge_names_df(df):
+    with pytest.raises(ValueError, match=re.escape(f"(chi-squared df = {df:g})")):
+        chi2_sf(df, df)
+    # far from x = df the tails still converge in a few steps
+    assert chi2_sf(0.5 * df, df) == stats.chi2.sf(0.5 * df, df) == 1.0
+    assert chi2_sf(2.0 * df, df) == stats.chi2.sf(2.0 * df, df) == 0.0
